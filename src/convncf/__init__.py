@@ -6,7 +6,4 @@ autodiff framework is involved. The `gradcheck` module provides the
 finite-difference oracle that validates every analytic gradient.
 """
 
-from convncf.tensor import DimensionError
-
-__all__ = ["DimensionError"]
 __version__ = "0.1.0"

@@ -82,7 +82,6 @@ def _train_config(cfg: RunConfig) -> TrainConfig:
         batch_size=cfg.batch_size,
         epochs=cfg.epochs,
         seed=cfg.seed,
-        pretrain=cfg.pretrain,
         fism_norm=cfg.fism_norm,
         adagrad_epsilon=cfg.adagrad_epsilon,
         epochs_pretrain=cfg.epochs_pretrain,

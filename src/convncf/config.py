@@ -35,7 +35,6 @@ class RunConfig:
     head: str = "cnn"  # cnn | mlp | linear | identity
     K: int = 64
     C: int = 32
-    depth: int = 0  # 0 means log2(K); anything else must equal it
     mlp_layers: int = 3
     alpha: float = 0.5
     fism_norm: str = "excluded_set"  # or full_set
@@ -137,9 +136,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("key K: must be >= 1")
     if cfg.C < 1:
         raise ConfigError("key C: must be >= 1")
-    if cfg.depth:
-        if cfg.head == "cnn" and (1 << cfg.depth) != cfg.K:
-            raise ConfigError(f"key depth: {cfg.depth} does not pair with K={cfg.K} (need 2^depth == K)")
     if not 1 <= cfg.mlp_layers <= 3:
         raise ConfigError("key mlp_layers: must be in 1..3")
     if cfg.lr_embed <= 0 or cfg.lr_net <= 0:

@@ -22,9 +22,9 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from convncf.embeddings import EmbeddingTables, Variant, item_embedding, user_embedding
-from convncf.model import ModelSpec, head_forward, merge, section_arrays
-from convncf.training import TripleGrads, bpr_loss, compute_triple_gradients
+from convncf.embeddings import EmbeddingTables, Variant
+from convncf.model import ModelSpec, section_arrays
+from convncf.training import TripleGrads, bpr_loss, compute_triple_gradients, triple_forward
 
 
 @dataclass
@@ -74,16 +74,8 @@ def format_report(report: GradReport) -> str:
 def _loss_and_pres(
     spec: ModelSpec, tables: EmbeddingTables, u: int, i: int, j: int, history: list[int]
 ) -> tuple[float, list[np.ndarray]]:
-    pres: list[np.ndarray] = []
-    ys = []
-    for target in (i, j):
-        fU = user_embedding(tables, spec.variant, u, target, history, norm=spec.fism_norm)
-        fI = item_embedding(tables, target)
-        cache, y = head_forward(spec, merge(spec.merge, fU, fI))
-        ys.append(y)
-        if cache is not None and hasattr(cache, "pres"):
-            pres.extend(cache.pres)
-    return bpr_loss(ys[0], ys[1]), pres
+    *_, cache, y = triple_forward(spec, tables, u, i, j, history)
+    return bpr_loss(float(y[0]), float(y[1])), getattr(cache, "pres", [])
 
 
 def _candidate_indices(

@@ -14,7 +14,15 @@ the head maps the merged value to a scalar score:
 * ``CONCAT`` + ``MlpHead`` (the plain MLP baseline).
 * ``INNER`` + ``IdentityHead``: the shallow dot-product models.
 
-Gradients for head parameters are returned as a dict keyed by section name
+Every forward and backward pass works on a batch. User and item rows are
+``(B, K)``, interaction maps ``(B, K, K)``, conv feature stacks
+``(B, s, s, C)`` and scores ``(B,)``. Training runs a triple's positive and
+negative as one batch of two, gradcheck runs that same forward, and
+``predict_batch`` scores one user against many candidates in blocks of
+rows; every row's result is bit-identical to that row scored alone.
+
+Gradients for head parameters are summed over the batch and returned as a
+dict keyed by section name
 (``conv.<l>.kernel``, ``conv.<l>.bias``, ``mlp.<l>.W``, ``mlp.<l>.b``,
 ``w``); the same names address parameters in checkpoints and in the
 finite-difference report.
@@ -35,20 +43,9 @@ from convncf.embeddings import (
     EmbeddingTables,
     FISM_NORM_EXCLUDED,
     Variant,
-    item_embedding,
     user_embedding,
 )
-from convncf.tensor import (
-    DimensionError,
-    conv2x2s2_backward,
-    conv2x2s2_forward,
-    dense_backward,
-    dense_forward,
-    dot,
-    outer,
-    relu,
-    relu_backward,
-)
+from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward
 
 
 class MergeKind(Enum):
@@ -205,39 +202,43 @@ class ModelSpec:
 # merge
 
 
-def merge(kind: MergeKind, fU: np.ndarray, fI: np.ndarray):
-    """Combine user and item embeddings: a vector, a matrix, or a scalar."""
-    fU = np.asarray(fU, dtype=np.float64)
-    fI = np.asarray(fI, dtype=np.float64)
-    if fU.shape != fI.shape or fU.ndim != 1:
-        raise DimensionError(f"merge expects equal-length vectors, got {fU.shape} and {fI.shape}")
+def merge(kind: MergeKind, FU: np.ndarray, FI: np.ndarray):
+    """Combine rows of user and item embeddings, both ``(B, K)``, into
+    ``(B, K)`` vectors, ``(B, 2K)`` vectors, ``(B, K, K)`` maps or ``(B,)``
+    scalars. A single user row ``(1, K)`` is shared by every item row."""
     if kind is MergeKind.ELEMENTWISE:
-        return fU * fI
+        return FU * FI
     if kind is MergeKind.CONCAT:
-        return np.concatenate([fU, fI])
+        return np.concatenate([np.broadcast_to(FU, FI.shape), FI], axis=1)
     if kind is MergeKind.OUTER:
-        return outer(fU, fI)
+        return FU[:, :, None] * FI[:, None, :]
     if kind is MergeKind.INNER:
-        return dot(fU, fI)
+        return np.vecdot(FU, FI)
     raise ValueError(f"unknown merge kind {kind!r}")
 
 
-def merge_backward(kind: MergeKind, fU: np.ndarray, fI: np.ndarray, d_merged):
-    """Adjoint of merge: cotangents for both embeddings."""
+def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged):
+    """Adjoint of merge: per-row cotangents for both embeddings."""
     if kind is MergeKind.ELEMENTWISE:
-        return d_merged * fI, d_merged * fU
+        return d_merged * FI, d_merged * FU
     if kind is MergeKind.CONCAT:
-        k = fU.shape[0]
-        return d_merged[:k].copy(), d_merged[k:].copy()
+        k = FU.shape[1]
+        return d_merged[:, :k], d_merged[:, k:]
     if kind is MergeKind.OUTER:
-        return d_merged @ fI, d_merged.T @ fU
+        return (d_merged @ FI[..., None])[..., 0], (d_merged.transpose(0, 2, 1) @ FU[..., None])[..., 0]
     if kind is MergeKind.INNER:
-        return float(d_merged) * fI, float(d_merged) * fU
+        return d_merged[:, None] * FI, d_merged[:, None] * FU
     raise ValueError(f"unknown merge kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
 # heads
+#
+# Forward passes take a batch of merged values and return one score per row.
+# Backward passes take one score cotangent per row; they return the head
+# gradients summed over the batch (formed per row, then summed, so a batch
+# of two gives exactly the sum of two single-row passes) and the per-row
+# cotangents of the merged values.
 
 
 @dataclass
@@ -248,130 +249,108 @@ class ConvCache:
 
 
 def convncf_forward(stack: ConvStack, E: np.ndarray):
-    """Run the tower over one interaction map; returns (cache, score)."""
-    E = np.asarray(E, dtype=np.float64)
-    K = E.shape[0]
-    if E.ndim != 2 or E.shape[1] != K:
-        raise DimensionError(f"interaction map must be square, got {E.shape}")
-    if 2 ** stack.depth != K:
-        raise ConfigurationError(f"map size {K} is not 2**depth for depth {stack.depth}")
-    x = E.reshape(K, K, 1)
+    """Run the tower over a batch of ``(B, K, K)`` interaction maps; returns
+    (cache, scores)."""
+    x = E[..., None]
     inputs, pres = [], []
     for layer in stack.layers:
         inputs.append(x)
-        pre, x = conv2x2s2_forward(x, layer.kernel, float(layer.bias))
+        pre, x = conv2x2s2_forward(x, layer.kernel, layer.bias)
         pres.append(pre)
-    g = x.reshape(stack.C)
-    cache = ConvCache(inputs=inputs, pres=pres, g=g)
-    return cache, float(stack.w @ g)
+    g = x.reshape(x.shape[0], stack.C)
+    return ConvCache(inputs=inputs, pres=pres, g=g), np.vecdot(g, stack.w)
 
 
-def convncf_backward(stack: ConvStack, cache: ConvCache, d_y: float):
+def convncf_backward(stack: ConvStack, cache: ConvCache, d_y: np.ndarray):
     """Adjoint of convncf_forward; returns (head grads by section, d_E)."""
-    grads: dict[str, np.ndarray] = {"w": d_y * cache.g}
-    d_act = (d_y * stack.w).reshape(1, 1, stack.C)
+    grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * cache.g).sum(axis=0)}
+    d_act = (d_y[:, None] * stack.w).reshape(-1, 1, 1, stack.C)
     for l in range(stack.depth, 0, -1):
         layer = stack.layers[l - 1]
         d_act, d_kernel, d_bias = conv2x2s2_backward(
             cache.inputs[l - 1], layer.kernel, cache.pres[l - 1], d_act
         )
-        grads[f"conv.{l}.kernel"] = d_kernel
-        grads[f"conv.{l}.bias"] = np.asarray(d_bias, dtype=np.float64)
-    K = cache.inputs[0].shape[0]
-    return grads, d_act.reshape(K, K)
+        grads[f"conv.{l}.kernel"] = d_kernel.sum(axis=0)
+        grads[f"conv.{l}.bias"] = d_bias.sum(axis=0)
+    return grads, d_act[..., 0]
 
 
 @dataclass
 class MlpCache:
-    xs: list[np.ndarray]  # layer inputs, xs[0] is the merged vector
+    xs: list[np.ndarray]  # layer inputs, xs[0] is the merged batch
     pres: list[np.ndarray]
     out: np.ndarray  # last hidden activation
 
 
-def mlp_forward(head: MlpHead, x0: np.ndarray):
-    x = np.asarray(x0, dtype=np.float64)
+def mlp_forward(head: MlpHead, X0: np.ndarray):
+    """Run the tower over ``(B, n)`` rows; returns (cache, scores)."""
+    X = X0
     xs, pres = [], []
     for layer in head.layers:
-        xs.append(x)
-        pre = dense_forward(x, layer.W, layer.b)
+        xs.append(X)
+        pre = (layer.W @ X[..., None])[..., 0] + layer.b
         pres.append(pre)
-        x = relu(pre)
-    cache = MlpCache(xs=xs, pres=pres, out=x)
-    return cache, float(head.w @ x)
+        X = np.maximum(pre, 0.0)
+    return MlpCache(xs=xs, pres=pres, out=X), np.vecdot(X, head.w)
 
 
-def mlp_backward(head: MlpHead, cache: MlpCache, d_y: float):
-    grads: dict[str, np.ndarray] = {"w": d_y * cache.out}
-    d_x = d_y * head.w
+def mlp_backward(head: MlpHead, cache: MlpCache, d_y: np.ndarray):
+    """Adjoint of mlp_forward; returns (head grads by section, d_X0)."""
+    grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * cache.out).sum(axis=0)}
+    d_X = d_y[:, None] * head.w
     for l in range(len(head.layers), 0, -1):
-        d_pre = relu_backward(cache.pres[l - 1], d_x)
-        d_x, d_W, d_b = dense_backward(cache.xs[l - 1], head.layers[l - 1].W, d_pre)
-        grads[f"mlp.{l}.W"] = d_W
-        grads[f"mlp.{l}.b"] = d_b
-    return grads, d_x
+        layer = head.layers[l - 1]
+        d_pre = np.where(cache.pres[l - 1] > 0, d_X, 0.0)
+        grads[f"mlp.{l}.W"] = (d_pre[:, :, None] * cache.xs[l - 1][:, None, :]).sum(axis=0)
+        grads[f"mlp.{l}.b"] = d_pre.sum(axis=0)
+        d_X = (layer.W.T @ d_pre[..., None])[..., 0]
+    return grads, d_X
 
 
 def head_forward(spec: ModelSpec, merged):
-    """Dispatch the merged value through the head; returns (cache, score)."""
+    """Dispatch a batch of merged values through the head; returns
+    (cache, scores of shape (B,))."""
     head = spec.head
     if isinstance(head, ConvStack):
         return convncf_forward(head, merged)
     if isinstance(head, MlpHead):
-        x0 = merged.reshape(-1) if spec.merge is MergeKind.OUTER else merged
-        return mlp_forward(head, x0)
+        return mlp_forward(head, merged.reshape(merged.shape[0], -1))
     if isinstance(head, LinearHead):
-        return merged, float(head.w @ merged)
-    return None, float(merged)
+        return None, np.vecdot(merged, head.w)
+    return None, merged
 
 
-def head_backward(spec: ModelSpec, merged, cache, d_y: float):
-    """Adjoint of head_forward; returns (head grads by section, d_merged)."""
+def head_backward(spec: ModelSpec, merged, cache, d_y: np.ndarray):
+    """Adjoint of head_forward; returns (head grads by section summed over
+    the batch, per-row d_merged)."""
     head = spec.head
     if isinstance(head, ConvStack):
         return convncf_backward(head, cache, d_y)
     if isinstance(head, MlpHead):
-        grads, d_x0 = mlp_backward(head, cache, d_y)
-        if spec.merge is MergeKind.OUTER:
-            d_x0 = d_x0.reshape(spec.K, spec.K)
-        return grads, d_x0
+        grads, d_X0 = mlp_backward(head, cache, d_y)
+        return grads, d_X0.reshape(merged.shape)
     if isinstance(head, LinearHead):
-        return {"w": d_y * merged}, d_y * head.w
+        return {"w": (d_y[:, None] * merged).sum(axis=0)}, d_y[:, None] * head.w
     return {}, d_y
 
 
 # ---------------------------------------------------------------------------
 # scoring
 
-
-def predict(
-    spec: ModelSpec,
-    tables: EmbeddingTables,
-    u: int,
-    i: int,
-    history: Iterable[int] = (),
-) -> float:
-    """Score one (user, item) pair. Pure in (spec, tables)."""
-    fU = user_embedding(tables, spec.variant, u, i, history, norm=spec.fism_norm)
-    fI = item_embedding(tables, i)
-    merged = merge(spec.merge, fU, fI)
-    _, y = head_forward(spec, merged)
-    return y
+# Bytes of first-layer head activations one scoring block may hold; the
+# forward keeps every layer's cache, so this bounds the block's memory.
+SCORE_BLOCK_BYTES = 16 * 2**20
 
 
-def _conv_scores_batch(stack: ConvStack, E: np.ndarray) -> np.ndarray:
-    x = E.reshape(E.shape[0], E.shape[1], E.shape[2], 1)
-    for layer in stack.layers:
-        n, s, _, c = x.shape
-        patches = x.reshape(n, s // 2, 2, s // 2, 2, c)
-        pre = np.einsum("niajbd,abdc->nijc", patches, layer.kernel) + float(layer.bias)
-        x = np.maximum(pre, 0.0)
-    return x.reshape(x.shape[0], stack.C) @ stack.w
-
-
-def _mlp_scores_batch(head: MlpHead, X: np.ndarray) -> np.ndarray:
-    for layer in head.layers:
-        X = np.maximum(X @ layer.W.T + layer.b, 0.0)
-    return X @ head.w
+def _block_rows(spec: ModelSpec) -> int:
+    head = spec.head
+    if isinstance(head, ConvStack):
+        width = (spec.K // 2) ** 2 * head.C
+    elif isinstance(head, MlpHead):
+        width = head.layers[0].W.shape[0]
+    else:
+        width = spec.merged_width()
+    return max(1, SCORE_BLOCK_BYTES // (8 * width))
 
 
 def predict_batch(
@@ -381,29 +360,21 @@ def predict_batch(
     items: np.ndarray,
     history: Iterable[int] = (),
 ) -> np.ndarray:
-    """Score many candidate items for one user in one vectorized pass.
+    """Score candidate items for one user, in blocks of rows.
 
-    The user embedding is computed once with no target exclusion, which
-    matches ``predict`` exactly whenever no candidate sits in the history
-    (the ranking protocol guarantees that).
+    The user embedding is computed once with no target exclusion, which is
+    exact whenever no candidate sits in the history (the ranking protocol
+    guarantees that). Every score is bit-identical to that candidate scored
+    alone.
     """
     items = np.asarray(items, dtype=np.int64)
     fU = user_embedding(tables, spec.variant, u, None, history, norm=spec.fism_norm)
-    FI = tables.Q[items]
-    if spec.merge is MergeKind.INNER:
-        return FI @ fU
-    if spec.merge is MergeKind.ELEMENTWISE:
-        X = FI * fU
-        if isinstance(spec.head, LinearHead):
-            return X @ spec.head.w
-        return _mlp_scores_batch(spec.head, X)
-    if spec.merge is MergeKind.CONCAT:
-        X = np.concatenate([np.broadcast_to(fU, FI.shape), FI], axis=1)
-        return _mlp_scores_batch(spec.head, X)
-    E = np.einsum("k,nl->nkl", fU, FI)
-    if isinstance(spec.head, ConvStack):
-        return _conv_scores_batch(spec.head, E)
-    return _mlp_scores_batch(spec.head, E.reshape(E.shape[0], -1))
+    rows = _block_rows(spec)
+    scores = np.empty(items.shape[0])
+    for start in range(0, items.shape[0], rows):
+        FI = tables.Q[items[start : start + rows]]
+        _, scores[start : start + rows] = head_forward(spec, merge(spec.merge, fU[None], FI))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -452,11 +423,6 @@ def init_mlp_head(in_width: int, n_layers: int, seed) -> MlpHead:
     return MlpHead(layers=layers, w=w)
 
 
-def init_linear_head(K: int) -> LinearHead:
-    """All-ones projection, so the untrained model starts at the inner product."""
-    return LinearHead(w=np.ones(K))
-
-
 def new_head(kind: HeadKind, spec_merge: MergeKind, K: int, C: int, mlp_layers: int, seed) -> Head:
     if kind is HeadKind.CNN:
         return init_conv_stack(K, C, seed)
@@ -466,6 +432,7 @@ def new_head(kind: HeadKind, spec_merge: MergeKind, K: int, C: int, mlp_layers: 
             raise ConfigurationError(f"mlp head does not pair with merge {spec_merge.value}")
         return init_mlp_head(widths[spec_merge], mlp_layers, seed)
     if kind is HeadKind.LINEAR:
+        # all-ones projection, so the untrained model starts at the inner product
         return LinearHead(w=np.ones(K))
     return IdentityHead()
 

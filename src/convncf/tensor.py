@@ -1,17 +1,17 @@
-"""Dense float64 kernels with matching hand-derived backward passes.
+"""The 2x2 / stride-2 convolution layer and its hand-derived backward pass.
 
-Shapes follow a fixed convention:
+Shapes carry a leading batch axis ``n``:
 
-* vectors are 1-D arrays,
-* matrices are 2-D row-major arrays,
-* feature stacks are 3-D ``(row, col, channel)`` arrays,
+* feature stacks are 4-D ``(n, row, col, channel)`` arrays,
 * convolution kernels are 4-D ``(kh, kw, cin, cout)`` arrays with
   ``kh == kw == 2``.
 
 The only convolution supported is the 2x2 kernel with stride 2 and no
 padding, so input patches never overlap and the input gradient is a plain
-reshape of the patch gradient. All functions are pure: they never mutate
-their arguments and identical inputs give bit-identical outputs.
+reshape of the patch gradient. Operands are float64 arrays whose shapes
+``ModelSpec`` has already checked; the kernels do not check them again.
+All functions are pure: they never mutate their arguments, and each batch
+row's result is bit-identical to that row computed alone.
 """
 
 from __future__ import annotations
@@ -19,135 +19,36 @@ from __future__ import annotations
 import numpy as np
 
 
-class DimensionError(ValueError):
-    """Raised when an operand's shape does not fit the operation."""
+def _patches(inp: np.ndarray) -> np.ndarray:
+    n, h, _, cin = inp.shape
+    return inp.reshape(n, h // 2, 2, h // 2, 2, cin)
 
 
-def _as_f64(x) -> np.ndarray:
-    a = np.asarray(x, dtype=np.float64)
-    return a
-
-
-def outer(a, b) -> np.ndarray:
-    """Outer product of two equal-length vectors: result[k1, k2] = a[k1]*b[k2]."""
-    a = _as_f64(a)
-    b = _as_f64(b)
-    if a.ndim != 1 or b.ndim != 1:
-        raise DimensionError(f"outer expects vectors, got shapes {a.shape} and {b.shape}")
-    if a.shape[0] != b.shape[0]:
-        raise DimensionError(f"outer length mismatch: {a.shape[0]} vs {b.shape[0]}")
-    return np.outer(a, b)
-
-
-def dot(a, b) -> float:
-    """Inner product of two equal-length vectors."""
-    a = _as_f64(a)
-    b = _as_f64(b)
-    if a.ndim != 1 or b.ndim != 1 or a.shape[0] != b.shape[0]:
-        raise DimensionError(f"dot expects equal-length vectors, got {a.shape} and {b.shape}")
-    return float(a @ b)
-
-
-def relu(v) -> np.ndarray:
-    """Elementwise max(0, v)."""
-    return np.maximum(_as_f64(v), 0.0)
-
-
-def relu_backward(pre, d_out) -> np.ndarray:
-    """Gradient through relu; the subgradient at exactly 0 is taken as 0."""
-    pre = _as_f64(pre)
-    d_out = _as_f64(d_out)
-    if pre.shape != d_out.shape:
-        raise DimensionError(f"relu_backward shape mismatch: {pre.shape} vs {d_out.shape}")
-    return np.where(pre > 0, d_out, 0.0)
-
-
-def _check_conv_shapes(inp: np.ndarray, kernel: np.ndarray) -> None:
-    if inp.ndim != 3:
-        raise DimensionError(f"conv input must be 3-D (h, w, c), got shape {inp.shape}")
-    h, w, cin = inp.shape
-    if h != w:
-        raise DimensionError(f"conv input must be square, got {h}x{w}")
-    if h < 2 or h % 2 != 0:
-        raise DimensionError(f"conv input side must be even and >= 2, got {h}")
-    if kernel.ndim != 4 or kernel.shape[0] != 2 or kernel.shape[1] != 2:
-        raise DimensionError(f"conv kernel must be 2x2xCinxCout, got shape {kernel.shape}")
-    if kernel.shape[2] != cin:
-        raise DimensionError(
-            f"conv channel mismatch: input has {cin} channels, kernel expects {kernel.shape[2]}"
-        )
-
-
-def conv2x2s2_forward(inp, kernel, bias: float):
+def conv2x2s2_forward(inp, kernel, bias):
     """One 2x2 / stride-2 convolution layer with a single scalar bias.
 
-    Returns ``(pre, act)`` where ``pre[i, j, c]`` is
-    ``bias + sum_{a,b,d} inp[2i+a, 2j+b, d] * kernel[a, b, d, c]`` and
-    ``act = relu(pre)``. The pre-activation is kept because the backward
+    Returns ``(pre, act)`` where ``pre[n, i, j, c]`` is
+    ``bias + sum_{a,b,d} inp[n, 2i+a, 2j+b, d] * kernel[a, b, d, c]`` and
+    ``act = max(pre, 0)``. The pre-activation is kept because the backward
     pass needs its sign pattern.
     """
-    inp = _as_f64(inp)
-    kernel = _as_f64(kernel)
-    _check_conv_shapes(inp, kernel)
-    h = inp.shape[0]
-    cin = inp.shape[2]
-    patches = inp.reshape(h // 2, 2, h // 2, 2, cin)
-    pre = np.einsum("iajbd,abdc->ijc", patches, kernel) + float(bias)
+    pre = np.einsum("niajbd,abdc->nijc", _patches(inp), kernel) + bias
     return pre, np.maximum(pre, 0.0)
 
 
 def conv2x2s2_backward(inp, kernel, pre, d_act):
-    """Adjoint of conv2x2s2_forward.
+    """Adjoint of conv2x2s2_forward, per batch row.
 
     Given the cotangent ``d_act`` of the activated output, returns
-    ``(d_input, d_kernel, d_bias)``. The relu mask comes from the stored
-    pre-activation; because patches do not overlap, the input gradient is
-    an exact reshape of the per-patch gradient.
+    ``(d_input, d_kernel, d_bias)`` with shapes ``inp.shape``,
+    ``(n,) + kernel.shape`` and ``(n,)``. The relu mask comes from the
+    stored pre-activation (the subgradient at exactly 0 is 0); because
+    patches do not overlap, the input gradient is an exact reshape of the
+    per-patch gradient.
     """
-    inp = _as_f64(inp)
-    kernel = _as_f64(kernel)
-    pre = _as_f64(pre)
-    d_act = _as_f64(d_act)
-    _check_conv_shapes(inp, kernel)
-    h = inp.shape[0]
-    cin = inp.shape[2]
-    out_shape = (h // 2, h // 2, kernel.shape[3])
-    if pre.shape != out_shape or d_act.shape != out_shape:
-        raise DimensionError(
-            f"conv backward expects pre/d_act of shape {out_shape}, got {pre.shape} and {d_act.shape}"
-        )
+    n = inp.shape[0]
     d_pre = np.where(pre > 0, d_act, 0.0)
-    d_bias = float(d_pre.sum())
-    patches = inp.reshape(h // 2, 2, h // 2, 2, cin)
-    d_kernel = np.einsum("iajbd,ijc->abdc", patches, d_pre)
-    d_patches = np.einsum("abdc,ijc->iajbd", kernel, d_pre)
-    return d_patches.reshape(h, h, cin), d_kernel, d_bias
-
-
-def dense_forward(x, W, b) -> np.ndarray:
-    """Affine layer y = W @ x + b with W of shape (m, n)."""
-    x = _as_f64(x)
-    W = _as_f64(W)
-    b = _as_f64(b)
-    if W.ndim != 2 or x.ndim != 1 or b.ndim != 1:
-        raise DimensionError(f"dense expects W(m,n), x(n), b(m); got {W.shape}, {x.shape}, {b.shape}")
-    if W.shape[1] != x.shape[0] or W.shape[0] != b.shape[0]:
-        raise DimensionError(f"dense shape mismatch: W {W.shape}, x {x.shape}, b {b.shape}")
-    return W @ x + b
-
-
-def dense_backward(x, W, d_out):
-    """Adjoint of dense_forward: returns (d_x, d_W, d_b)."""
-    x = _as_f64(x)
-    W = _as_f64(W)
-    d_out = _as_f64(d_out)
-    if W.ndim != 2 or x.ndim != 1 or d_out.ndim != 1:
-        raise DimensionError(
-            f"dense backward expects W(m,n), x(n), d_out(m); got {W.shape}, {x.shape}, {d_out.shape}"
-        )
-    if W.shape[1] != x.shape[0] or W.shape[0] != d_out.shape[0]:
-        raise DimensionError(f"dense backward shape mismatch: W {W.shape}, x {x.shape}, d_out {d_out.shape}")
-    d_x = W.T @ d_out
-    d_W = np.outer(d_out, x)
-    d_b = d_out.copy()
-    return d_x, d_W, d_b
+    d_bias = d_pre.reshape(n, -1).sum(axis=1)
+    d_kernel = np.einsum("niajbd,nijc->nabdc", _patches(inp), d_pre)
+    d_patches = np.einsum("abdc,nijc->niajbd", kernel, d_pre)
+    return d_patches.reshape(inp.shape), d_kernel, d_bias

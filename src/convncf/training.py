@@ -64,7 +64,6 @@ class TrainConfig:
     batch_size: int = 512
     epochs: int = 30
     seed: int = 42
-    pretrain: bool = True
     fism_norm: str = FISM_NORM_EXCLUDED
     adagrad_epsilon: float = 1e-6
     epochs_pretrain: int = 20
@@ -141,6 +140,23 @@ class TripleGrads:
     tables: TableGrads
 
 
+def triple_forward(
+    spec: ModelSpec,
+    tables: EmbeddingTables,
+    u: int,
+    i: int,
+    j: int,
+    history: list[int],
+):
+    """Embed, merge and score the positive and the negative of one triple
+    as a batch of two; returns (FU, FI, merged, head cache, scores)."""
+    FU = np.stack([user_embedding(tables, spec.variant, u, t, history, norm=spec.fism_norm) for t in (i, j)])
+    FI = np.stack([item_embedding(tables, i), item_embedding(tables, j)])
+    merged = merge(spec.merge, FU, FI)
+    cache, y = head_forward(spec, merged)
+    return FU, FI, merged, cache, y
+
+
 def compute_triple_gradients(
     spec: ModelSpec,
     tables: EmbeddingTables,
@@ -152,28 +168,16 @@ def compute_triple_gradients(
     """Forward both branches of one triple and backpropagate the plain
     (regularization-free) pairwise loss through every shared parameter."""
     history = list(history)
-    fU_pos = user_embedding(tables, spec.variant, u, i, history, norm=spec.fism_norm)
-    fU_neg = user_embedding(tables, spec.variant, u, j, history, norm=spec.fism_norm)
-    fI_pos = item_embedding(tables, i)
-    fI_neg = item_embedding(tables, j)
-    merged_pos = merge(spec.merge, fU_pos, fI_pos)
-    merged_neg = merge(spec.merge, fU_neg, fI_neg)
-    cache_pos, y_pos = head_forward(spec, merged_pos)
-    cache_neg, y_neg = head_forward(spec, merged_neg)
+    FU, FI, merged, cache, y = triple_forward(spec, tables, u, i, j, history)
+    y_pos, y_neg = float(y[0]), float(y[1])
     loss = bpr_loss(y_pos, y_neg)
-    d_pos, d_neg = bpr_grad(y_pos, y_neg)
-
-    hg_pos, d_merged_pos = head_backward(spec, merged_pos, cache_pos, d_pos)
-    hg_neg, d_merged_neg = head_backward(spec, merged_neg, cache_neg, d_neg)
-    head_grads = {name: hg_pos[name] + hg_neg[name] for name in hg_pos}
-
-    d_fU_pos, d_fI_pos = merge_backward(spec.merge, fU_pos, fI_pos, d_merged_pos)
-    d_fU_neg, d_fI_neg = merge_backward(spec.merge, fU_neg, fI_neg, d_merged_neg)
+    head_grads, d_merged = head_backward(spec, merged, cache, np.array(bpr_grad(y_pos, y_neg)))
+    d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
     tg = TableGrads()
-    scatter_user_gradient(tg, spec.variant, u, i, history, d_fU_pos, alpha=tables.alpha, norm=spec.fism_norm)
-    scatter_user_gradient(tg, spec.variant, u, j, history, d_fU_neg, alpha=tables.alpha, norm=spec.fism_norm)
-    tg.add_Q(i, d_fI_pos)
-    tg.add_Q(j, d_fI_neg)
+    scatter_user_gradient(tg, spec.variant, u, i, history, d_FU[0], alpha=tables.alpha, norm=spec.fism_norm)
+    scatter_user_gradient(tg, spec.variant, u, j, history, d_FU[1], alpha=tables.alpha, norm=spec.fism_norm)
+    tg.add_Q(i, d_FI[0])
+    tg.add_Q(j, d_FI[1])
     return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=tg)
 
 

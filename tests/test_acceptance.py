@@ -65,11 +65,12 @@ from convncf.model import (
     convncf_backward,
     convncf_forward,
     init_conv_stack,
+    merge,
     new_head,
     predict_batch,
 )
 from convncf.synthetic import planted_interactions, write_interactions
-from convncf.tensor import conv2x2s2_forward, outer
+from convncf.tensor import conv2x2s2_forward
 from convncf.training import TrainConfig, pretrain, train
 
 # --- learning-experiment constants (criteria 7-9) --------------------------
@@ -280,7 +281,8 @@ def test_criterion_3_kernel_oracles():
     for _ in range(100):
         k = int(rng.integers(1, 13))
         a, b = rng.normal(size=k), rng.normal(size=k)
-        worst = max(worst, float(np.max(np.abs(outer(a, b) - _oracles.outer_loops(a, b)))))
+        E = merge(MergeKind.OUTER, a[None], b[None])[0]
+        worst = max(worst, float(np.max(np.abs(E - _oracles.outer_loops(a, b)))))
     for _ in range(100):
         size = int(rng.choice([2, 4, 8]))
         cin = int(rng.integers(1, 4))
@@ -288,7 +290,8 @@ def test_criterion_3_kernel_oracles():
         inp = rng.normal(size=(size, size, cin))
         kernel = rng.normal(size=(2, 2, cin, cout))
         bias = float(rng.normal())
-        pre, act = conv2x2s2_forward(inp, kernel, bias)
+        pre, act = conv2x2s2_forward(inp[None], kernel, bias)
+        pre, act = pre[0], act[0]
         oracle_pre, oracle_act = _oracles.conv2x2s2_loops(inp, kernel, bias)
         worst = max(worst, float(np.max(np.abs(pre - oracle_pre))))
         worst = max(worst, float(np.max(np.abs(act - oracle_act))))
@@ -305,12 +308,12 @@ def test_criterion_4_receptive_field_totality():
         layer.kernel[...] = np.abs(layer.kernel) + 0.05
         layer.bias[...] = 0.1
     stack.w[...] = np.abs(stack.w) + 0.05
-    E = np.abs(outer(rng.normal(size=64), rng.normal(size=64))) + 0.1
+    E = np.abs(merge(MergeKind.OUTER, rng.normal(size=(1, 64)), rng.normal(size=(1, 64)))) + 0.1
     cache, _ = convncf_forward(stack, E)
-    _, d_E = convncf_backward(stack, cache, 1.0)
+    _, d_E = convncf_backward(stack, cache, np.ones(1))
     n_pos = int(np.sum(d_E > 0))
     dt = time.time() - t0
-    ok = d_E.shape == (64, 64) and n_pos == 64 * 64 and dt < 5
+    ok = d_E.shape == (1, 64, 64) and n_pos == 64 * 64 and dt < 5
     report(4, ok, f"score gradient positive at {n_pos}/4096 map entries ({dt:.1f}s)")
 
 

@@ -55,9 +55,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="form"):
             build_config(None, ["--epochs"])
 
-    def test_validation_rejects_depth_mismatch(self):
-        with pytest.raises(ConfigError, match="depth"):
-            build_config(None, ["K=64", "depth=5"])
+    def test_depth_is_not_a_key(self):
+        # the tower depth is always log2(K)
+        with pytest.raises(ConfigError, match="unknown config key 'depth'"):
+            build_config(None, ["K=64", "depth=6"])
 
     def test_validation_rejects_bad_variant(self):
         with pytest.raises(ConfigError, match="variant"):

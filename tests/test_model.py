@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from convncf.data import derive_seed
-from convncf.embeddings import EmbeddingTables, Variant, init_tables
+from convncf.embeddings import EmbeddingTables, Variant, init_tables, user_embedding
 from convncf.model import (
+    SCORE_BLOCK_BYTES,
     ConfigurationError,
     ConvStack,
     FormatError,
@@ -15,20 +16,19 @@ from convncf.model import (
     ModelSpec,
     convncf_backward,
     convncf_forward,
+    head_forward,
     head_sections,
     init_conv_stack,
-    init_linear_head,
     init_mlp_head,
     load_checkpoint,
     merge,
     merge_backward,
     new_head,
     param_count,
-    predict,
     predict_batch,
     save_checkpoint,
 )
-from convncf.tensor import conv2x2s2_forward, outer, relu
+from convncf.tensor import conv2x2s2_forward
 
 from _oracles import numeric_grad_full
 
@@ -52,33 +52,27 @@ ALL_COMBOS = [
 
 class TestMerge:
     def test_values(self):
-        a = np.array([1.0, 2.0])
-        b = np.array([3.0, -4.0])
-        np.testing.assert_array_equal(merge(MergeKind.ELEMENTWISE, a, b), [3.0, -8.0])
-        np.testing.assert_array_equal(merge(MergeKind.CONCAT, a, b), [1.0, 2.0, 3.0, -4.0])
-        np.testing.assert_array_equal(merge(MergeKind.OUTER, a, b), [[3.0, -4.0], [6.0, -8.0]])
-        assert merge(MergeKind.INNER, a, b) == -5.0
+        a = np.array([[1.0, 2.0]])
+        b = np.array([[3.0, -4.0]])
+        np.testing.assert_array_equal(merge(MergeKind.ELEMENTWISE, a, b), [[3.0, -8.0]])
+        np.testing.assert_array_equal(merge(MergeKind.CONCAT, a, b), [[1.0, 2.0, 3.0, -4.0]])
+        np.testing.assert_array_equal(merge(MergeKind.OUTER, a, b), [[[3.0, -4.0], [6.0, -8.0]]])
+        np.testing.assert_array_equal(merge(MergeKind.INNER, a, b), [-5.0])
 
     @pytest.mark.parametrize("kind", list(MergeKind))
     def test_adjoint_matches_finite_difference(self, kind):
         rng = np.random.default_rng(17)
-        fU, fI = rng.normal(size=5), rng.normal(size=5)
-        d_merged = rng.normal(size=np.shape(merge(kind, fU, fI)))
+        fU, fI = rng.normal(size=(1, 5)), rng.normal(size=(1, 5))
+        d_merged = rng.normal(size=merge(kind, fU, fI).shape)
 
         def objective(concat_vec):
-            m = merge(kind, concat_vec[:5], concat_vec[5:])
-            return float(np.sum(np.asarray(m) * d_merged))
+            m = merge(kind, concat_vec[None, :5], concat_vec[None, 5:])
+            return float(np.sum(m * d_merged))
 
         d_fU, d_fI = merge_backward(kind, fU, fI, d_merged)
-        got = np.concatenate([d_fU, d_fI])
-        want = numeric_grad_full(objective, np.concatenate([fU, fI]))
+        got = np.concatenate([d_fU[0], d_fI[0]])
+        want = numeric_grad_full(objective, np.concatenate([fU[0], fI[0]]))
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
-
-    def test_length_mismatch(self):
-        from convncf.tensor import DimensionError
-
-        with pytest.raises(DimensionError):
-            merge(MergeKind.OUTER, np.zeros(3), np.zeros(4))
 
 
 class TestModelSpec:
@@ -112,6 +106,18 @@ class TestModelSpec:
                 variant=Variant.MF, merge=MergeKind.ELEMENTWISE, head=LinearHead(w=np.ones(3)), K=8
             )
 
+    def test_rejects_conv_channel_mismatch(self):
+        stack = init_conv_stack(8, 4, 0)
+        stack.layers[1].kernel = np.zeros((2, 2, 3, 4))
+        with pytest.raises(ConfigurationError, match="conv layer 2"):
+            ModelSpec(variant=Variant.MF, merge=MergeKind.OUTER, head=stack, K=8)
+
+    def test_rejects_mlp_layers_that_do_not_chain(self):
+        head = init_mlp_head(16, 2, 0)
+        head.layers[1].W = np.zeros((4, 6))
+        with pytest.raises(ConfigurationError, match="does not chain"):
+            ModelSpec(variant=Variant.MF, merge=MergeKind.CONCAT, head=head, K=8)
+
     def test_merged_width(self):
         assert spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=8).merged_width() == 64
         assert spec_for(Variant.MF, MergeKind.CONCAT, HeadKind.MLP, K=8).merged_width() == 16
@@ -122,37 +128,33 @@ class TestConvHead:
         """The tower score equals explicitly chaining the layer primitives."""
         rng = np.random.default_rng(23)
         stack = init_conv_stack(8, 4, derive_seed(1, "init_head"))
-        E = rng.normal(size=(8, 8))
+        E = rng.normal(size=(1, 8, 8))
         cache, y = convncf_forward(stack, E)
-        x = E.reshape(8, 8, 1)
+        x = E.reshape(1, 8, 8, 1)
         for layer in stack.layers:
             _, x = conv2x2s2_forward(x, layer.kernel, float(layer.bias))
-        assert y == pytest.approx(float(stack.w @ x.reshape(4)), abs=1e-12)
-        np.testing.assert_array_equal(cache.g, x.reshape(4))
+        assert y.shape == (1,)
+        assert y[0] == pytest.approx(float(stack.w @ x.reshape(4)), abs=1e-12)
+        np.testing.assert_array_equal(cache.g, x.reshape(1, 4))
 
     def test_backward_matches_finite_difference_on_E(self):
         rng = np.random.default_rng(29)
         stack = init_conv_stack(8, 2, derive_seed(2, "init_head"))
-        E = rng.normal(size=(8, 8)) + 0.5
+        E = rng.normal(size=(1, 8, 8)) + 0.5
         cache, _ = convncf_forward(stack, E)
-        _, d_E = convncf_backward(stack, cache, 1.0)
+        _, d_E = convncf_backward(stack, cache, np.ones(1))
 
         def objective(flat):
-            _, y = convncf_forward(stack, flat.reshape(8, 8))
-            return y
+            _, y = convncf_forward(stack, flat.reshape(1, 8, 8))
+            return float(y[0])
 
-        want = numeric_grad_full(objective, E.reshape(-1)).reshape(8, 8)
+        want = numeric_grad_full(objective, E.reshape(-1)).reshape(1, 8, 8)
         np.testing.assert_allclose(d_E, want, rtol=1e-6, atol=1e-9)
-
-    def test_rejects_wrong_map_size(self):
-        stack = init_conv_stack(8, 2, 0)
-        with pytest.raises(ConfigurationError):
-            convncf_forward(stack, np.zeros((16, 16)))
 
     def test_head_grad_keys_cover_sections(self):
         stack = init_conv_stack(8, 2, 0)
-        cache, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(8, 8)))
-        grads, _ = convncf_backward(stack, cache, 1.0)
+        cache, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(1, 8, 8)))
+        grads, _ = convncf_backward(stack, cache, np.ones(1))
         assert set(grads) == {name for name, _ in head_sections(stack)}
 
 
@@ -161,36 +163,54 @@ class TestGmfReduction:
         """GMF with all-ones projection is exactly the dot product."""
         t = init_tables(4, 6, 5, Variant.MF, 3, scale=1.0)
         gmf = ModelSpec(
-            variant=Variant.MF, merge=MergeKind.ELEMENTWISE, head=init_linear_head(5), K=5
+            variant=Variant.MF,
+            merge=MergeKind.ELEMENTWISE,
+            head=new_head(HeadKind.LINEAR, MergeKind.ELEMENTWISE, 5, 1, 1, 0),
+            K=5,
         )
         inner = ModelSpec(variant=Variant.MF, merge=MergeKind.INNER, head=IdentityHead(), K=5)
+        items = np.arange(6)
         for u in range(4):
-            for i in range(6):
-                assert predict(gmf, t, u, i) == pytest.approx(predict(inner, t, u, i), abs=1e-12)
+            np.testing.assert_allclose(
+                predict_batch(gmf, t, u, items), predict_batch(inner, t, u, items), rtol=0, atol=1e-12
+            )
+
+
+def assert_rows_score_alone(spec, tables, u, items, history=()):
+    """Each row of predict_batch equals the training forward of that one
+    (user, item) pair, a batch of one, bit for bit."""
+    single = []
+    for i in items:
+        fU = user_embedding(tables, spec.variant, u, int(i), history, norm=spec.fism_norm)
+        _, y = head_forward(spec, merge(spec.merge, fU[None], tables.Q[[i]]))
+        single.append(y)
+    batch = predict_batch(spec, tables, u, items, history)
+    assert batch.tobytes() == np.concatenate(single).tobytes()
 
 
 class TestPredictBatch:
     @pytest.mark.parametrize("variant,mk,hk", ALL_COMBOS)
     def test_matches_predict(self, variant, mk, hk):
-        """The vectorized path agrees with per-pair scoring to float64 noise
-        whenever no candidate is in the history (the ranking protocol)."""
         t = init_tables(5, 12, 8, variant, derive_seed(7, "init"), scale=1.0)
         spec = spec_for(variant, mk, hk)
-        history = [0, 3, 5]
-        items = np.array([1, 2, 4, 6, 7, 8, 9, 10, 11])
-        batch = predict_batch(spec, t, 2, items, history)
-        single = np.array([predict(spec, t, 2, int(i), history) for i in items])
-        np.testing.assert_allclose(batch, single, rtol=1e-10, atol=1e-12)
+        assert_rows_score_alone(spec, t, 2, np.array([1, 2, 4, 6, 7, 8, 9, 10, 11]), [0, 3, 5])
+
+    def test_flagship_rows_score_alone_across_blocks(self):
+        t = init_tables(3, 150, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
+        items = np.arange(150)
+        assert len(items) > SCORE_BLOCK_BYTES // (8 * 32 * 32 * 32)
+        assert_rows_score_alone(spec, t, 1, items)
 
     def test_mlp_over_outer_flattens_row_major(self):
         """Flattening convention: entry (k1, k2) of the map lands at k1*K+k2."""
         t = init_tables(3, 6, 4, Variant.MF, 11, scale=1.0)
         spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.MLP, K=4, mlp_layers=1)
-        E = outer(t.P[0], t.Q[1])
+        E = np.outer(t.P[0], t.Q[1])
         x = E.reshape(-1)
         layer = spec.head.layers[0]
-        manual = float(spec.head.w @ relu(layer.W @ x + layer.b))
-        assert predict(spec, t, 0, 1) == pytest.approx(manual, abs=1e-12)
+        manual = float(spec.head.w @ np.maximum(layer.W @ x + layer.b, 0.0))
+        assert predict_batch(spec, t, 0, [1])[0] == pytest.approx(manual, abs=1e-12)
 
 
 class TestParamCount:
@@ -282,6 +302,13 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="Qp"):
             load_checkpoint(path)
 
+    def test_table_width_must_match_k(self, tmp_path):
+        *_, path = self.roundtrip(tmp_path, Variant.MF, MergeKind.INNER, HeadKind.IDENTITY)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob.replace(b",K=8,", b",K=4,", 1))
+        with pytest.raises(FormatError, match="width"):
+            load_checkpoint(path)
+
     def test_garbled_directory_line(self, tmp_path):
         *_, path = self.roundtrip(tmp_path, Variant.MF, MergeKind.INNER, HeadKind.IDENTITY)
         blob = open(path, "rb").read()
@@ -314,4 +341,5 @@ class TestInit:
             init_mlp_head(2, 3, 0)
 
     def test_linear_head_is_ones(self):
-        np.testing.assert_array_equal(init_linear_head(6).w, np.ones(6))
+        head = new_head(HeadKind.LINEAR, MergeKind.ELEMENTWISE, 6, 1, 1, 0)
+        np.testing.assert_array_equal(head.w, np.ones(6))

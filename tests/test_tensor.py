@@ -1,19 +1,18 @@
+"""Kernel tests on a batch of one: the outer map and inner product (merge),
+relu and dense layers (the MLP head) and the 2x2 / stride-2 convolution,
+each against a loop oracle or finite differences."""
+
 import numpy as np
 import pytest
 
-from convncf.tensor import (
-    DimensionError,
-    conv2x2s2_backward,
-    conv2x2s2_forward,
-    dense_backward,
-    dense_forward,
-    dot,
-    outer,
-    relu,
-    relu_backward,
-)
+from convncf.model import MergeKind, MlpHead, MlpLayer, merge, mlp_backward, mlp_forward
+from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward
 
 from _oracles import conv2x2s2_loops, dense_loops, numeric_grad, outer_loops
+
+
+def one_layer_mlp(W, b, w):
+    return MlpHead(layers=[MlpLayer(W=W, b=b)], w=w)
 
 
 class TestOuter:
@@ -21,49 +20,55 @@ class TestOuter:
         rng = np.random.default_rng(11)
         for _ in range(25):
             k = int(rng.integers(1, 9))
-            a = rng.normal(size=k)
-            b = rng.normal(size=k)
-            np.testing.assert_allclose(outer(a, b), outer_loops(a, b), atol=1e-12, rtol=0)
+            a = rng.normal(size=(1, k))
+            b = rng.normal(size=(1, k))
+            E = merge(MergeKind.OUTER, a, b)
+            assert E.shape == (1, k, k)
+            np.testing.assert_allclose(E[0], outer_loops(a[0], b[0]), atol=1e-12, rtol=0)
 
     def test_rank_one_structure(self):
         """Every row of the outer product is a scalar multiple of b."""
-        a = np.array([2.0, -3.0])
-        b = np.array([1.0, 4.0])
-        E = outer(a, b)
-        np.testing.assert_allclose(E[0], 2.0 * b)
-        np.testing.assert_allclose(E[1], -3.0 * b)
-
-    def test_rejects_non_vectors(self):
-        with pytest.raises(DimensionError):
-            outer(np.zeros((2, 2)), np.zeros(2))
+        a = np.array([[2.0, -3.0]])
+        b = np.array([[1.0, 4.0]])
+        E = merge(MergeKind.OUTER, a, b)[0]
+        np.testing.assert_allclose(E[0], 2.0 * b[0])
+        np.testing.assert_allclose(E[1], -3.0 * b[0])
 
 
 class TestDot:
     def test_matches_sum(self):
         rng = np.random.default_rng(3)
-        a, b = rng.normal(size=6), rng.normal(size=6)
-        assert dot(a, b) == pytest.approx(sum(x * y for x, y in zip(a, b)))
-
-    def test_length_mismatch(self):
-        with pytest.raises(DimensionError):
-            dot(np.zeros(3), np.zeros(4))
+        a, b = rng.normal(size=(1, 6)), rng.normal(size=(1, 6))
+        y = merge(MergeKind.INNER, a, b)
+        assert y.shape == (1,)
+        assert y[0] == pytest.approx(sum(x * z for x, z in zip(a[0], b[0])))
 
 
 class TestRelu:
+    # A kernel that copies channel d of each patch's top-left entry to output
+    # channel d turns the conv layer into an elementwise relu over them.
+    PICK = np.zeros((2, 2, 3, 3))
+    PICK[0, 0] = np.eye(3)
+
+    def _inp(self, values):
+        inp = np.zeros((1, 2, 2, 3))
+        inp[0, 0, 0] = values
+        return inp
+
     def test_values(self):
-        v = np.array([-2.0, 0.0, 3.5])
-        np.testing.assert_array_equal(relu(v), [0.0, 0.0, 3.5])
+        _, act = conv2x2s2_forward(self._inp([-2.0, 0.0, 3.5]), self.PICK, 0.0)
+        np.testing.assert_array_equal(act.reshape(-1), [0.0, 0.0, 3.5])
 
     def test_backward_zero_subgradient_at_kink(self):
         # the subgradient at exactly 0 is taken as 0
-        pre = np.array([-1.0, 0.0, 2.0])
-        d = relu_backward(pre, np.ones(3))
-        np.testing.assert_array_equal(d, [0.0, 0.0, 1.0])
+        pre = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
+        d_inp, _, _ = conv2x2s2_backward(self._inp(np.zeros(3)), self.PICK, pre, np.ones((1, 1, 1, 3)))
+        np.testing.assert_array_equal(d_inp[0, 0, 0], [0.0, 0.0, 1.0])
 
 
 class TestConv2x2Stride2:
     def _random_case(self, rng, s=4, cin=3, cout=2):
-        inp = rng.normal(size=(2 * s, 2 * s, cin))
+        inp = rng.normal(size=(1, 2 * s, 2 * s, cin))
         kernel = rng.normal(size=(2, 2, cin, cout))
         bias = float(rng.normal())
         return inp, kernel, bias
@@ -73,31 +78,23 @@ class TestConv2x2Stride2:
         for _ in range(20):
             inp, kernel, bias = self._random_case(rng, s=int(rng.integers(1, 4)))
             pre, act = conv2x2s2_forward(inp, kernel, bias)
-            pre_o, act_o = conv2x2s2_loops(inp, kernel, bias)
-            np.testing.assert_allclose(pre, pre_o, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(act, act_o, atol=1e-12, rtol=0)
+            pre_o, act_o = conv2x2s2_loops(inp[0], kernel, bias)
+            np.testing.assert_allclose(pre[0], pre_o, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(act[0], act_o, atol=1e-12, rtol=0)
 
     def test_halves_spatial_size(self):
         rng = np.random.default_rng(5)
         inp, kernel, bias = self._random_case(rng, s=4)
         pre, act = conv2x2s2_forward(inp, kernel, bias)
-        assert pre.shape == (4, 4, 2)
-        assert act.shape == (4, 4, 2)
-
-    def test_rejects_odd_input(self):
-        with pytest.raises(DimensionError):
-            conv2x2s2_forward(np.zeros((3, 3, 1)), np.zeros((2, 2, 1, 1)), 0.0)
-
-    def test_rejects_channel_mismatch(self):
-        with pytest.raises(DimensionError):
-            conv2x2s2_forward(np.zeros((4, 4, 2)), np.zeros((2, 2, 3, 1)), 0.0)
+        assert pre.shape == (1, 4, 4, 2)
+        assert act.shape == (1, 4, 4, 2)
 
     def test_backward_matches_finite_differences(self):
         """Gradients with respect to input, kernel, and bias all agree with
         central differences of sum(act * weights)."""
         rng = np.random.default_rng(41)
         inp, kernel, bias = self._random_case(rng, s=2)
-        d_act = rng.normal(size=(2, 2, 2))
+        d_act = rng.normal(size=(1, 2, 2, 2))
         bias_arr = np.array(bias)
 
         def objective():
@@ -106,19 +103,20 @@ class TestConv2x2Stride2:
 
         pre, _ = conv2x2s2_forward(inp, kernel, bias)
         d_inp, d_kernel, d_bias = conv2x2s2_backward(inp, kernel, pre, d_act)
+        assert d_kernel.shape == (1, 2, 2, 3, 2) and d_bias.shape == (1,)
 
-        for arr, grad in ((inp, d_inp), (kernel, d_kernel)):
+        for arr, grad in ((inp, d_inp), (kernel, d_kernel[0])):
             for flat in rng.choice(arr.size, size=8, replace=False):
                 want = numeric_grad(objective, arr, int(flat))
                 assert grad.flat[int(flat)] == pytest.approx(want, abs=1e-6)
-        assert d_bias == pytest.approx(numeric_grad(objective, bias_arr, 0), abs=1e-6)
+        assert d_bias[0] == pytest.approx(numeric_grad(objective, bias_arr, 0), abs=1e-6)
 
     def test_backward_adjoint_identity(self):
         # <d_act, J dx> == <J^T d_act, dx> for the pre-activation map
         rng = np.random.default_rng(53)
         inp, kernel, bias = self._random_case(rng, s=3)
         dx = rng.normal(size=inp.shape)
-        d_act = rng.normal(size=(3, 3, 2))
+        d_act = rng.normal(size=(1, 3, 3, 2))
         pre, _ = conv2x2s2_forward(inp, kernel, bias)
         # bypass relu: force every unit active so the map is linear
         pre_active = np.abs(pre) + 1.0
@@ -131,33 +129,32 @@ class TestConv2x2Stride2:
         inp, kernel, bias = self._random_case(rng, s=1, cin=1, cout=1)
         pre, _ = conv2x2s2_forward(inp, kernel, bias)
         dead_pre = -np.abs(pre) - 1.0
-        d_inp, d_kernel, d_bias = conv2x2s2_backward(inp, kernel, dead_pre, np.ones((1, 1, 1)))
-        assert not d_inp.any() and not d_kernel.any() and d_bias == 0.0
+        d_inp, d_kernel, d_bias = conv2x2s2_backward(inp, kernel, dead_pre, np.ones((1, 1, 1, 1)))
+        assert not d_inp.any() and not d_kernel.any() and not d_bias.any()
 
 
 class TestDense:
     def test_forward_matches_loop_oracle(self):
         rng = np.random.default_rng(71)
-        x = rng.normal(size=5)
+        x = rng.normal(size=(1, 5))
         W = rng.normal(size=(3, 5))
         b = rng.normal(size=3)
-        np.testing.assert_allclose(dense_forward(x, W, b), dense_loops(x, W, b), atol=1e-12)
+        cache, _ = mlp_forward(one_layer_mlp(W, b, np.ones(3)), x)
+        np.testing.assert_allclose(cache.pres[0][0], dense_loops(x[0], W, b), atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(79)
-        x = rng.normal(size=4)
+        x = rng.normal(size=(1, 4))
         W = rng.normal(size=(3, 4))
-        b = rng.normal(size=3)
+        b = rng.normal(size=3) + 10.0  # every unit active: the layer is affine
         weights = rng.normal(size=3)
+        head = one_layer_mlp(W, b, weights)
 
         def objective():
-            return float(dense_forward(x, W, b) @ weights)
+            return float(mlp_forward(head, x)[1][0])
 
-        d_x, d_W, d_b = dense_backward(x, W, weights)
-        for arr, grad in ((x, d_x), (W, d_W), (b, d_b)):
+        cache, _ = mlp_forward(head, x)
+        grads, d_x = mlp_backward(head, cache, np.ones(1))
+        for arr, grad in ((x, d_x), (W, grads["mlp.1.W"]), (b, grads["mlp.1.b"])):
             for flat in range(arr.size):
                 assert grad.flat[flat] == pytest.approx(numeric_grad(objective, arr, flat), abs=1e-7)
-
-    def test_shape_mismatch(self):
-        with pytest.raises(DimensionError):
-            dense_forward(np.zeros(3), np.zeros((2, 4)), np.zeros(2))

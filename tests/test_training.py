@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 
 from convncf.data import derive_seed, load_interactions, split_leave_latest_out
-from convncf.embeddings import EmbeddingTables, Variant, init_tables
+from convncf.embeddings import EmbeddingTables, Variant, init_tables, item_embedding, user_embedding
 from convncf.model import (
     HeadKind,
     IdentityHead,
     MergeKind,
     ModelSpec,
+    head_backward,
+    head_forward,
+    merge,
     new_head,
-    predict,
+    predict_batch,
 )
 from convncf.training import (
     LN2,
@@ -179,7 +182,7 @@ class TestTrainStep:
     def test_reported_loss_is_pre_update_data_loss(self):
         t = init_tables(3, 4, 4, Variant.MF, 1, scale=1.0)
         spec = cnn_spec(seed=11)
-        before = bpr_loss(predict(spec, t, 0, 1), predict(spec, t, 0, 2))
+        before = bpr_loss(*predict_batch(spec, t, 0, [1, 2]))
         states = init_adagrad(spec, t)
         cfg = TrainConfig(lambda3=50.0, lambda4=50.0)
         loss = train_step(spec, t, (0, 1, 2), cfg, states, regularize=True)
@@ -213,6 +216,34 @@ class TestTrainStep:
         assert set(g.tables.Q) == {0, 2}
         dp, dn = bpr_grad(g.y_pos, g.y_neg)
         np.testing.assert_allclose(g.tables.P[1], dp * t.Q[2] + dn * t.Q[0], rtol=1e-12)
+
+    @pytest.mark.parametrize(
+        "variant,mk,hk",
+        [
+            (Variant.MF, MergeKind.OUTER, HeadKind.CNN),
+            (Variant.SVDPP, MergeKind.OUTER, HeadKind.CNN),
+            (Variant.MF, MergeKind.OUTER, HeadKind.MLP),
+            (Variant.MF, MergeKind.ELEMENTWISE, HeadKind.LINEAR),
+            (Variant.MF, MergeKind.CONCAT, HeadKind.MLP),
+        ],
+    )
+    def test_head_grads_are_two_single_row_passes_summed(self, variant, mk, hk):
+        """The batch-of-two backward gives, bit for bit, the sum of the
+        positive's and the negative's batch-of-one backward passes."""
+        t = init_tables(4, 9, 8, variant, derive_seed(3, "init"), scale=1.0)
+        head = new_head(hk, mk, 8, 4, 2, derive_seed(3, "init_head"))
+        spec = ModelSpec(variant=variant, merge=mk, head=head, K=8)
+        u, i, j, history = 1, 2, 5, [0, 2, 4, 7]
+        g = compute_triple_gradients(spec, t, u, i, j, history)
+        passes = []
+        for target, d_y in zip((i, j), bpr_grad(g.y_pos, g.y_neg)):
+            fU = user_embedding(t, variant, u, target, history, norm=spec.fism_norm)
+            merged = merge(mk, fU[None], item_embedding(t, target)[None])
+            cache, _ = head_forward(spec, merged)
+            passes.append(head_backward(spec, merged, cache, np.array([d_y]))[0])
+        assert list(g.head) == list(passes[0])
+        for name, grad in g.head.items():
+            assert grad.tobytes() == (passes[0][name] + passes[1][name]).tobytes(), name
 
 
 class TestTrainLoop:
