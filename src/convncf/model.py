@@ -19,7 +19,11 @@ Every forward and backward pass works on a batch. User and item rows are
 ``(B, s, s, C)`` and scores ``(B,)``. Training runs a triple's positive and
 negative as one batch of two, gradcheck runs that same forward, and
 ``predict_batch`` scores one user against many candidates in blocks of
-rows; every row's result is bit-identical to that row scored alone.
+rows; every row's result is bit-identical to that row scored alone. The
+exception is scoring with an MLP head: there each layer is one matrix
+product over the block (``mlp_scores``), equal to the per-row forward to
+rounding, because the per-row products read every weight matrix once per
+candidate.
 
 Gradients for head parameters are summed over the batch and returned as a
 dict keyed by section name
@@ -211,7 +215,7 @@ def merge(kind: MergeKind, FU: np.ndarray, FI: np.ndarray):
     if kind is MergeKind.CONCAT:
         return np.concatenate([np.broadcast_to(FU, FI.shape), FI], axis=1)
     if kind is MergeKind.OUTER:
-        return FU[:, :, None] * FI[:, None, :]
+        return np.einsum("nk,nl->nkl", FU, FI)
     if kind is MergeKind.INNER:
         return np.vecdot(FU, FI)
     raise ValueError(f"unknown merge kind {kind!r}")
@@ -294,6 +298,17 @@ def mlp_forward(head: MlpHead, X0: np.ndarray):
     return MlpCache(xs=xs, pres=pres, out=X), np.vecdot(X, head.w)
 
 
+def mlp_scores(head: MlpHead, X: np.ndarray) -> np.ndarray:
+    """Scores of ``(B, n)`` rows with one matrix product per layer and no
+    caches. mlp_forward multiplies row by row, which keeps a training step
+    bit-identical to its pairs run alone but reads each weight matrix once
+    per row; here it is read once per block, and the scores agree with
+    mlp_forward's to rounding."""
+    for layer in head.layers:
+        X = np.maximum(X @ layer.W.T + layer.b, 0.0)
+    return np.vecdot(X, head.w)
+
+
 def mlp_backward(head: MlpHead, cache: MlpCache, d_y: np.ndarray):
     """Adjoint of mlp_forward; returns (head grads by section, d_X0)."""
     grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * cache.out).sum(axis=0)}
@@ -349,7 +364,7 @@ def _block_rows(spec: ModelSpec) -> int:
     elif isinstance(head, MlpHead):
         width = head.layers[0].W.shape[0]
     else:
-        width = spec.merged_width()
+        width = spec.K
     return max(1, SCORE_BLOCK_BYTES // (8 * width))
 
 
@@ -365,16 +380,23 @@ def predict_batch(
     The user embedding is computed once with no target exclusion, which is
     exact whenever no candidate sits in the history (the ranking protocol
     guarantees that). Every score is bit-identical to that candidate scored
-    alone.
+    alone, except with an MLP head (see ``mlp_scores``).
     """
     items = np.asarray(items, dtype=np.int64)
-    fU = user_embedding(tables, spec.variant, u, None, history, norm=spec.fism_norm)
+    fU = user_embedding(tables, spec.variant, u, None, history, norm=spec.fism_norm)[None]
     rows = _block_rows(spec)
-    scores = np.empty(items.shape[0])
-    for start in range(0, items.shape[0], rows):
-        FI = tables.Q[items[start : start + rows]]
-        _, scores[start : start + rows] = head_forward(spec, merge(spec.merge, fU[None], FI))
-    return scores
+    if items.shape[0] <= rows:
+        return _score_block(spec, fU, tables.Q[items])
+    return np.concatenate(
+        [_score_block(spec, fU, tables.Q[items[start : start + rows]]) for start in range(0, items.shape[0], rows)]
+    )
+
+
+def _score_block(spec: ModelSpec, FU: np.ndarray, FI: np.ndarray) -> np.ndarray:
+    merged = merge(spec.merge, FU, FI)
+    if isinstance(spec.head, MlpHead):
+        return mlp_scores(spec.head, merged.reshape(merged.shape[0], spec.head.in_width))
+    return head_forward(spec, merged)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -642,6 +664,6 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
         spec = ModelSpec(variant=variant, merge=merge_kind, head=head, K=K, fism_norm=desc["fism_norm"])
     except ConfigurationError as exc:
         raise FormatError(f"inconsistent checkpoint: {exc}") from None
-    if tables.P.shape[1] != K or tables.Q.shape[1] != K:
-        raise FormatError(f"section P/Q width does not match K={K}")
+    if any(t is not None and t.shape[1:] != (K,) for t in (tables.P, tables.Q, tables.Qp)):
+        raise FormatError(f"section P/Q/Qp width does not match K={K}")
     return spec, tables

@@ -178,14 +178,20 @@ class TestGmfReduction:
 
 def assert_rows_score_alone(spec, tables, u, items, history=()):
     """Each row of predict_batch equals the training forward of that one
-    (user, item) pair, a batch of one, bit for bit."""
+    (user, item) pair, a batch of one, bit for bit. An MLP head scores a
+    block with one matrix product per layer (mlp_scores), which agrees with
+    the row-by-row forward to rounding only."""
     single = []
     for i in items:
         fU = user_embedding(tables, spec.variant, u, int(i), history, norm=spec.fism_norm)
         _, y = head_forward(spec, merge(spec.merge, fU[None], tables.Q[[i]]))
         single.append(y)
+    single = np.concatenate(single)
     batch = predict_batch(spec, tables, u, items, history)
-    assert batch.tobytes() == np.concatenate(single).tobytes()
+    if isinstance(spec.head, MlpHead):
+        np.testing.assert_allclose(batch, single, rtol=1e-12, atol=1e-14)
+    else:
+        assert batch.tobytes() == single.tobytes()
 
 
 class TestPredictBatch:
@@ -194,6 +200,12 @@ class TestPredictBatch:
         t = init_tables(5, 12, 8, variant, derive_seed(7, "init"), scale=1.0)
         spec = spec_for(variant, mk, hk)
         assert_rows_score_alone(spec, t, 2, np.array([1, 2, 4, 6, 7, 8, 9, 10, 11]), [0, 3, 5])
+
+    @pytest.mark.parametrize("variant,mk,hk", ALL_COMBOS)
+    def test_no_candidates(self, variant, mk, hk):
+        t = init_tables(5, 12, 8, variant, derive_seed(7, "init"), scale=1.0)
+        scores = predict_batch(spec_for(variant, mk, hk), t, 2, np.array([], dtype=np.int64), [0])
+        assert scores.shape == (0,)
 
     def test_flagship_rows_score_alone_across_blocks(self):
         t = init_tables(3, 150, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
@@ -302,10 +314,20 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="Qp"):
             load_checkpoint(path)
 
-    def test_table_width_must_match_k(self, tmp_path):
-        *_, path = self.roundtrip(tmp_path, Variant.MF, MergeKind.INNER, HeadKind.IDENTITY)
+    @pytest.mark.parametrize(
+        "variant,old,new",
+        [
+            (Variant.MF, b",K=8,", b",K=4,"),
+            (Variant.FISM, b"\nQp 2 7 8 ", b"\nQp 2 56 1 "),  # Qp alone: width 1
+            (Variant.FISM, b"\nQp 2 7 8 ", b"\nQp 1 56 "),  # Qp alone: rank 1
+        ],
+        ids=["k", "qp-width1", "qp-rank1"],
+    )
+    def test_table_width_must_match_k(self, tmp_path, variant, old, new):
+        *_, path = self.roundtrip(tmp_path, variant, MergeKind.INNER, HeadKind.IDENTITY)
         blob = open(path, "rb").read()
-        open(path, "wb").write(blob.replace(b",K=8,", b",K=4,", 1))
+        assert old in blob
+        open(path, "wb").write(blob.replace(old, new, 1))
         with pytest.raises(FormatError, match="width"):
             load_checkpoint(path)
 

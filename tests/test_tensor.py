@@ -158,3 +158,16 @@ class TestDense:
         for arr, grad in ((x, d_x), (W, grads["mlp.1.W"]), (b, grads["mlp.1.b"])):
             for flat in range(arr.size):
                 assert grad.flat[flat] == pytest.approx(numeric_grad(objective, arr, flat), abs=1e-7)
+
+    def test_backward_is_zero_at_and_below_the_kink(self):
+        """Units with pre-activation exactly 0 or below pass no gradient
+        (subgradient 0 at the kink), to d_x, W or b."""
+        x = np.array([[1.0, 2.0]])
+        W = np.array([[1.0, -0.5], [1.0, 1.0], [-1.0, 0.0]])
+        head = one_layer_mlp(W, np.zeros(3), np.array([1.0, 2.0, 3.0]))
+        cache, _ = mlp_forward(head, x)
+        np.testing.assert_array_equal(cache.pres[0], [[0.0, 3.0, -1.0]])
+        grads, d_x = mlp_backward(head, cache, np.ones(1))
+        np.testing.assert_array_equal(grads["mlp.1.W"], [[0.0, 0.0], [2.0, 4.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(grads["mlp.1.b"], [0.0, 2.0, 0.0])
+        np.testing.assert_array_equal(d_x, [[2.0, 2.0]])  # 2 * W[1] alone
