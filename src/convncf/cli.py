@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -53,6 +54,7 @@ from convncf.model import (
 )
 from convncf.training import (
     EpochRecord,
+    NonFiniteError,
     TrainConfig,
     pretrain,
     train,
@@ -67,26 +69,13 @@ _USER_ERRORS = (
     ProtocolError,
     SamplingError,
     EvaluationError,
+    NonFiniteError,
     OSError,
 )
 
 
 def _train_config(cfg: RunConfig) -> TrainConfig:
-    tc = TrainConfig(
-        lr_embed=cfg.lr_embed,
-        lr_net=cfg.lr_net,
-        lambda1=cfg.lambda1,
-        lambda2=cfg.lambda2,
-        lambda3=cfg.lambda3,
-        lambda4=cfg.lambda4,
-        batch_size=cfg.batch_size,
-        epochs=cfg.epochs,
-        seed=cfg.seed,
-        fism_norm=cfg.fism_norm,
-        adagrad_epsilon=cfg.adagrad_epsilon,
-        epochs_pretrain=cfg.epochs_pretrain,
-        lambda_pretrain=cfg.lambda_pretrain,
-    )
+    tc = TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
     tc.validate()
     return tc
 
@@ -231,7 +220,7 @@ def _initial_tables(cfg: RunConfig, variant: Variant, splits: SplitSet, tc: Trai
             )
         _check_tables_match(tables, splits, "pretrain checkpoint")
         return tables
-    if cfg.pretrain and cfg.merge != "inner":
+    if cfg.merge != "inner":
         tables, _ = pretrain(variant, splits, tc, cfg.K, cfg.alpha)
         return tables
     return init_tables(ds.M, ds.N, cfg.K, variant, derive_seed(cfg.seed, "init"), alpha=cfg.alpha)

@@ -48,7 +48,6 @@ class RunConfig:
     batch_size: int = 512
     epochs: int = 30
     adagrad_epsilon: float = 1e-6
-    pretrain: bool = True
     epochs_pretrain: int = 20
     lambda_pretrain: float = 1e-6
     # run control

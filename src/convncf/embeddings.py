@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -125,58 +125,34 @@ def user_embedding(
     raise ValueError(f"unknown variant {variant!r}")
 
 
-class TableGrads:
-    """Sparse per-row gradient buffers for the three embedding tables."""
-
-    def __init__(self) -> None:
-        self.P: dict[int, np.ndarray] = {}
-        self.Q: dict[int, np.ndarray] = {}
-        self.Qp: dict[int, np.ndarray] = {}
-
-    @staticmethod
-    def _add(rows: dict[int, np.ndarray], idx: int, vec: np.ndarray) -> None:
-        if idx in rows:
-            rows[idx] = rows[idx] + vec
-        else:
-            rows[idx] = np.array(vec, dtype=np.float64)
-
-    def add_P(self, u: int, vec: np.ndarray) -> None:
-        self._add(self.P, u, vec)
-
-    def add_Q(self, i: int, vec: np.ndarray) -> None:
-        self._add(self.Q, i, vec)
-
-    def add_Qp(self, t: int, vec: np.ndarray) -> None:
-        self._add(self.Qp, t, vec)
-
-
 def scatter_user_gradient(
-    grads: TableGrads,
     variant: Variant,
     u: int,
-    target_i: Optional[int],
+    targets: Sequence[int],
     history: Iterable[int],
-    d_fU: np.ndarray,
+    d_FU: np.ndarray,
     alpha: float = 0.5,
     norm: str = FISM_NORM_EXCLUDED,
-) -> None:
-    """Accumulate the adjoint of user_embedding into the table buffers.
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Adjoint of user_embedding over a batch of targets.
 
-    MF adds d_fU to the user row; the history variants spread
-    ``d_fU / n**alpha`` over every summed history row.
+    Row b of ``d_FU`` is the gradient of the representation built for
+    ``targets[b]``. Returns ``{section: (rows, grads)}`` for P and/or Qp,
+    every touched row listed once with its gradient summed over the batch.
+    MF routes every row of d_FU to the user row; the history variants spread
+    ``d_FU[b] / n_b**alpha`` over the history rows that target b keeps.
     """
-    d_fU = np.asarray(d_fU, dtype=np.float64)
-    if variant is Variant.MF:
-        grads.add_P(u, d_fU)
-        return
-    history = list(history)
-    terms = _history_sum_terms(target_i, history)
-    if terms.size:
-        n = _fism_norm_count(norm, terms.size, len(set(history)))
-        scaled = d_fU / float(n) ** alpha
-        for t in terms:
-            grads.add_Qp(int(t), scaled)
-    if variant is Variant.SVDPP:
-        grads.add_P(u, d_fU)
-    elif variant is not Variant.FISM:
-        raise ValueError(f"unknown variant {variant!r}")
+    out = {}
+    if variant is not Variant.FISM:
+        out["P"] = (np.array([u]), d_FU.sum(axis=0, keepdims=True))
+    if variant is not Variant.MF:
+        terms = _history_sum_terms(None, history)
+        keep = terms[:, None] != np.asarray(targets)[None, :]
+        counts = keep.sum(axis=0).tolist()
+        scales = [float(_fism_norm_count(norm, c, len(terms))) ** alpha for c in counts]
+        scaled = d_FU / np.array(scales)[:, None]
+        touched = keep.any(axis=1)
+        if not touched.all():
+            terms, keep = terms[touched], keep[touched]
+        out["Qp"] = (terms, np.where(keep[:, :, None], scaled[None], 0.0).sum(axis=1))
+    return out

@@ -103,11 +103,11 @@ def _candidate_indices(
 
 
 def _analytic_entry(grads: TripleGrads, name: str, flat: int, arr: np.ndarray) -> float:
-    if name in ("P", "Q", "Qp"):
-        K = arr.shape[1]
-        row = getattr(grads.tables, name).get(flat // K)
-        return float(row[flat % K]) if row is not None else 0.0
-    return float(grads.head[name].flat[flat])
+    if name in grads.head:
+        return float(grads.head[name].flat[flat])
+    rows, rows_grad = grads.tables[name]
+    r, k = divmod(flat, arr.shape[1])
+    return float(rows_grad[rows == r, k].sum())
 
 
 def _kink_risk(

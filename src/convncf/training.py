@@ -18,7 +18,7 @@ model fits the data before shrinkage kicks in.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -27,7 +27,6 @@ from convncf.data import SplitSet, derive_seed, minibatches, sample_negative
 from convncf.embeddings import (
     EmbeddingTables,
     FISM_NORM_EXCLUDED,
-    TableGrads,
     Variant,
     init_tables,
     item_embedding,
@@ -120,8 +119,8 @@ def init_adagrad(spec: ModelSpec, tables: EmbeddingTables) -> AdagradState:
 def adagrad_step(param: np.ndarray, grad: np.ndarray, state: np.ndarray, lr: float, epsilon: float) -> None:
     """In-place: state += grad^2; param -= lr * grad / (sqrt(state) + epsilon).
 
-    Works on whole arrays and on row views alike, so sparse table updates
-    touch only the rows whose gradients exist.
+    Works on whole arrays and on gathered row blocks alike, so sparse table
+    updates touch only the rows whose gradients exist.
     """
     state += grad * grad
     param -= lr * grad / (np.sqrt(state) + epsilon)
@@ -137,7 +136,7 @@ class TripleGrads:
     y_pos: float
     y_neg: float
     head: dict[str, np.ndarray]
-    tables: TableGrads
+    tables: dict[str, tuple[np.ndarray, np.ndarray]]  # section -> (rows, grads)
 
 
 def triple_forward(
@@ -150,8 +149,8 @@ def triple_forward(
 ):
     """Embed, merge and score the positive and the negative of one triple
     as a batch of two; returns (FU, FI, merged, head cache, scores)."""
-    FU = np.stack([user_embedding(tables, spec.variant, u, t, history, norm=spec.fism_norm) for t in (i, j)])
-    FI = np.stack([item_embedding(tables, i), item_embedding(tables, j)])
+    FU = np.array([user_embedding(tables, spec.variant, u, t, history, norm=spec.fism_norm) for t in (i, j)])
+    FI = np.array([item_embedding(tables, i), item_embedding(tables, j)])
     merged = merge(spec.merge, FU, FI)
     cache, y = head_forward(spec, merged)
     return FU, FI, merged, cache, y
@@ -173,12 +172,9 @@ def compute_triple_gradients(
     loss = bpr_loss(y_pos, y_neg)
     head_grads, d_merged = head_backward(spec, merged, cache, np.array(bpr_grad(y_pos, y_neg)))
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
-    tg = TableGrads()
-    scatter_user_gradient(tg, spec.variant, u, i, history, d_FU[0], alpha=tables.alpha, norm=spec.fism_norm)
-    scatter_user_gradient(tg, spec.variant, u, j, history, d_FU[1], alpha=tables.alpha, norm=spec.fism_norm)
-    tg.add_Q(i, d_FI[0])
-    tg.add_Q(j, d_FI[1])
-    return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=tg)
+    table_grads = scatter_user_gradient(spec.variant, u, (i, j), history, d_FU, tables.alpha, spec.fism_norm)
+    table_grads["Q"] = (np.array([i, j]), d_FI)
+    return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=table_grads)
 
 
 def _head_lambda(name: str, config: TrainConfig) -> float:
@@ -195,44 +191,41 @@ def train_step(
     history: Iterable[int] = (),
 ) -> float:
     """One triple: gradients from both branches, touched-parameter L2,
-    Adagrad application. Returns the pre-update pairwise loss."""
+    Adagrad application. Returns the pre-update pairwise loss.
+
+    Each table section steps once over its touched rows (gather, step,
+    write back); the rows of a section are distinct because a sampled
+    negative is never the positive.
+    """
     u, i, j = triple
     g = compute_triple_gradients(spec, tables, u, i, j, history)
+    params = section_arrays(spec, tables)
 
     for name, grad in g.head.items():
-        arr = _head_array(spec, name)
+        arr = params[name]
         if regularize:
             lam = _head_lambda(name, config)
             if lam:
                 grad = grad + 2.0 * lam * arr
         adagrad_step(arr, grad, states[name], config.lr_net, config.adagrad_epsilon)
 
-    for table_name, rows, lam in (
-        ("P", g.tables.P, config.lambda1),
-        ("Qp", g.tables.Qp, config.lambda1),
-        ("Q", g.tables.Q, config.lambda2),
-    ):
-        table = getattr(tables, table_name)
-        for idx, grad in rows.items():
-            if regularize and lam:
-                grad = grad + 2.0 * lam * table[idx]
-            adagrad_step(table[idx], grad, states[table_name][idx], config.lr_embed, config.adagrad_epsilon)
+    for name, (rows, grad) in g.tables.items():
+        table, state = params[name], states[name]
+        block, acc = table.take(rows, axis=0), state.take(rows, axis=0)
+        lam = config.lambda2 if name == "Q" else config.lambda1
+        if regularize and lam:
+            grad = grad + 2.0 * lam * block
+        adagrad_step(block, grad, acc, config.lr_embed, config.adagrad_epsilon)
+        table[rows], state[rows] = block, acc
     return g.loss
-
-
-def _head_array(spec: ModelSpec, name: str) -> np.ndarray:
-    head = spec.head
-    if name == "w":
-        return head.w
-    kind, layer, part = name.split(".")
-    l = int(layer) - 1
-    if kind == "conv":
-        return head.layers[l].kernel if part == "kernel" else head.layers[l].bias
-    return head.layers[l].W if part == "W" else head.layers[l].b
 
 
 # ---------------------------------------------------------------------------
 # epoch loops
+
+
+class NonFiniteError(ArithmeticError):
+    """A training loss or parameter became NaN or infinite."""
 
 
 @dataclass
@@ -255,24 +248,32 @@ def _run_epochs(
     tables: EmbeddingTables,
     splits: SplitSet,
     config: TrainConfig,
-    epochs: int,
     seed_namespace: str,
 ) -> list[EpochRecord]:
+    """Train ``config.epochs`` epochs, evaluating after each. Raises
+    NonFiniteError naming the epoch, and the triple when it is the loss that
+    went non-finite."""
     train_ds = splits.train
     states = init_adagrad(spec, tables)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".shuffle"))
     neg_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".negatives"))
     needs_history = spec.variant in (Variant.FISM, Variant.SVDPP)
     records: list[EpochRecord] = []
-    for epoch in range(1, epochs + 1):
+    for epoch in range(1, config.epochs + 1):
         regularize = epoch > 1
         total, count = 0.0, 0
         for us, its in minibatches(train_ds, config.batch_size, shuffle_rng):
             for u, i in zip(us.tolist(), its.tolist()):
                 j = sample_negative(train_ds, u, neg_rng)
                 history = train_ds.items_of(u) if needs_history else ()
-                total += train_step(spec, tables, (u, i, j), config, states, regularize, history)
+                loss = train_step(spec, tables, (u, i, j), config, states, regularize, history)
+                if not math.isfinite(loss):
+                    raise NonFiniteError(f"epoch {epoch}: loss {loss} at triple (u, i, j) = ({u}, {i}, {j})")
+                total += loss
                 count += 1
+        for name, arr in section_arrays(spec, tables).items():
+            if not np.isfinite(arr).all():
+                raise NonFiniteError(f"epoch {epoch}: section {name} holds non-finite values")
         mean_loss = total / max(count, 1)
         val = evaluate(spec, tables, splits, which="val")
         test = evaluate(spec, tables, splits, which="test")
@@ -288,7 +289,7 @@ def train(
 ) -> TrainResult:
     """Full run: epoch 1 with all lambdas zeroed, then the configured ones;
     validation and test evaluated after every epoch."""
-    records = _run_epochs(spec, tables, splits, config, config.epochs, seed_namespace="train")
+    records = _run_epochs(spec, tables, splits, config, seed_namespace="train")
     return TrainResult(spec=spec, tables=tables, history=records)
 
 
@@ -318,20 +319,15 @@ def pretrain(
     )
     if config.epochs_pretrain == 0:
         return tables, []
-    shallow = TrainConfig(
-        lr_embed=config.lr_embed,
-        lr_net=config.lr_net,
+    shallow = replace(
+        config,
         lambda1=config.lambda_pretrain,
         lambda2=config.lambda_pretrain,
         lambda3=0.0,
         lambda4=0.0,
-        batch_size=config.batch_size,
         epochs=config.epochs_pretrain,
-        seed=config.seed,
-        fism_norm=config.fism_norm,
-        adagrad_epsilon=config.adagrad_epsilon,
     )
-    records = _run_epochs(spec, tables, splits, shallow, shallow.epochs, seed_namespace="pretrain")
+    records = _run_epochs(spec, tables, splits, shallow, seed_namespace="pretrain")
     return tables, records
 
 

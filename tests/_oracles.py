@@ -82,3 +82,33 @@ def numeric_grad_full(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
         bumped[k] = x[k] - step
         out[k] = (up - f(bumped)) / (2.0 * step)
     return out
+
+
+def scatter_user_gradient_loops(variant, u, targets, history, d_FU, alpha, norm):
+    """Per-row dict accumulation of the user-embedding adjoint: one pass per
+    target, each pass adding its gradient row to the user row (MF, SVD++) and
+    ``d / n**alpha`` to every history row the target keeps (FISM, SVD++).
+    Returns {section: {row: grad}}; a row no target reaches is absent."""
+    kind = variant.value
+    P: dict[int, np.ndarray] = {}
+    Qp: dict[int, np.ndarray] = {}
+
+    def add(rows, idx, vec):
+        rows[idx] = rows[idx] + vec if idx in rows else np.array(vec, dtype=np.float64)
+
+    full = sorted(set(history))
+    for target, d in zip(targets, d_FU):
+        if kind != "mf":
+            kept = [t for t in full if t != target]
+            if kept:
+                n = max(1, len(kept) if norm == "excluded_set" else len(full))
+                for t in kept:
+                    add(Qp, t, d / float(n) ** alpha)
+        if kind != "fism":
+            add(P, u, d)
+    out = {}
+    if kind != "fism":
+        out["P"] = P
+    if kind != "mf":
+        out["Qp"] = Qp
+    return out

@@ -1,10 +1,16 @@
+import re
+import shlex
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from convncf.cli import main
 from convncf.config import ConfigError, RunConfig, build_config, parse_value
 from convncf.data import load_interactions
-from convncf.model import load_checkpoint
+from convncf.model import load_checkpoint, save_checkpoint
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 @pytest.fixture
@@ -28,7 +34,7 @@ def run(capsys, *argv):
 class TestConfig:
     def test_defaults(self):
         cfg = build_config(None, [])
-        assert cfg.K == 64 and cfg.variant == "mf" and cfg.pretrain is True
+        assert cfg.K == 64 and cfg.variant == "mf" and cfg.epochs_pretrain == 20
 
     def test_file_then_override(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -46,10 +52,10 @@ class TestConfig:
             build_config(None, ["epochs=many"])
 
     def test_bool_parsing(self):
-        assert parse_value("pretrain", "off") is False
+        assert parse_value("per_user", "off") is False
         assert parse_value("per_user", "YES") is True
         with pytest.raises(ConfigError):
-            parse_value("pretrain", "maybe")
+            parse_value("per_user", "maybe")
 
     def test_malformed_override(self):
         with pytest.raises(ConfigError, match="form"):
@@ -59,6 +65,37 @@ class TestConfig:
         # the tower depth is always log2(K)
         with pytest.raises(ConfigError, match="unknown config key 'depth'"):
             build_config(None, ["K=64", "depth=6"])
+
+    def test_pretrain_is_not_a_key(self):
+        # epochs_pretrain=0 is the one way to skip pretraining
+        with pytest.raises(ConfigError, match="unknown config key 'pretrain'"):
+            build_config(None, ["pretrain=false"])
+
+    def test_readme_config_example(self, tmp_path):
+        """The README's config file and every convncf command line in it
+        pass through build_config."""
+        blocks = re.findall(r"```\w*\n(.*?)```", README.read_text(encoding="utf-8"), re.S)
+        conf = tmp_path / "experiment.conf"
+        conf.write_text(next(b for b in blocks if b.startswith("# experiment.conf")), encoding="utf-8")
+        commands = [
+            shlex.split(line)
+            for block in blocks
+            for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("convncf ")
+        ]
+        assert len(commands) >= 8
+        for argv in commands:
+            args = argv[2:]
+            path = None
+            if "--config" in args:
+                k = args.index("--config")
+                assert args[k + 1] == "experiment.conf"
+                path = str(conf)
+                del args[k : k + 2]
+            cfg = build_config(path, args)
+            if path:
+                assert (cfg.variant, cfg.merge, cfg.head, cfg.K, cfg.C) == ("mf", "outer", "cnn", 64, 32)
+                assert cfg.lr_net == 0.005
 
     def test_validation_rejects_bad_variant(self):
         with pytest.raises(ConfigError, match="variant"):
@@ -133,7 +170,7 @@ class TestGradcheckCommand:
 class TestPipeline:
     MF_ARGS = (
         "variant=mf", "merge=inner", "head=identity", "K=4",
-        "epochs=3", "epochs_pretrain=0", "pretrain=false",
+        "epochs=3", "epochs_pretrain=0",
         "lambda1=0", "lambda2=0", "batch_size=16", "seed=9",
     )
 
@@ -250,6 +287,22 @@ class TestPipeline:
         )
         assert rc == 0
 
+    def test_nonfinite_warm_start_fails_cleanly(self, toy, tmp_path, capsys):
+        pre = tmp_path / "pre"
+        run(capsys, "pretrain", f"dataset={toy}", f"outdir={pre}",
+            "variant=mf", "K=4", "epochs_pretrain=0", "seed=5")
+        spec, tables = load_checkpoint(str(pre / "pretrain.ckpt"))
+        tables.P[3] = np.nan
+        save_checkpoint(spec, tables, str(pre / "pretrain.ckpt"))
+        with np.errstate(invalid="ignore"):
+            rc, _, err = run(
+                capsys, "train", f"dataset={toy}", f"outdir={tmp_path / 'nan'}",
+                f"pretrain_checkpoint={pre}/pretrain.ckpt",
+                "variant=mf", "merge=outer", "head=cnn", "K=4", "C=2",
+                "epochs=1", "seed=5",
+            )
+        assert rc == 1 and err.startswith("error: epoch 1: loss nan at triple (u, i, j) = (3, ")
+
     def test_warm_start_k_mismatch(self, toy, tmp_path, capsys):
         pre = tmp_path / "pre"
         run(capsys, "pretrain", f"dataset={toy}", f"outdir={pre}",
@@ -278,7 +331,7 @@ class TestDeterminism:
 
     def test_different_seed_different_model(self, toy, tmp_path, capsys):
         base = ("variant=mf", "merge=inner", "head=identity", "K=4",
-                "epochs=1", "pretrain=false", "batch_size=32")
+                "epochs=1", "epochs_pretrain=0", "batch_size=32")
         a, b = tmp_path / "a", tmp_path / "b"
         run(capsys, "train", f"dataset={toy}", f"outdir={a}", *base, "seed=1")
         run(capsys, "train", f"dataset={toy}", f"outdir={b}", *base, "seed=2")

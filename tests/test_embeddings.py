@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
+from _oracles import scatter_user_gradient_loops
 from convncf.data import derive_seed
 from convncf.embeddings import (
     FISM_NORM_EXCLUDED,
     FISM_NORM_FULL,
     EmbeddingTables,
-    TableGrads,
     Variant,
     init_tables,
     item_embedding,
@@ -133,56 +133,60 @@ class TestUserEmbedding:
 
 class TestScatterGradient:
     def test_mf_routes_to_user_row(self):
-        g = TableGrads()
         d = np.array([1.0, -2.0, 0.5])
-        scatter_user_gradient(g, Variant.MF, 4, 0, [1, 2], d)
-        np.testing.assert_array_equal(g.P[4], d)
-        assert not g.Qp and not g.Q
+        g = scatter_user_gradient(Variant.MF, 4, (0,), [1, 2], d[None])
+        rows, grads = g["P"]
+        assert rows.tolist() == [4]
+        np.testing.assert_array_equal(grads[0], d)
+        assert set(g) == {"P"}
 
     def test_fism_spreads_scaled_gradient(self):
-        g = TableGrads()
         d = np.array([2.0, 4.0])
-        scatter_user_gradient(g, Variant.FISM, 0, 4, [1, 4, 7], d)
-        for t in (1, 7):
-            np.testing.assert_allclose(g.Qp[t], d / np.sqrt(2.0), atol=1e-15)
-        assert 4 not in g.Qp and not g.P
+        g = scatter_user_gradient(Variant.FISM, 0, (4,), [1, 4, 7], d[None])
+        rows, grads = g["Qp"]
+        assert rows.tolist() == [1, 7]
+        for grad in grads:
+            np.testing.assert_allclose(grad, d / np.sqrt(2.0), atol=1e-15)
+        assert set(g) == {"Qp"}
 
     def test_svdpp_routes_both(self):
-        g = TableGrads()
         d = np.array([1.0, 1.0])
-        scatter_user_gradient(g, Variant.SVDPP, 3, None, [0, 2], d)
-        np.testing.assert_array_equal(g.P[3], d)
-        assert set(g.Qp) == {0, 2}
+        g = scatter_user_gradient(Variant.SVDPP, 3, (5,), [0, 2], d[None])
+        rows, grads = g["P"]
+        assert rows.tolist() == [3]
+        np.testing.assert_array_equal(grads[0], d)
+        assert g["Qp"][0].tolist() == [0, 2]
 
     def test_accumulates_across_calls(self):
-        g = TableGrads()
-        scatter_user_gradient(g, Variant.MF, 1, None, [], np.array([1.0]))
-        scatter_user_gradient(g, Variant.MF, 1, None, [], np.array([2.5]))
-        np.testing.assert_array_equal(g.P[1], [3.5])
+        """The targets of one batch accumulate on the shared user row."""
+        g = scatter_user_gradient(Variant.MF, 1, (0, 3), [], np.array([[1.0], [2.5]]))
+        rows, grads = g["P"]
+        assert rows.tolist() == [1]
+        np.testing.assert_array_equal(grads, [[3.5]])
 
     def test_adjoint_identity(self):
         """<d, f(tables)> differentiated by hand equals the scatter output:
         for linear maps, f(perturbed) - f(tables) == sum of grad rows dotted
-        with the perturbation rows."""
+        with the perturbation rows, summed over the batch of targets."""
         rng = np.random.default_rng(42)
         t = unit_tables(seed=3)
         history = [1, 3, 5, 8]
-        d = rng.normal(size=t.K)
+        targets = (5, 0)
+        d = rng.normal(size=(len(targets), t.K))
         for var, norm in [
             (Variant.MF, FISM_NORM_EXCLUDED),
             (Variant.FISM, FISM_NORM_EXCLUDED),
             (Variant.FISM, FISM_NORM_FULL),
             (Variant.SVDPP, FISM_NORM_EXCLUDED),
         ]:
-            g = TableGrads()
-            scatter_user_gradient(g, var, 2, 5, history, d, norm=norm)
+            g = scatter_user_gradient(var, 2, targets, history, d, norm=norm)
             dP = rng.normal(size=t.P.shape)
             dQp = rng.normal(size=t.Qp.shape)
             bumped = EmbeddingTables(P=t.P + dP, Q=t.Q, Qp=t.Qp + dQp, K=t.K, alpha=t.alpha)
-            before = d @ user_embedding(t, var, 2, 5, history, norm=norm)
-            after = d @ user_embedding(bumped, var, 2, 5, history, norm=norm)
-            via_grads = sum(vec @ dP[r] for r, vec in g.P.items())
-            via_grads += sum(vec @ dQp[r] for r, vec in g.Qp.items())
+            before = sum(d[b] @ user_embedding(t, var, 2, x, history, norm=norm) for b, x in enumerate(targets))
+            after = sum(d[b] @ user_embedding(bumped, var, 2, x, history, norm=norm) for b, x in enumerate(targets))
+            bumps = {"P": dP, "Qp": dQp}
+            via_grads = sum(vec @ bumps[name][r] for name, (rows, grads) in g.items() for r, vec in zip(rows, grads))
             assert after - before == pytest.approx(via_grads, abs=1e-10)
 
     def test_exclusion_invariance(self):
@@ -193,3 +197,30 @@ class TestScatterGradient:
         t.Qp[4] += 100.0
         f1 = user_embedding(t, Variant.FISM, 0, 4, [1, 4, 7])
         np.testing.assert_array_equal(f0, f1)
+
+
+class TestScatterMatchesLoopOracle:
+    """The array scatter equals, bit for bit, the per-row dict accumulation
+    of one pass per target."""
+
+    CASES = {
+        "positive_in_history": ([1, 4, 7, 2], (4, 5)),
+        "empty_history": ([], (4, 5)),
+        "row_reached_by_both": ([1, 6, 2], (4, 5)),
+        "same_target_twice": ([1, 4, 7], (4, 4)),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("norm", [FISM_NORM_EXCLUDED, FISM_NORM_FULL])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_bit_identical(self, variant, norm, case):
+        history, targets = self.CASES[case]
+        d = np.random.default_rng(5).normal(size=(len(targets), 4))
+        got = scatter_user_gradient(variant, 3, targets, history, d, alpha=0.75, norm=norm)
+        want = scatter_user_gradient_loops(variant, 3, targets, history, d, alpha=0.75, norm=norm)
+        assert set(got) == set(want)
+        for name, (rows, grads) in got.items():
+            assert len(set(rows.tolist())) == len(rows), name
+            assert sorted(rows.tolist()) == sorted(want[name]), name
+            for r, grad in zip(rows.tolist(), grads):
+                assert grad.tobytes() == want[name][r].tobytes(), (name, r)

@@ -94,7 +94,8 @@ class TestHasTeeth:
 
         def corrupted(spec_, tables_, u, i, j, history):
             g = compute_triple_gradients(spec_, tables_, u, i, j, history)
-            g.tables.P = {r: 1.5 * v for r, v in g.tables.P.items()}
+            rows, grads = g.tables["P"]
+            g.tables["P"] = (rows, 1.5 * grads)
             return g
 
         report = finite_diff_check(spec, tables, TRIPLE, HISTORY, seed=7, grad_fn=corrupted)
@@ -138,7 +139,8 @@ class TestFormatReport:
 
         def corrupted(spec_, tables_, u, i, j, history):
             g = compute_triple_gradients(spec_, tables_, u, i, j, history)
-            g.tables.Q = {r: v + 7.0 for r, v in g.tables.Q.items()}
+            rows, grads = g.tables["Q"]
+            g.tables["Q"] = (rows, grads + 7.0)
             return g
 
         report = finite_diff_check(spec, tables, TRIPLE, seed=3, grad_fn=corrupted)

@@ -20,6 +20,7 @@ from convncf.model import (
 from convncf.training import (
     LN2,
     METRICS_HEADER,
+    NonFiniteError,
     TrainConfig,
     adagrad_step,
     bpr_grad,
@@ -212,10 +213,35 @@ class TestTrainStep:
         """The user row accumulates both branches; each item row only its own."""
         t = init_tables(3, 4, 2, Variant.MF, 8, scale=1.0)
         g = compute_triple_gradients(inner_spec(), t, 1, 2, 0)
-        assert set(g.tables.P) == {1}
-        assert set(g.tables.Q) == {0, 2}
+        P_rows, P_grads = g.tables["P"]
+        Q_rows, _ = g.tables["Q"]
+        assert P_rows.tolist() == [1]
+        assert sorted(Q_rows.tolist()) == [0, 2]
         dp, dn = bpr_grad(g.y_pos, g.y_neg)
-        np.testing.assert_allclose(g.tables.P[1], dp * t.Q[2] + dn * t.Q[0], rtol=1e-12)
+        np.testing.assert_allclose(P_grads[0], dp * t.Q[2] + dn * t.Q[0], rtol=1e-12)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_table_update_matches_per_row_loop(self, variant):
+        """Each section's one gathered step equals, bit for bit, one Adagrad
+        step per touched row, accumulators included."""
+        t = init_tables(4, 9, 4, variant, derive_seed(2, "init"), scale=1.0)
+        spec = ModelSpec(variant=variant, merge=MergeKind.INNER, head=IdentityHead(), K=4)
+        cfg = TrainConfig(lambda1=0.3, lambda2=0.2)
+        states = init_adagrad(spec, t)
+        for acc in states.values():
+            acc += 0.5
+        want_t, want_s = copy.deepcopy(t), copy.deepcopy(states)
+        history = [0, 2, 4, 7]
+        g = compute_triple_gradients(spec, t, 1, 2, 5, history)
+        for name, (rows, grads) in g.tables.items():
+            table = getattr(want_t, name)
+            lam = cfg.lambda2 if name == "Q" else cfg.lambda1
+            for r, grad in zip(rows.tolist(), grads):
+                adagrad_step(table[r], grad + 2.0 * lam * table[r], want_s[name][r], cfg.lr_embed, cfg.adagrad_epsilon)
+        train_step(spec, t, (1, 2, 5), cfg, states, regularize=True, history=history)
+        for name in states:
+            assert getattr(t, name).tobytes() == getattr(want_t, name).tobytes(), name
+            assert states[name].tobytes() == want_s[name].tobytes(), name
 
     @pytest.mark.parametrize(
         "variant,mk,hk",
@@ -257,6 +283,23 @@ class TestTrainLoop:
         train(specs[1], light, splits, TrainConfig(lambda1=0.0, lambda2=0.0, epochs=1, seed=3))
         np.testing.assert_array_equal(heavy.P, light.P)
         np.testing.assert_array_equal(heavy.Q, light.Q)
+
+    def test_nan_user_row_names_epoch_and_triple(self, tmp_path):
+        splits = make_splits(tmp_path)
+        tables = init_tables(splits.train.M, splits.train.N, 4, Variant.MF, 2, scale=0.1)
+        tables.P[5] = np.nan
+        with np.errstate(invalid="ignore"), pytest.raises(NonFiniteError, match=r"^epoch 1: loss nan at triple \(u, i, j\) = \(5, "):
+            train(inner_spec(K=4), tables, splits, TrainConfig(epochs=2, seed=5))
+
+    def test_nonfinite_parameter_names_epoch_and_section(self, tmp_path):
+        """FISM never reads P, so an infinite P entry leaves every loss
+        finite; the end-of-epoch sweep still names the section."""
+        splits = make_splits(tmp_path)
+        tables = init_tables(splits.train.M, splits.train.N, 4, Variant.FISM, 3, scale=0.1)
+        tables.P[0, 1] = np.inf
+        spec = ModelSpec(variant=Variant.FISM, merge=MergeKind.INNER, head=IdentityHead(), K=4)
+        with pytest.raises(NonFiniteError, match="^epoch 1: section P holds non-finite values$"):
+            train(spec, tables, splits, TrainConfig(epochs=2, seed=8))
 
     def test_loss_decreases_on_learnable_fixture(self, tmp_path):
         splits = make_splits(tmp_path)
