@@ -5,9 +5,10 @@ A model is a ``ModelSpec`` (architecture plus head parameters) together with
 the head maps the merged value to a scalar score:
 
 * ``OUTER`` + ``ConvStack``: the full interaction-map model. The K x K outer
-  product is treated as a one-channel image and halved by 2x2/stride-2
-  convolutions until a 1 x 1 x C vector remains, which a weight vector
-  projects to the score.
+  product is treated as a one-channel image, gathered once into quadtree
+  order (``tensor``), and halved by 2x2/stride-2 convolutions, one matrix
+  product per layer, until a 1 x 1 x C vector remains, which a weight
+  vector projects to the score.
 * ``OUTER`` + ``MlpHead``: the ablation that flattens the interaction map
   row-major to a K^2 vector for a fully-connected tower.
 * ``ELEMENTWISE`` + ``LinearHead`` (GMF) or ``MlpHead`` (JRL).
@@ -15,15 +16,15 @@ the head maps the merged value to a scalar score:
 * ``INNER`` + ``IdentityHead``: the shallow dot-product models.
 
 Every forward and backward pass works on a batch. User and item rows are
-``(B, K)``, interaction maps ``(B, K, K)``, conv feature stacks
-``(B, s, s, C)`` and scores ``(B,)``. Training runs a triple's positive and
-negative as one batch of two, gradcheck runs that same forward, and
-``predict_batch`` scores one user against many candidates in blocks of
-rows; every row's result is bit-identical to that row scored alone. The
-exception is scoring with an MLP head: there each layer is one matrix
-product over the block (``mlp_scores``), equal to the per-row forward to
-rounding, because the per-row products read every weight matrix once per
-candidate.
+``(B, K)``, interaction maps ``(B, K, K)``, conv feature stacks ``(B, P, C)``
+with the P = s*s positions of an s x s map in quadtree order, and scores
+``(B,)``. Training runs a triple's positive and negative as one batch of
+two, gradcheck runs that same forward, and ``predict_batch`` scores one user
+against many candidates in blocks of rows; every row's result is
+bit-identical to that row scored alone. The exception is scoring with an
+MLP head: there each layer is one matrix product over the block
+(``mlp_scores``), equal to the per-row forward to rounding, because the
+per-row products read every weight matrix once per candidate.
 
 Gradients for head parameters are summed over the batch and returned as a
 dict keyed by section name
@@ -49,7 +50,7 @@ from convncf.embeddings import (
     Variant,
     user_embedding,
 )
-from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward
+from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, to_quadtree
 
 
 class MergeKind(Enum):
@@ -253,9 +254,9 @@ class ConvCache:
 
 
 def convncf_forward(stack: ConvStack, E: np.ndarray):
-    """Run the tower over a batch of ``(B, K, K)`` interaction maps; returns
-    (cache, scores)."""
-    x = E[..., None]
+    """Run the tower over a batch of ``(B, K, K)`` interaction maps, gathered
+    once into quadtree order; returns (cache, scores)."""
+    x = to_quadtree(E[..., None])
     inputs, pres = [], []
     for layer in stack.layers:
         inputs.append(x)
@@ -268,7 +269,7 @@ def convncf_forward(stack: ConvStack, E: np.ndarray):
 def convncf_backward(stack: ConvStack, cache: ConvCache, d_y: np.ndarray):
     """Adjoint of convncf_forward; returns (head grads by section, d_E)."""
     grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * cache.g).sum(axis=0)}
-    d_act = (d_y[:, None] * stack.w).reshape(-1, 1, 1, stack.C)
+    d_act = (d_y[:, None] * stack.w)[:, None, :]
     for l in range(stack.depth, 0, -1):
         layer = stack.layers[l - 1]
         d_act, d_kernel, d_bias = conv2x2s2_backward(
@@ -276,7 +277,7 @@ def convncf_backward(stack: ConvStack, cache: ConvCache, d_y: np.ndarray):
         )
         grads[f"conv.{l}.kernel"] = d_kernel.sum(axis=0)
         grads[f"conv.{l}.bias"] = d_bias.sum(axis=0)
-    return grads, d_act[..., 0]
+    return grads, from_quadtree(d_act)[..., 0]
 
 
 @dataclass
@@ -465,23 +466,16 @@ def new_head(kind: HeadKind, spec_merge: MergeKind, K: int, C: int, mlp_layers: 
 
 def head_sections(head: Head) -> list[tuple[str, np.ndarray]]:
     """Named parameter arrays of a head, in canonical checkpoint order."""
+    out: list[tuple[str, np.ndarray]] = []
     if isinstance(head, ConvStack):
-        out = []
         for l, layer in enumerate(head.layers, start=1):
-            out.append((f"conv.{l}.kernel", layer.kernel))
-            out.append((f"conv.{l}.bias", layer.bias))
-        out.append(("w", head.w))
-        return out
-    if isinstance(head, MlpHead):
-        out = []
+            out += [(f"conv.{l}.kernel", layer.kernel), (f"conv.{l}.bias", layer.bias)]
+    elif isinstance(head, MlpHead):
         for l, layer in enumerate(head.layers, start=1):
-            out.append((f"mlp.{l}.W", layer.W))
-            out.append((f"mlp.{l}.b", layer.b))
+            out += [(f"mlp.{l}.W", layer.W), (f"mlp.{l}.b", layer.b)]
+    if not isinstance(head, IdentityHead):
         out.append(("w", head.w))
-        return out
-    if isinstance(head, LinearHead):
-        return [("w", head.w)]
-    return []
+    return out
 
 
 def section_arrays(spec: ModelSpec, tables: EmbeddingTables) -> dict[str, np.ndarray]:
@@ -612,6 +606,8 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
         if offset + nbytes > len(payload):
             raise FormatError(f"section {name} truncated")
         arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").astype(np.float64)
+        if not np.isfinite(arr).all():
+            raise FormatError(f"section {name} holds non-finite values")
         arrays[name] = arr.reshape(dims)
 
     try:
@@ -623,40 +619,26 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
     except ValueError as exc:
         raise FormatError(f"bad descriptor value: {exc}") from None
 
-    for required in ("P", "Q"):
-        if required not in arrays:
-            raise FormatError(f"section {required} missing")
-    tables = EmbeddingTables(
-        P=arrays["P"], Q=arrays["Q"], Qp=arrays.get("Qp"), K=K, alpha=alpha
-    )
+    def section(name: str) -> np.ndarray:
+        if name not in arrays:
+            raise FormatError(f"section {name} missing")
+        return arrays[name]
+
+    tables = EmbeddingTables(P=section("P"), Q=section("Q"), Qp=arrays.get("Qp"), K=K, alpha=alpha)
     if variant in (Variant.FISM, Variant.SVDPP) and tables.Qp is None:
         raise FormatError("section Qp missing for history-based variant")
 
     head: Head
     if head_kind is HeadKind.CNN:
-        layers = []
-        for l in range(1, len([n for n in arrays if n.endswith(".kernel")]) + 1):
-            kname, bname = f"conv.{l}.kernel", f"conv.{l}.bias"
-            if kname not in arrays or bname not in arrays:
-                raise FormatError(f"section {kname} missing")
-            layers.append(ConvLayer(kernel=arrays[kname], bias=arrays[bname].reshape(())))
-        if "w" not in arrays:
-            raise FormatError("section w missing")
-        head = ConvStack(layers=layers, w=arrays["w"])
+        depth = sum(n.endswith(".kernel") for n in arrays)
+        layers = [ConvLayer(section(f"conv.{l}.kernel"), section(f"conv.{l}.bias").reshape(())) for l in range(1, depth + 1)]
+        head = ConvStack(layers=layers, w=section("w"))
     elif head_kind is HeadKind.MLP:
-        layers = []
-        for l in range(1, len([n for n in arrays if n.startswith("mlp.") and n.endswith(".W")]) + 1):
-            wname, bname = f"mlp.{l}.W", f"mlp.{l}.b"
-            if wname not in arrays or bname not in arrays:
-                raise FormatError(f"section {wname} missing")
-            layers.append(MlpLayer(W=arrays[wname], b=arrays[bname]))
-        if "w" not in arrays:
-            raise FormatError("section w missing")
-        head = MlpHead(layers=layers, w=arrays["w"])
+        depth = sum(n.startswith("mlp.") and n.endswith(".W") for n in arrays)
+        layers = [MlpLayer(section(f"mlp.{l}.W"), section(f"mlp.{l}.b")) for l in range(1, depth + 1)]
+        head = MlpHead(layers=layers, w=section("w"))
     elif head_kind is HeadKind.LINEAR:
-        if "w" not in arrays:
-            raise FormatError("section w missing")
-        head = LinearHead(w=arrays["w"])
+        head = LinearHead(w=section("w"))
     else:
         head = IdentityHead()
 

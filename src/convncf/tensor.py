@@ -1,54 +1,73 @@
-"""The 2x2 / stride-2 convolution layer and its hand-derived backward pass.
+"""The 2x2 / stride-2 convolution layer over quadtree-ordered feature stacks.
 
-Shapes carry a leading batch axis ``n``:
+Feature stacks are ``(n, P, channel)`` arrays: a batch axis, then the
+P = s*s positions of an s x s map in quadtree (Morton) order, where
+position (r, c) ranks by the number whose bits interleave those of r and c,
+each bit of r just above the same bit of c. Kernels are ``(2, 2, cin,
+cout)``. In this order the 2x2 patch under output position (i, j), inputs
+(2i + a, 2j + b), is four consecutive rows in the kernel's (a, b) order, and
+the outputs come out in quadtree order again: a layer is a reshape to rows
+of patches and one stacked matrix product with the flattened kernel, with
+no copy. numpy runs that product once per batch row, so each row's result
+is bit-identical to that row computed alone. Patches never overlap, so the
+input gradient is a plain reshape of the patch gradient.
 
-* feature stacks are 4-D ``(n, row, col, channel)`` arrays,
-* convolution kernels are 4-D ``(kh, kw, cin, cout)`` arrays with
-  ``kh == kw == 2``.
-
-The only convolution supported is the 2x2 kernel with stride 2 and no
-padding, so input patches never overlap and the input gradient is a plain
-reshape of the patch gradient. Operands are float64 arrays whose shapes
-``ModelSpec`` has already checked; the kernels do not check them again.
-All functions are pure: they never mutate their arguments, and each batch
-row's result is bit-identical to that row computed alone.
+Operands are float64 arrays whose shapes ``ModelSpec`` has already checked;
+the kernels do not check them again, and never mutate their arguments.
 """
 
 from __future__ import annotations
 
+import math
+from functools import cache
+
 import numpy as np
 
 
-def _patches(inp: np.ndarray) -> np.ndarray:
-    n, h, _, cin = inp.shape
-    return inp.reshape(n, h // 2, 2, h // 2, 2, cin)
+@cache
+def quadtree_order(s: int) -> np.ndarray:
+    """Row-major indices of the positions of an s x s map, in quadtree order."""
+    r, c = np.divmod(np.arange(s * s), s)
+    code = np.zeros(s * s, dtype=np.int64)
+    for bit in range(s.bit_length()):
+        code |= ((r >> bit) & 1) << (2 * bit + 1) | ((c >> bit) & 1) << (2 * bit)
+    order = np.argsort(code)
+    order.flags.writeable = False  # cached: every caller shares this array
+    return order
+
+
+def to_quadtree(x: np.ndarray) -> np.ndarray:
+    """Row-major ``(n, s, s, C)`` stack -> ``(n, s*s, C)`` in quadtree order."""
+    n, s, _, c = x.shape
+    return np.take(x.reshape(n, s * s, c), quadtree_order(s), axis=1)
+
+
+def from_quadtree(x: np.ndarray) -> np.ndarray:
+    """Inverse of to_quadtree."""
+    n, p, c = x.shape
+    s = math.isqrt(p)
+    out = np.empty((n, s, s, c))
+    out.reshape(n, p, c)[:, quadtree_order(s)] = x
+    return out
 
 
 def conv2x2s2_forward(inp, kernel, bias):
-    """One 2x2 / stride-2 convolution layer with a single scalar bias.
-
-    Returns ``(pre, act)`` where ``pre[n, i, j, c]`` is
-    ``bias + sum_{a,b,d} inp[n, 2i+a, 2j+b, d] * kernel[a, b, d, c]`` and
-    ``act = max(pre, 0)``. The pre-activation is kept because the backward
-    pass needs its sign pattern.
-    """
-    pre = np.einsum("niajbd,abdc->nijc", _patches(inp), kernel) + bias
+    """One layer with a single scalar bias; returns ``(pre, act)``, both
+    ``(n, P/4, cout)``, with ``pre = bias + sum_{a,b,d} inp[2i+a, 2j+b, d] *
+    kernel[a, b, d, :]`` at output (i, j) and ``act = max(pre, 0)``. The
+    backward pass needs the sign pattern of ``pre``."""
+    n, p, cin = inp.shape
+    pre = inp.reshape(n, p // 4, 4 * cin) @ kernel.reshape(4 * cin, -1)
+    pre += bias
     return pre, np.maximum(pre, 0.0)
 
 
 def conv2x2s2_backward(inp, kernel, pre, d_act):
-    """Adjoint of conv2x2s2_forward, per batch row.
-
-    Given the cotangent ``d_act`` of the activated output, returns
-    ``(d_input, d_kernel, d_bias)`` with shapes ``inp.shape``,
-    ``(n,) + kernel.shape`` and ``(n,)``. The relu mask comes from the
-    stored pre-activation (the subgradient at exactly 0 is 0); because
-    patches do not overlap, the input gradient is an exact reshape of the
-    per-patch gradient.
-    """
-    n = inp.shape[0]
+    """Adjoint of conv2x2s2_forward, per batch row: ``(d_input, d_kernel,
+    d_bias)`` with shapes ``inp.shape``, ``(n,) + kernel.shape`` and ``(n,)``.
+    The relu subgradient at exactly 0 is 0."""
+    n, p, cin = inp.shape
     d_pre = np.where(pre > 0, d_act, 0.0)
-    d_bias = d_pre.reshape(n, -1).sum(axis=1)
-    d_kernel = np.einsum("niajbd,nijc->nabdc", _patches(inp), d_pre)
-    d_patches = np.einsum("abdc,nijc->niajbd", kernel, d_pre)
-    return d_patches.reshape(inp.shape), d_kernel, d_bias
+    d_kernel = inp.reshape(n, p // 4, 4 * cin).transpose(0, 2, 1) @ d_pre
+    d_inp = d_pre @ kernel.reshape(4 * cin, -1).T
+    return d_inp.reshape(inp.shape), d_kernel.reshape((n,) + kernel.shape), d_pre.sum(axis=(1, 2))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -177,10 +177,6 @@ def compute_triple_gradients(
     return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=table_grads)
 
 
-def _head_lambda(name: str, config: TrainConfig) -> float:
-    return config.lambda4 if name == "w" else config.lambda3
-
-
 def train_step(
     spec: ModelSpec,
     tables: EmbeddingTables,
@@ -189,9 +185,11 @@ def train_step(
     states: AdagradState,
     regularize: bool,
     history: Iterable[int] = (),
+    params: Optional[dict[str, np.ndarray]] = None,
 ) -> float:
     """One triple: gradients from both branches, touched-parameter L2,
-    Adagrad application. Returns the pre-update pairwise loss.
+    Adagrad application. Returns the pre-update pairwise loss. A caller that
+    runs many steps passes ``params = section_arrays(spec, tables)`` once.
 
     Each table section steps once over its touched rows (gather, step,
     write back); the rows of a section are distinct because a sampled
@@ -199,14 +197,14 @@ def train_step(
     """
     u, i, j = triple
     g = compute_triple_gradients(spec, tables, u, i, j, history)
-    params = section_arrays(spec, tables)
+    if params is None:
+        params = section_arrays(spec, tables)
 
     for name, grad in g.head.items():
         arr = params[name]
-        if regularize:
-            lam = _head_lambda(name, config)
-            if lam:
-                grad = grad + 2.0 * lam * arr
+        lam = config.lambda4 if name == "w" else config.lambda3
+        if regularize and lam:
+            grad = grad + 2.0 * lam * arr
         adagrad_step(arr, grad, states[name], config.lr_net, config.adagrad_epsilon)
 
     for name, (rows, grad) in g.tables.items():
@@ -255,6 +253,7 @@ def _run_epochs(
     went non-finite."""
     train_ds = splits.train
     states = init_adagrad(spec, tables)
+    params = section_arrays(spec, tables)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".shuffle"))
     neg_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".negatives"))
     needs_history = spec.variant in (Variant.FISM, Variant.SVDPP)
@@ -266,12 +265,12 @@ def _run_epochs(
             for u, i in zip(us.tolist(), its.tolist()):
                 j = sample_negative(train_ds, u, neg_rng)
                 history = train_ds.items_of(u) if needs_history else ()
-                loss = train_step(spec, tables, (u, i, j), config, states, regularize, history)
+                loss = train_step(spec, tables, (u, i, j), config, states, regularize, history, params)
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"epoch {epoch}: loss {loss} at triple (u, i, j) = ({u}, {i}, {j})")
                 total += loss
                 count += 1
-        for name, arr in section_arrays(spec, tables).items():
+        for name, arr in params.items():
             if not np.isfinite(arr).all():
                 raise NonFiniteError(f"epoch {epoch}: section {name} holds non-finite values")
         mean_loss = total / max(count, 1)

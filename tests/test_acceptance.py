@@ -70,7 +70,7 @@ from convncf.model import (
     predict_batch,
 )
 from convncf.synthetic import planted_interactions, write_interactions
-from convncf.tensor import conv2x2s2_forward
+from convncf.tensor import conv2x2s2_forward, from_quadtree, to_quadtree
 from convncf.training import TrainConfig, pretrain, train
 
 # --- learning-experiment constants (criteria 7-9) --------------------------
@@ -290,8 +290,8 @@ def test_criterion_3_kernel_oracles():
         inp = rng.normal(size=(size, size, cin))
         kernel = rng.normal(size=(2, 2, cin, cout))
         bias = float(rng.normal())
-        pre, act = conv2x2s2_forward(inp[None], kernel, bias)
-        pre, act = pre[0], act[0]
+        pre, act = conv2x2s2_forward(to_quadtree(inp[None]), kernel, bias)
+        pre, act = from_quadtree(pre)[0], from_quadtree(act)[0]
         oracle_pre, oracle_act = _oracles.conv2x2s2_loops(inp, kernel, bias)
         worst = max(worst, float(np.max(np.abs(pre - oracle_pre))))
         worst = max(worst, float(np.max(np.abs(act - oracle_act))))

@@ -294,14 +294,28 @@ class TestPipeline:
         spec, tables = load_checkpoint(str(pre / "pretrain.ckpt"))
         tables.P[3] = np.nan
         save_checkpoint(spec, tables, str(pre / "pretrain.ckpt"))
-        with np.errstate(invalid="ignore"):
-            rc, _, err = run(
-                capsys, "train", f"dataset={toy}", f"outdir={tmp_path / 'nan'}",
-                f"pretrain_checkpoint={pre}/pretrain.ckpt",
-                "variant=mf", "merge=outer", "head=cnn", "K=4", "C=2",
-                "epochs=1", "seed=5",
-            )
-        assert rc == 1 and err.startswith("error: epoch 1: loss nan at triple (u, i, j) = (3, ")
+        rc, _, err = run(
+            capsys, "train", f"dataset={toy}", f"outdir={tmp_path / 'nan'}",
+            f"pretrain_checkpoint={pre}/pretrain.ckpt",
+            "variant=mf", "merge=outer", "head=cnn", "K=4", "C=2",
+            "epochs=1", "seed=5",
+        )
+        assert rc == 1 and err == "error: section P holds non-finite values\n"
+
+    @pytest.mark.parametrize("command", ["eval", "recommend"])
+    def test_nonfinite_checkpoint_is_rejected(self, toy, tmp_path, capsys, command):
+        # NaN scores never compare strictly better than the target, so an
+        # unchecked NaN table would rank every target first
+        outdir = tmp_path / "run"
+        run(capsys, "train", f"dataset={toy}", f"outdir={outdir}", *self.MF_ARGS)
+        spec, tables = load_checkpoint(str(outdir / "model.ckpt"))
+        tables.Q[:] = np.nan
+        save_checkpoint(spec, tables, str(outdir / "model.ckpt"))
+        rc, out, err = run(
+            capsys, command, f"dataset={toy}", f"outdir={outdir}",
+            f"checkpoint={outdir}/model.ckpt", "user=user03", "seed=9",
+        )
+        assert rc == 1 and out == "" and err == "error: section Q holds non-finite values\n"
 
     def test_warm_start_k_mismatch(self, toy, tmp_path, capsys):
         pre = tmp_path / "pre"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -28,7 +30,7 @@ from convncf.model import (
     predict_batch,
     save_checkpoint,
 )
-from convncf.tensor import conv2x2s2_forward
+from convncf.tensor import conv2x2s2_forward, to_quadtree
 
 from _oracles import numeric_grad_full
 
@@ -130,7 +132,7 @@ class TestConvHead:
         stack = init_conv_stack(8, 4, derive_seed(1, "init_head"))
         E = rng.normal(size=(1, 8, 8))
         cache, y = convncf_forward(stack, E)
-        x = E.reshape(1, 8, 8, 1)
+        x = to_quadtree(E.reshape(1, 8, 8, 1))
         for layer in stack.layers:
             _, x = conv2x2s2_forward(x, layer.kernel, float(layer.bias))
         assert y.shape == (1,)
@@ -305,6 +307,16 @@ class TestCheckpoint:
         # rename section Q in the directory; the loader must notice its absence
         open(path, "wb").write(blob.replace(b"\nQ 2 ", b"\nZ 2 ", 1))
         with pytest.raises(FormatError, match="Q missing"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name,value", [("conv.2.kernel", np.inf), ("w", -np.inf), ("conv.1.bias", np.nan)])
+    def test_nonfinite_section(self, tmp_path, name, value):
+        t = init_tables(3, 5, 8, Variant.MF, 1)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN)
+        dict(head_sections(spec.head))[name].flat[0] = value
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(spec, t, path)
+        with pytest.raises(FormatError, match=rf"^section {re.escape(name)} holds non-finite values$"):
             load_checkpoint(path)
 
     def test_missing_qp_for_history_variant(self, tmp_path):

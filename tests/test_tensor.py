@@ -1,12 +1,14 @@
-"""Kernel tests on a batch of one: the outer map and inner product (merge),
-relu and dense layers (the MLP head) and the 2x2 / stride-2 convolution,
-each against a loop oracle or finite differences."""
+"""Kernel tests: the outer map and inner product (merge), relu and dense
+layers (the MLP head) and the 2x2 / stride-2 convolution, each against a
+loop oracle or finite differences. Conv operands are built row-major and
+converted to and from the kernels' quadtree layout, so every comparison
+is made in row-major layout."""
 
 import numpy as np
 import pytest
 
-from convncf.model import MergeKind, MlpHead, MlpLayer, merge, mlp_backward, mlp_forward
-from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward
+from convncf.model import MergeKind, MlpHead, MlpLayer, init_conv_stack, merge, mlp_backward, mlp_forward
+from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, quadtree_order, to_quadtree
 
 from _oracles import conv2x2s2_loops, dense_loops, numeric_grad, outer_loops
 
@@ -56,14 +58,47 @@ class TestRelu:
         return inp
 
     def test_values(self):
-        _, act = conv2x2s2_forward(self._inp([-2.0, 0.0, 3.5]), self.PICK, 0.0)
+        _, act = conv2x2s2_forward(to_quadtree(self._inp([-2.0, 0.0, 3.5])), self.PICK, 0.0)
         np.testing.assert_array_equal(act.reshape(-1), [0.0, 0.0, 3.5])
 
     def test_backward_zero_subgradient_at_kink(self):
         # the subgradient at exactly 0 is taken as 0
-        pre = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 1, 3)
-        d_inp, _, _ = conv2x2s2_backward(self._inp(np.zeros(3)), self.PICK, pre, np.ones((1, 1, 1, 3)))
-        np.testing.assert_array_equal(d_inp[0, 0, 0], [0.0, 0.0, 1.0])
+        pre = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 3)
+        d_inp, _, _ = conv2x2s2_backward(to_quadtree(self._inp(np.zeros(3))), self.PICK, pre, np.ones((1, 1, 3)))
+        np.testing.assert_array_equal(from_quadtree(d_inp)[0, 0, 0], [0.0, 0.0, 1.0])
+
+
+def spatial_forward(inp, kernel, bias):
+    """conv2x2s2_forward on a row-major stack; row-major (pre, act)."""
+    pre, act = conv2x2s2_forward(to_quadtree(inp), kernel, bias)
+    return from_quadtree(pre), from_quadtree(act)
+
+
+def spatial_backward(inp, kernel, pre, d_act):
+    """conv2x2s2_backward on row-major operands; row-major d_input."""
+    d_inp, d_kernel, d_bias = conv2x2s2_backward(to_quadtree(inp), kernel, to_quadtree(pre), to_quadtree(d_act))
+    return from_quadtree(d_inp), d_kernel, d_bias
+
+
+class TestQuadtreeLayout:
+    @pytest.mark.parametrize("K", [2, 4, 8, 64])
+    def test_round_trip(self, K):
+        x = np.random.default_rng(K).normal(size=(3, K, K, 2))
+        order = quadtree_order(K)
+        np.testing.assert_array_equal(np.sort(order), np.arange(K * K))
+        assert from_quadtree(to_quadtree(x)).tobytes() == x.tobytes()
+
+    @pytest.mark.parametrize("K", [2, 4, 8, 64])
+    def test_patches_are_consecutive_rows(self, K):
+        """Rows 4m..4m+3 are the 2x2 patch under the output position that
+        sits at row m of the halved map, in (a, b) order."""
+        x = np.arange(K * K, dtype=np.float64).reshape(1, K, K, 1)
+        q = to_quadtree(x)[0, :, 0].reshape(-1, 4)
+        out = from_quadtree(np.arange(K * K // 4, dtype=np.float64).reshape(1, -1, 1))[0, :, :, 0]
+        for i in range(K // 2):
+            for j in range(K // 2):
+                m = int(out[i, j])
+                np.testing.assert_array_equal(q[m], x[0, 2 * i : 2 * i + 2, 2 * j : 2 * j + 2, 0].reshape(4))
 
 
 class TestConv2x2Stride2:
@@ -77,17 +112,26 @@ class TestConv2x2Stride2:
         rng = np.random.default_rng(29)
         for _ in range(20):
             inp, kernel, bias = self._random_case(rng, s=int(rng.integers(1, 4)))
-            pre, act = conv2x2s2_forward(inp, kernel, bias)
+            pre, act = spatial_forward(inp, kernel, bias)
             pre_o, act_o = conv2x2s2_loops(inp[0], kernel, bias)
             np.testing.assert_allclose(pre[0], pre_o, atol=1e-12, rtol=0)
             np.testing.assert_allclose(act[0], act_o, atol=1e-12, rtol=0)
 
+    @pytest.mark.parametrize("size,cin", [(64, 1), (8, 32)])
+    def test_flagship_layer_matches_loop_oracle(self, size, cin):
+        rng = np.random.default_rng(size + cin)
+        inp, kernel, bias = self._random_case(rng, s=size // 2, cin=cin, cout=32)
+        pre, act = spatial_forward(inp, kernel, bias)
+        pre_o, act_o = conv2x2s2_loops(inp[0], kernel, bias)
+        np.testing.assert_allclose(pre[0], pre_o, atol=1e-12, rtol=0)
+        np.testing.assert_allclose(act[0], act_o, atol=1e-12, rtol=0)
+
     def test_halves_spatial_size(self):
         rng = np.random.default_rng(5)
         inp, kernel, bias = self._random_case(rng, s=4)
-        pre, act = conv2x2s2_forward(inp, kernel, bias)
-        assert pre.shape == (1, 4, 4, 2)
-        assert act.shape == (1, 4, 4, 2)
+        pre, act = conv2x2s2_forward(to_quadtree(inp), kernel, bias)
+        assert pre.shape == (1, 16, 2)
+        assert act.shape == (1, 16, 2)
 
     def test_backward_matches_finite_differences(self):
         """Gradients with respect to input, kernel, and bias all agree with
@@ -98,11 +142,11 @@ class TestConv2x2Stride2:
         bias_arr = np.array(bias)
 
         def objective():
-            _, act = conv2x2s2_forward(inp, kernel, float(bias_arr))
+            _, act = spatial_forward(inp, kernel, float(bias_arr))
             return float(np.sum(act * d_act))
 
-        pre, _ = conv2x2s2_forward(inp, kernel, bias)
-        d_inp, d_kernel, d_bias = conv2x2s2_backward(inp, kernel, pre, d_act)
+        pre, _ = spatial_forward(inp, kernel, bias)
+        d_inp, d_kernel, d_bias = spatial_backward(inp, kernel, pre, d_act)
         assert d_kernel.shape == (1, 2, 2, 3, 2) and d_bias.shape == (1,)
 
         for arr, grad in ((inp, d_inp), (kernel, d_kernel[0])):
@@ -117,20 +161,37 @@ class TestConv2x2Stride2:
         inp, kernel, bias = self._random_case(rng, s=3)
         dx = rng.normal(size=inp.shape)
         d_act = rng.normal(size=(1, 3, 3, 2))
-        pre, _ = conv2x2s2_forward(inp, kernel, bias)
+        pre, _ = spatial_forward(inp, kernel, bias)
         # bypass relu: force every unit active so the map is linear
         pre_active = np.abs(pre) + 1.0
-        d_inp, _, _ = conv2x2s2_backward(inp, kernel, pre_active, d_act)
-        pre_dx, _ = conv2x2s2_forward(dx, kernel, 0.0)
+        d_inp, _, _ = spatial_backward(inp, kernel, pre_active, d_act)
+        pre_dx, _ = spatial_forward(dx, kernel, 0.0)
         np.testing.assert_allclose(np.sum(d_act * pre_dx), np.sum(d_inp * dx), rtol=1e-12)
 
     def test_input_gradient_zero_where_relu_dead(self):
         rng = np.random.default_rng(67)
         inp, kernel, bias = self._random_case(rng, s=1, cin=1, cout=1)
-        pre, _ = conv2x2s2_forward(inp, kernel, bias)
+        pre, _ = spatial_forward(inp, kernel, bias)
         dead_pre = -np.abs(pre) - 1.0
-        d_inp, d_kernel, d_bias = conv2x2s2_backward(inp, kernel, dead_pre, np.ones((1, 1, 1, 1)))
+        d_inp, d_kernel, d_bias = spatial_backward(inp, kernel, dead_pre, np.ones((1, 1, 1, 1)))
         assert not d_inp.any() and not d_kernel.any() and not d_bias.any()
+
+    def test_flagship_rows_equal_rows_alone(self):
+        """At K=64 C=32, every layer's forward and backward outputs for a
+        batch of five rows equal each row run alone, bit for bit."""
+        rng = np.random.default_rng(83)
+        stack = init_conv_stack(64, 32, 83)
+        x = to_quadtree(rng.normal(size=(5, 64, 64, 1)))
+        for layer in stack.layers:
+            outs = conv2x2s2_forward(x, layer.kernel, layer.bias)
+            d_act = rng.normal(size=outs[0].shape)
+            outs += conv2x2s2_backward(x, layer.kernel, outs[0], d_act)
+            for r in range(x.shape[0]):
+                alone = conv2x2s2_forward(x[r : r + 1], layer.kernel, layer.bias)
+                alone += conv2x2s2_backward(x[r : r + 1], layer.kernel, alone[0], d_act[r : r + 1])
+                for batch, single in zip(outs, alone):
+                    assert batch[r : r + 1].tobytes() == single.tobytes()
+            x = outs[1]
 
 
 class TestDense:
