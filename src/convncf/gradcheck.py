@@ -4,11 +4,12 @@ For seeded random coordinates of each parameter section, the derivative of
 the regularization-free pairwise loss is estimated as
 (f(theta+h) - f(theta-h)) / 2h and compared against the analytic value. The
 loss is piecewise smooth: relu kinks make the two-sided estimate meaningless
-for coordinates whose perturbation moves a pre-activation across or near
-zero, so such coordinates are skipped and counted rather than silently
-passed. Only units actually affected by the perturbed coordinate are
-consulted, which keeps an unrelated near-zero unit from masking the whole
-section.
+for coordinates whose perturbation moves a unit across or near zero, so such
+coordinates are skipped and counted rather than silently passed. The guard
+reads the tower's cached post-relu outputs and consults only the units whose
+output the perturbation changes: an unrelated near-zero unit cannot mask the
+whole section, and a unit dead at both perturbed points, which passes no
+gradient, causes no skip.
 
 Regularization is deliberately excluded: quadratic penalties would dominate
 the difference and hide adjoint bugs in the interesting terms.
@@ -71,11 +72,13 @@ def format_report(report: GradReport) -> str:
     return "\n".join(lines)
 
 
-def _loss_and_pres(
+def _loss_and_acts(
     spec: ModelSpec, tables: EmbeddingTables, u: int, i: int, j: int, history: list[int]
 ) -> tuple[float, list[np.ndarray]]:
-    *_, cache, y = triple_forward(spec, tables, u, i, j, history)
-    return bpr_loss(float(y[0]), float(y[1])), getattr(cache, "pres", [])
+    """The triple's loss and its head's relu outputs (none for a head
+    without layers)."""
+    *_, acts, y = triple_forward(spec, tables, u, i, j, history)
+    return bpr_loss(float(y[0]), float(y[1])), acts[1:] if acts else []
 
 
 def _candidate_indices(
@@ -113,13 +116,13 @@ def _analytic_entry(grads: TripleGrads, name: str, flat: int, arr: np.ndarray) -
 def _kink_risk(
     base: list[np.ndarray], plus: list[np.ndarray], minus: list[np.ndarray], threshold: float
 ) -> bool:
-    for pb, pp, pm in zip(base, plus, minus):
-        affected = pp != pm
+    for ab, ap, am in zip(base, plus, minus):
+        affected = ap != am
         if not affected.any():
             continue
-        if ((pp > 0) != (pm > 0))[affected].any():
+        if ((ap > 0) != (am > 0))[affected].any():
             return True
-        magnitude = np.minimum(np.minimum(np.abs(pb), np.abs(pp)), np.abs(pm))
+        magnitude = np.minimum(np.minimum(ab, ap), am)
         if (magnitude[affected] < threshold).any():
             return True
     return False
@@ -153,7 +156,7 @@ def finite_diff_check(
     if grad_fn is None:
         grad_fn = compute_triple_gradients
     grads = grad_fn(spec, tables, u, i, j, history)
-    _, base_pres = _loss_and_pres(spec, tables, u, i, j, history)
+    _, base_acts = _loss_and_acts(spec, tables, u, i, j, history)
     rng = np.random.default_rng(seed)
     threshold = 10.0 * step
 
@@ -169,14 +172,14 @@ def finite_diff_check(
         for flat in candidates.tolist():
             orig = arr.flat[flat]
             arr.flat[flat] = orig + step
-            loss_p, pres_p = _loss_and_pres(spec, tables, u, i, j, history)
+            loss_p, acts_p = _loss_and_acts(spec, tables, u, i, j, history)
             arr.flat[flat] = orig - step
-            loss_m, pres_m = _loss_and_pres(spec, tables, u, i, j, history)
+            loss_m, acts_m = _loss_and_acts(spec, tables, u, i, j, history)
             arr.flat[flat] = orig
             if not (math.isfinite(loss_p) and math.isfinite(loss_m)):
                 failures.append((flat, _analytic_entry(grads, name, flat, arr), float("nan")))
                 continue
-            if _kink_risk(base_pres, pres_p, pres_m, threshold):
+            if _kink_risk(base_acts, acts_p, acts_m, threshold):
                 skipped += 1
                 continue
             numeric = (loss_p - loss_m) / (2.0 * step)

@@ -107,6 +107,8 @@ class ConvStack:
                 raise ConfigurationError(
                     f"conv layer {l} kernel shape {layer.kernel.shape}, expected (2, 2, {expect_cin}, {C})"
                 )
+            if layer.bias.shape != ():
+                raise ConfigurationError(f"conv layer {l} bias shape {layer.bias.shape}, expected ()")
         if self.w.shape != (C,):
             raise ConfigurationError(f"prediction weights shape {self.w.shape}, expected ({C},)")
 
@@ -240,63 +242,45 @@ def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged):
 # heads
 #
 # Forward passes take a batch of merged values and return one score per row.
-# Backward passes take one score cotangent per row; they return the head
-# gradients summed over the batch (formed per row, then summed, so a batch
-# of two gives exactly the sum of two single-row passes) and the per-row
-# cotangents of the merged values.
-
-
-@dataclass
-class ConvCache:
-    inputs: list[np.ndarray]
-    pres: list[np.ndarray]
-    g: np.ndarray
+# A tower head (conv or MLP) caches one list of activations: acts[0] is the
+# head input and acts[l] is layer l's relu output, which is also layer
+# l + 1's input. Backward passes mask on acts[l] > 0, the same mask as the
+# pre-activation's sign, so no pre-activation is kept. They take one score
+# cotangent per row; they return the head gradients summed over the batch
+# (formed per row, then summed, so a batch of two gives exactly the sum of
+# two single-row passes) and the per-row cotangents of the merged values.
 
 
 def convncf_forward(stack: ConvStack, E: np.ndarray):
     """Run the tower over a batch of ``(B, K, K)`` interaction maps, gathered
-    once into quadtree order; returns (cache, scores)."""
-    x = to_quadtree(E[..., None])
-    inputs, pres = [], []
+    once into quadtree order; returns (acts, scores)."""
+    acts = [to_quadtree(E[..., None])]
     for layer in stack.layers:
-        inputs.append(x)
-        pre, x = conv2x2s2_forward(x, layer.kernel, layer.bias)
-        pres.append(pre)
-    g = x.reshape(x.shape[0], stack.C)
-    return ConvCache(inputs=inputs, pres=pres, g=g), np.vecdot(g, stack.w)
+        acts.append(conv2x2s2_forward(acts[-1], layer.kernel, layer.bias))
+    return acts, np.vecdot(acts[-1].reshape(E.shape[0], stack.C), stack.w)
 
 
-def convncf_backward(stack: ConvStack, cache: ConvCache, d_y: np.ndarray):
+def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray):
     """Adjoint of convncf_forward; returns (head grads by section, d_E)."""
-    grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * cache.g).sum(axis=0)}
+    g = acts[-1].reshape(d_y.shape[0], stack.C)
+    grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * g).sum(axis=0)}
     d_act = (d_y[:, None] * stack.w)[:, None, :]
     for l in range(stack.depth, 0, -1):
         layer = stack.layers[l - 1]
-        d_act, d_kernel, d_bias = conv2x2s2_backward(
-            cache.inputs[l - 1], layer.kernel, cache.pres[l - 1], d_act
-        )
+        d_act, d_kernel, d_bias = conv2x2s2_backward(acts[l - 1], layer.kernel, acts[l], d_act)
         grads[f"conv.{l}.kernel"] = d_kernel.sum(axis=0)
         grads[f"conv.{l}.bias"] = d_bias.sum(axis=0)
     return grads, from_quadtree(d_act)[..., 0]
 
 
-@dataclass
-class MlpCache:
-    xs: list[np.ndarray]  # layer inputs, xs[0] is the merged batch
-    pres: list[np.ndarray]
-    out: np.ndarray  # last hidden activation
-
-
 def mlp_forward(head: MlpHead, X0: np.ndarray):
-    """Run the tower over ``(B, n)`` rows; returns (cache, scores)."""
-    X = X0
-    xs, pres = [], []
+    """Run the tower over ``(B, n)`` rows; returns (acts, scores)."""
+    acts = [X0]
     for layer in head.layers:
-        xs.append(X)
-        pre = (layer.W @ X[..., None])[..., 0] + layer.b
-        pres.append(pre)
-        X = np.maximum(pre, 0.0)
-    return MlpCache(xs=xs, pres=pres, out=X), np.vecdot(X, head.w)
+        X = (layer.W @ acts[-1][..., None])[..., 0]
+        X += layer.b
+        acts.append(np.maximum(X, 0.0, out=X))
+    return acts, np.vecdot(acts[-1], head.w)
 
 
 def mlp_scores(head: MlpHead, X: np.ndarray) -> np.ndarray:
@@ -310,14 +294,14 @@ def mlp_scores(head: MlpHead, X: np.ndarray) -> np.ndarray:
     return np.vecdot(X, head.w)
 
 
-def mlp_backward(head: MlpHead, cache: MlpCache, d_y: np.ndarray):
+def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray):
     """Adjoint of mlp_forward; returns (head grads by section, d_X0)."""
-    grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * cache.out).sum(axis=0)}
+    grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * acts[-1]).sum(axis=0)}
     d_X = d_y[:, None] * head.w
     for l in range(len(head.layers), 0, -1):
         layer = head.layers[l - 1]
-        d_pre = np.where(cache.pres[l - 1] > 0, d_X, 0.0)
-        grads[f"mlp.{l}.W"] = (d_pre[:, :, None] * cache.xs[l - 1][:, None, :]).sum(axis=0)
+        d_pre = np.where(acts[l] > 0, d_X, 0.0)
+        grads[f"mlp.{l}.W"] = (d_pre[:, :, None] * acts[l - 1][:, None, :]).sum(axis=0)
         grads[f"mlp.{l}.b"] = d_pre.sum(axis=0)
         d_X = (layer.W.T @ d_pre[..., None])[..., 0]
     return grads, d_X
@@ -325,7 +309,7 @@ def mlp_backward(head: MlpHead, cache: MlpCache, d_y: np.ndarray):
 
 def head_forward(spec: ModelSpec, merged):
     """Dispatch a batch of merged values through the head; returns
-    (cache, scores of shape (B,))."""
+    (acts, scores of shape (B,)), with acts None for a head without layers."""
     head = spec.head
     if isinstance(head, ConvStack):
         return convncf_forward(head, merged)
@@ -336,14 +320,14 @@ def head_forward(spec: ModelSpec, merged):
     return None, merged
 
 
-def head_backward(spec: ModelSpec, merged, cache, d_y: np.ndarray):
+def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray):
     """Adjoint of head_forward; returns (head grads by section summed over
     the batch, per-row d_merged)."""
     head = spec.head
     if isinstance(head, ConvStack):
-        return convncf_backward(head, cache, d_y)
+        return convncf_backward(head, acts, d_y)
     if isinstance(head, MlpHead):
-        grads, d_X0 = mlp_backward(head, cache, d_y)
+        grads, d_X0 = mlp_backward(head, acts, d_y)
         return grads, d_X0.reshape(merged.shape)
     if isinstance(head, LinearHead):
         return {"w": (d_y[:, None] * merged).sum(axis=0)}, d_y[:, None] * head.w
@@ -353,8 +337,9 @@ def head_backward(spec: ModelSpec, merged, cache, d_y: np.ndarray):
 # ---------------------------------------------------------------------------
 # scoring
 
-# Bytes of first-layer head activations one scoring block may hold; the
-# forward keeps every layer's cache, so this bounds the block's memory.
+# Bytes of first-layer head activations one scoring block may hold; a
+# block's forward holds one activation array per layer, the first the
+# widest, so this bounds the block's memory.
 SCORE_BLOCK_BYTES = 16 * 2**20
 
 
@@ -631,7 +616,7 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
     head: Head
     if head_kind is HeadKind.CNN:
         depth = sum(n.endswith(".kernel") for n in arrays)
-        layers = [ConvLayer(section(f"conv.{l}.kernel"), section(f"conv.{l}.bias").reshape(())) for l in range(1, depth + 1)]
+        layers = [ConvLayer(section(f"conv.{l}.kernel"), section(f"conv.{l}.bias")) for l in range(1, depth + 1)]
         head = ConvStack(layers=layers, w=section("w"))
     elif head_kind is HeadKind.MLP:
         depth = sum(n.startswith("mlp.") and n.endswith(".W") for n in arrays)

@@ -12,6 +12,10 @@ no copy. numpy runs that product once per batch row, so each row's result
 is bit-identical to that row computed alone. Patches never overlap, so the
 input gradient is a plain reshape of the patch gradient.
 
+A layer returns only its relu output ``act``: the relu runs in place on the
+freshly computed product, and the backward pass masks on ``act > 0``, which
+is the same mask as ``pre > 0``, so no pre-activation is kept.
+
 Operands are float64 arrays whose shapes ``ModelSpec`` has already checked;
 the kernels do not check them again, and never mutate their arguments.
 """
@@ -52,22 +56,21 @@ def from_quadtree(x: np.ndarray) -> np.ndarray:
 
 
 def conv2x2s2_forward(inp, kernel, bias):
-    """One layer with a single scalar bias; returns ``(pre, act)``, both
-    ``(n, P/4, cout)``, with ``pre = bias + sum_{a,b,d} inp[2i+a, 2j+b, d] *
-    kernel[a, b, d, :]`` at output (i, j) and ``act = max(pre, 0)``. The
-    backward pass needs the sign pattern of ``pre``."""
+    """One layer with a single scalar bias; returns ``act``, ``(n, P/4,
+    cout)``, with ``act = max(bias + sum_{a,b,d} inp[2i+a, 2j+b, d] *
+    kernel[a, b, d, :], 0)`` at output (i, j)."""
     n, p, cin = inp.shape
-    pre = inp.reshape(n, p // 4, 4 * cin) @ kernel.reshape(4 * cin, -1)
-    pre += bias
-    return pre, np.maximum(pre, 0.0)
+    act = inp.reshape(n, p // 4, 4 * cin) @ kernel.reshape(4 * cin, -1)
+    act += bias
+    return np.maximum(act, 0.0, out=act)
 
 
-def conv2x2s2_backward(inp, kernel, pre, d_act):
+def conv2x2s2_backward(inp, kernel, act, d_act):
     """Adjoint of conv2x2s2_forward, per batch row: ``(d_input, d_kernel,
     d_bias)`` with shapes ``inp.shape``, ``(n,) + kernel.shape`` and ``(n,)``.
-    The relu subgradient at exactly 0 is 0."""
+    ``act`` is the forward's output; the relu subgradient at exactly 0 is 0."""
     n, p, cin = inp.shape
-    d_pre = np.where(pre > 0, d_act, 0.0)
+    d_pre = np.where(act > 0, d_act, 0.0)
     d_kernel = inp.reshape(n, p // 4, 4 * cin).transpose(0, 2, 1) @ d_pre
     d_inp = d_pre @ kernel.reshape(4 * cin, -1).T
     return d_inp.reshape(inp.shape), d_kernel.reshape((n,) + kernel.shape), d_pre.sum(axis=(1, 2))

@@ -148,12 +148,12 @@ def triple_forward(
     history: list[int],
 ):
     """Embed, merge and score the positive and the negative of one triple
-    as a batch of two; returns (FU, FI, merged, head cache, scores)."""
+    as a batch of two; returns (FU, FI, merged, head activations, scores)."""
     FU = np.array([user_embedding(tables, spec.variant, u, t, history, norm=spec.fism_norm) for t in (i, j)])
     FI = np.array([item_embedding(tables, i), item_embedding(tables, j)])
     merged = merge(spec.merge, FU, FI)
-    cache, y = head_forward(spec, merged)
-    return FU, FI, merged, cache, y
+    acts, y = head_forward(spec, merged)
+    return FU, FI, merged, acts, y
 
 
 def compute_triple_gradients(
@@ -167,10 +167,10 @@ def compute_triple_gradients(
     """Forward both branches of one triple and backpropagate the plain
     (regularization-free) pairwise loss through every shared parameter."""
     history = list(history)
-    FU, FI, merged, cache, y = triple_forward(spec, tables, u, i, j, history)
+    FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, history)
     y_pos, y_neg = float(y[0]), float(y[1])
     loss = bpr_loss(y_pos, y_neg)
-    head_grads, d_merged = head_backward(spec, merged, cache, np.array(bpr_grad(y_pos, y_neg)))
+    head_grads, d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)))
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
     table_grads = scatter_user_gradient(spec.variant, u, (i, j), history, d_FU, tables.alpha, spec.fism_norm)
     table_grads["Q"] = (np.array([i, j]), d_FI)

@@ -317,6 +317,24 @@ class TestPipeline:
         )
         assert rc == 1 and out == "" and err == "error: section Q holds non-finite values\n"
 
+    def test_non_scalar_conv_bias_is_rejected(self, toy, tmp_path, capsys):
+        outdir = tmp_path / "run"
+        rc, _, _ = run(
+            capsys, "train", f"dataset={toy}", f"outdir={outdir}",
+            "variant=mf", "merge=outer", "head=cnn", "K=4", "C=2",
+            "epochs=1", "epochs_pretrain=0", "batch_size=32", "seed=5",
+        )
+        assert rc == 0
+        spec, tables = load_checkpoint(str(outdir / "model.ckpt"))
+        spec.head.layers[0].bias = np.zeros(3)
+        save_checkpoint(spec, tables, str(outdir / "model.ckpt"))
+        rc, out, err = run(
+            capsys, "eval", f"dataset={toy}", f"outdir={outdir}",
+            f"checkpoint={outdir}/model.ckpt", "seed=9",
+        )
+        assert rc == 1 and out == ""
+        assert err == "error: inconsistent checkpoint: conv layer 1 bias shape (3,), expected ()\n"
+
     def test_warm_start_k_mismatch(self, toy, tmp_path, capsys):
         pre = tmp_path / "pre"
         run(capsys, "pretrain", f"dataset={toy}", f"outdir={pre}",

@@ -114,6 +114,13 @@ class TestModelSpec:
         with pytest.raises(ConfigurationError, match="conv layer 2"):
             ModelSpec(variant=Variant.MF, merge=MergeKind.OUTER, head=stack, K=8)
 
+    @pytest.mark.parametrize("shape", [(3,), (1,)])
+    def test_rejects_non_scalar_conv_bias(self, shape):
+        stack = init_conv_stack(8, 4, 0)
+        stack.layers[0].bias = np.zeros(shape)
+        with pytest.raises(ConfigurationError, match=re.escape(f"conv layer 1 bias shape {shape}, expected ()")):
+            ModelSpec(variant=Variant.MF, merge=MergeKind.OUTER, head=stack, K=8)
+
     def test_rejects_mlp_layers_that_do_not_chain(self):
         head = init_mlp_head(16, 2, 0)
         head.layers[1].W = np.zeros((4, 6))
@@ -131,20 +138,22 @@ class TestConvHead:
         rng = np.random.default_rng(23)
         stack = init_conv_stack(8, 4, derive_seed(1, "init_head"))
         E = rng.normal(size=(1, 8, 8))
-        cache, y = convncf_forward(stack, E)
+        acts, y = convncf_forward(stack, E)
         x = to_quadtree(E.reshape(1, 8, 8, 1))
-        for layer in stack.layers:
-            _, x = conv2x2s2_forward(x, layer.kernel, float(layer.bias))
+        assert len(acts) == stack.depth + 1
+        np.testing.assert_array_equal(acts[0], x)
+        for l, layer in enumerate(stack.layers, start=1):
+            x = conv2x2s2_forward(x, layer.kernel, float(layer.bias))
+            np.testing.assert_array_equal(acts[l], x)
         assert y.shape == (1,)
         assert y[0] == pytest.approx(float(stack.w @ x.reshape(4)), abs=1e-12)
-        np.testing.assert_array_equal(cache.g, x.reshape(1, 4))
 
     def test_backward_matches_finite_difference_on_E(self):
         rng = np.random.default_rng(29)
         stack = init_conv_stack(8, 2, derive_seed(2, "init_head"))
         E = rng.normal(size=(1, 8, 8)) + 0.5
-        cache, _ = convncf_forward(stack, E)
-        _, d_E = convncf_backward(stack, cache, np.ones(1))
+        acts, _ = convncf_forward(stack, E)
+        _, d_E = convncf_backward(stack, acts, np.ones(1))
 
         def objective(flat):
             _, y = convncf_forward(stack, flat.reshape(1, 8, 8))
@@ -155,8 +164,8 @@ class TestConvHead:
 
     def test_head_grad_keys_cover_sections(self):
         stack = init_conv_stack(8, 2, 0)
-        cache, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(1, 8, 8)))
-        grads, _ = convncf_backward(stack, cache, np.ones(1))
+        acts, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(1, 8, 8)))
+        grads, _ = convncf_backward(stack, acts, np.ones(1))
         assert set(grads) == {name for name, _ in head_sections(stack)}
 
 
@@ -317,6 +326,17 @@ class TestCheckpoint:
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(spec, t, path)
         with pytest.raises(FormatError, match=rf"^section {re.escape(name)} holds non-finite values$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("size", [3, 1])
+    def test_non_scalar_conv_bias(self, tmp_path, size):
+        t = init_tables(3, 5, 8, Variant.MF, 1)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN)
+        spec.head.layers[0].bias = np.zeros(size)
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(spec, t, path)
+        assert f"\nconv.1.bias 1 {size} ".encode() in open(path, "rb").read()
+        with pytest.raises(FormatError, match=re.escape(f"inconsistent checkpoint: conv layer 1 bias shape ({size},)")):
             load_checkpoint(path)
 
     def test_missing_qp_for_history_variant(self, tmp_path):

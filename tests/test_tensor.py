@@ -1,13 +1,30 @@
 """Kernel tests: the outer map and inner product (merge), relu and dense
 layers (the MLP head) and the 2x2 / stride-2 convolution, each against a
-loop oracle or finite differences. Conv operands are built row-major and
-converted to and from the kernels' quadtree layout, so every comparison
-is made in row-major layout."""
+loop oracle or finite differences, and a check that no pass writes to its
+arguments. Conv operands are built row-major and converted to and from the
+kernels' quadtree layout, so every comparison is made in row-major layout."""
 
 import numpy as np
 import pytest
 
-from convncf.model import MergeKind, MlpHead, MlpLayer, init_conv_stack, merge, mlp_backward, mlp_forward
+from convncf.embeddings import Variant
+from convncf.model import (
+    HeadKind,
+    MergeKind,
+    MlpHead,
+    MlpLayer,
+    ModelSpec,
+    head_backward,
+    head_forward,
+    head_sections,
+    init_conv_stack,
+    init_mlp_head,
+    merge,
+    mlp_backward,
+    mlp_forward,
+    mlp_scores,
+    new_head,
+)
 from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, quadtree_order, to_quadtree
 
 from _oracles import conv2x2s2_loops, dense_loops, numeric_grad, outer_loops
@@ -58,26 +75,38 @@ class TestRelu:
         return inp
 
     def test_values(self):
-        _, act = conv2x2s2_forward(to_quadtree(self._inp([-2.0, 0.0, 3.5])), self.PICK, 0.0)
+        act = conv2x2s2_forward(to_quadtree(self._inp([-2.0, 0.0, 3.5])), self.PICK, 0.0)
         np.testing.assert_array_equal(act.reshape(-1), [0.0, 0.0, 3.5])
 
     def test_backward_zero_subgradient_at_kink(self):
         # the subgradient at exactly 0 is taken as 0
-        pre = np.array([-1.0, 0.0, 2.0]).reshape(1, 1, 3)
-        d_inp, _, _ = conv2x2s2_backward(to_quadtree(self._inp(np.zeros(3))), self.PICK, pre, np.ones((1, 1, 3)))
+        inp = to_quadtree(self._inp([-1.0, 0.0, 2.0]))
+        act = conv2x2s2_forward(inp, self.PICK, 0.0)
+        d_inp, _, _ = conv2x2s2_backward(inp, self.PICK, act, np.ones((1, 1, 3)))
         np.testing.assert_array_equal(from_quadtree(d_inp)[0, 0, 0], [0.0, 0.0, 1.0])
 
 
 def spatial_forward(inp, kernel, bias):
-    """conv2x2s2_forward on a row-major stack; row-major (pre, act)."""
-    pre, act = conv2x2s2_forward(to_quadtree(inp), kernel, bias)
-    return from_quadtree(pre), from_quadtree(act)
+    """conv2x2s2_forward on a row-major stack; row-major act."""
+    return from_quadtree(conv2x2s2_forward(to_quadtree(inp), kernel, bias))
 
 
-def spatial_backward(inp, kernel, pre, d_act):
+def spatial_backward(inp, kernel, act, d_act):
     """conv2x2s2_backward on row-major operands; row-major d_input."""
-    d_inp, d_kernel, d_bias = conv2x2s2_backward(to_quadtree(inp), kernel, to_quadtree(pre), to_quadtree(d_act))
+    d_inp, d_kernel, d_bias = conv2x2s2_backward(to_quadtree(inp), kernel, to_quadtree(act), to_quadtree(d_act))
     return from_quadtree(d_inp), d_kernel, d_bias
+
+
+def assert_forward_matches_oracle(inp, kernel, bias):
+    """act equals the loop oracle's act; then, with the bias raised past the
+    most negative oracle pre-activation so that every unit is live, act
+    equals the oracle's pre-activation, so every linear entry is compared."""
+    pre_o, act_o = conv2x2s2_loops(inp[0], kernel, bias)
+    np.testing.assert_allclose(spatial_forward(inp, kernel, bias)[0], act_o, atol=1e-12, rtol=0)
+    live = bias + abs(float(pre_o.min())) + 1.0
+    live_pre_o, _ = conv2x2s2_loops(inp[0], kernel, live)
+    assert (live_pre_o > 0).all()
+    np.testing.assert_allclose(spatial_forward(inp, kernel, live)[0], live_pre_o, atol=1e-12, rtol=0)
 
 
 class TestQuadtreeLayout:
@@ -112,26 +141,18 @@ class TestConv2x2Stride2:
         rng = np.random.default_rng(29)
         for _ in range(20):
             inp, kernel, bias = self._random_case(rng, s=int(rng.integers(1, 4)))
-            pre, act = spatial_forward(inp, kernel, bias)
-            pre_o, act_o = conv2x2s2_loops(inp[0], kernel, bias)
-            np.testing.assert_allclose(pre[0], pre_o, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(act[0], act_o, atol=1e-12, rtol=0)
+            assert_forward_matches_oracle(inp, kernel, bias)
 
     @pytest.mark.parametrize("size,cin", [(64, 1), (8, 32)])
     def test_flagship_layer_matches_loop_oracle(self, size, cin):
         rng = np.random.default_rng(size + cin)
         inp, kernel, bias = self._random_case(rng, s=size // 2, cin=cin, cout=32)
-        pre, act = spatial_forward(inp, kernel, bias)
-        pre_o, act_o = conv2x2s2_loops(inp[0], kernel, bias)
-        np.testing.assert_allclose(pre[0], pre_o, atol=1e-12, rtol=0)
-        np.testing.assert_allclose(act[0], act_o, atol=1e-12, rtol=0)
+        assert_forward_matches_oracle(inp, kernel, bias)
 
     def test_halves_spatial_size(self):
         rng = np.random.default_rng(5)
         inp, kernel, bias = self._random_case(rng, s=4)
-        pre, act = conv2x2s2_forward(to_quadtree(inp), kernel, bias)
-        assert pre.shape == (1, 16, 2)
-        assert act.shape == (1, 16, 2)
+        assert conv2x2s2_forward(to_quadtree(inp), kernel, bias).shape == (1, 16, 2)
 
     def test_backward_matches_finite_differences(self):
         """Gradients with respect to input, kernel, and bias all agree with
@@ -142,11 +163,10 @@ class TestConv2x2Stride2:
         bias_arr = np.array(bias)
 
         def objective():
-            _, act = spatial_forward(inp, kernel, float(bias_arr))
-            return float(np.sum(act * d_act))
+            return float(np.sum(spatial_forward(inp, kernel, float(bias_arr)) * d_act))
 
-        pre, _ = spatial_forward(inp, kernel, bias)
-        d_inp, d_kernel, d_bias = spatial_backward(inp, kernel, pre, d_act)
+        act = spatial_forward(inp, kernel, bias)
+        d_inp, d_kernel, d_bias = spatial_backward(inp, kernel, act, d_act)
         assert d_kernel.shape == (1, 2, 2, 3, 2) and d_bias.shape == (1,)
 
         for arr, grad in ((inp, d_inp), (kernel, d_kernel[0])):
@@ -158,22 +178,22 @@ class TestConv2x2Stride2:
     def test_backward_adjoint_identity(self):
         # <d_act, J dx> == <J^T d_act, dx> for the pre-activation map
         rng = np.random.default_rng(53)
-        inp, kernel, bias = self._random_case(rng, s=3)
+        inp, kernel, _ = self._random_case(rng, s=3)
         dx = rng.normal(size=inp.shape)
         d_act = rng.normal(size=(1, 3, 3, 2))
-        pre, _ = spatial_forward(inp, kernel, bias)
-        # bypass relu: force every unit active so the map is linear
-        pre_active = np.abs(pre) + 1.0
-        d_inp, _, _ = spatial_backward(inp, kernel, pre_active, d_act)
-        pre_dx, _ = spatial_forward(dx, kernel, 0.0)
-        np.testing.assert_allclose(np.sum(d_act * pre_dx), np.sum(d_inp * dx), rtol=1e-12)
+        # bypass relu: mark every unit active so the map is linear
+        d_inp, _, _ = spatial_backward(inp, kernel, np.ones(d_act.shape), d_act)
+        pre_dx, _ = conv2x2s2_loops(dx[0], kernel, 0.0)
+        np.testing.assert_allclose(np.sum(d_act[0] * pre_dx), np.sum(d_inp * dx), rtol=1e-12)
 
     def test_input_gradient_zero_where_relu_dead(self):
         rng = np.random.default_rng(67)
         inp, kernel, bias = self._random_case(rng, s=1, cin=1, cout=1)
-        pre, _ = spatial_forward(inp, kernel, bias)
-        dead_pre = -np.abs(pre) - 1.0
-        d_inp, d_kernel, d_bias = spatial_backward(inp, kernel, dead_pre, np.ones((1, 1, 1, 1)))
+        pre_o, _ = conv2x2s2_loops(inp[0], kernel, bias)
+        dead = bias - abs(float(pre_o.max())) - 1.0
+        act = spatial_forward(inp, kernel, dead)
+        assert not act.any()
+        d_inp, d_kernel, d_bias = spatial_backward(inp, kernel, act, np.ones((1, 1, 1, 1)))
         assert not d_inp.any() and not d_kernel.any() and not d_bias.any()
 
     def test_flagship_rows_equal_rows_alone(self):
@@ -183,15 +203,15 @@ class TestConv2x2Stride2:
         stack = init_conv_stack(64, 32, 83)
         x = to_quadtree(rng.normal(size=(5, 64, 64, 1)))
         for layer in stack.layers:
-            outs = conv2x2s2_forward(x, layer.kernel, layer.bias)
-            d_act = rng.normal(size=outs[0].shape)
-            outs += conv2x2s2_backward(x, layer.kernel, outs[0], d_act)
+            act = conv2x2s2_forward(x, layer.kernel, layer.bias)
+            d_act = rng.normal(size=act.shape)
+            outs = (act,) + conv2x2s2_backward(x, layer.kernel, act, d_act)
             for r in range(x.shape[0]):
                 alone = conv2x2s2_forward(x[r : r + 1], layer.kernel, layer.bias)
-                alone += conv2x2s2_backward(x[r : r + 1], layer.kernel, alone[0], d_act[r : r + 1])
+                alone = (alone,) + conv2x2s2_backward(x[r : r + 1], layer.kernel, alone, d_act[r : r + 1])
                 for batch, single in zip(outs, alone):
                     assert batch[r : r + 1].tobytes() == single.tobytes()
-            x = outs[1]
+            x = act
 
 
 class TestDense:
@@ -200,8 +220,16 @@ class TestDense:
         x = rng.normal(size=(1, 5))
         W = rng.normal(size=(3, 5))
         b = rng.normal(size=3)
-        cache, _ = mlp_forward(one_layer_mlp(W, b, np.ones(3)), x)
-        np.testing.assert_allclose(cache.pres[0][0], dense_loops(x[0], W, b), atol=1e-12)
+        acts, _ = mlp_forward(one_layer_mlp(W, b, np.ones(3)), x)
+        pre_o = dense_loops(x[0], W, b)
+        np.testing.assert_allclose(acts[1][0], np.maximum(pre_o, 0.0), atol=1e-12)
+        # bias raised past the most negative pre-activation: every unit is
+        # live, so the output equals the affine map entry by entry
+        live = b + abs(float(pre_o.min())) + 1.0
+        live_pre_o = dense_loops(x[0], W, live)
+        assert (live_pre_o > 0).all()
+        acts, _ = mlp_forward(one_layer_mlp(W, live, np.ones(3)), x)
+        np.testing.assert_allclose(acts[1][0], live_pre_o, atol=1e-12)
 
     def test_backward_matches_finite_differences(self):
         rng = np.random.default_rng(79)
@@ -214,8 +242,8 @@ class TestDense:
         def objective():
             return float(mlp_forward(head, x)[1][0])
 
-        cache, _ = mlp_forward(head, x)
-        grads, d_x = mlp_backward(head, cache, np.ones(1))
+        acts, _ = mlp_forward(head, x)
+        grads, d_x = mlp_backward(head, acts, np.ones(1))
         for arr, grad in ((x, d_x), (W, grads["mlp.1.W"]), (b, grads["mlp.1.b"])):
             for flat in range(arr.size):
                 assert grad.flat[flat] == pytest.approx(numeric_grad(objective, arr, flat), abs=1e-7)
@@ -226,9 +254,66 @@ class TestDense:
         x = np.array([[1.0, 2.0]])
         W = np.array([[1.0, -0.5], [1.0, 1.0], [-1.0, 0.0]])
         head = one_layer_mlp(W, np.zeros(3), np.array([1.0, 2.0, 3.0]))
-        cache, _ = mlp_forward(head, x)
-        np.testing.assert_array_equal(cache.pres[0], [[0.0, 3.0, -1.0]])
-        grads, d_x = mlp_backward(head, cache, np.ones(1))
+        np.testing.assert_array_equal(dense_loops(x[0], W, np.zeros(3)), [0.0, 3.0, -1.0])
+        acts, _ = mlp_forward(head, x)
+        np.testing.assert_array_equal(acts[1], [[0.0, 3.0, 0.0]])
+        grads, d_x = mlp_backward(head, acts, np.ones(1))
         np.testing.assert_array_equal(grads["mlp.1.W"], [[0.0, 0.0], [2.0, 4.0], [0.0, 0.0]])
         np.testing.assert_array_equal(grads["mlp.1.b"], [0.0, 2.0, 0.0])
         np.testing.assert_array_equal(d_x, [[2.0, 2.0]])  # 2 * W[1] alone
+
+
+def _arrays(*objs):
+    """Every array reachable from the arguments: arrays, lists and tuples of
+    them, and the parameters of a head or a ModelSpec's head."""
+    for obj in objs:
+        if isinstance(obj, np.ndarray):
+            yield obj
+        elif isinstance(obj, (list, tuple)):
+            yield from _arrays(*obj)
+        elif obj is not None:
+            head = obj.head if isinstance(obj, ModelSpec) else obj
+            yield from (arr for _, arr in head_sections(head))
+
+
+def call_unchanged(fn, *args):
+    before = [arr.tobytes() for arr in _arrays(*args)]
+    result = fn(*args)
+    assert [arr.tobytes() for arr in _arrays(*args)] == before, fn.__name__
+    return result
+
+
+class TestArgumentsUnchanged:
+    """Relu runs in place on freshly computed products only: no forward or
+    backward pass writes to an argument, cached activations included."""
+
+    def test_conv_and_dense_passes(self):
+        rng = np.random.default_rng(89)
+        x = to_quadtree(rng.normal(size=(3, 4, 4, 2)))
+        kernel = rng.normal(size=(2, 2, 2, 3))
+        act = call_unchanged(conv2x2s2_forward, x, kernel, np.zeros(()))
+        assert (act == 0).any() and (act > 0).any()
+        call_unchanged(conv2x2s2_backward, x, kernel, act, rng.normal(size=act.shape))
+
+        head = init_mlp_head(6, 2, 89)
+        X0 = rng.normal(size=(3, 6))
+        acts, _ = call_unchanged(mlp_forward, head, X0)
+        call_unchanged(mlp_backward, head, acts, rng.normal(size=3))
+        call_unchanged(mlp_scores, head, X0)
+
+    @pytest.mark.parametrize(
+        "mk,hk",
+        [
+            (MergeKind.OUTER, HeadKind.CNN),
+            (MergeKind.OUTER, HeadKind.MLP),
+            (MergeKind.CONCAT, HeadKind.MLP),
+            (MergeKind.ELEMENTWISE, HeadKind.LINEAR),
+            (MergeKind.INNER, HeadKind.IDENTITY),
+        ],
+    )
+    def test_head_backward(self, mk, hk):
+        rng = np.random.default_rng(97)
+        spec = ModelSpec(variant=Variant.MF, merge=mk, head=new_head(hk, mk, 8, 4, 2, 97), K=8)
+        merged = merge(mk, rng.normal(size=(3, 8)), rng.normal(size=(3, 8)))
+        acts, _ = call_unchanged(head_forward, spec, merged)
+        call_unchanged(head_backward, spec, merged, acts, rng.normal(size=3))

@@ -265,8 +265,8 @@ class TestTrainStep:
         for target, d_y in zip((i, j), bpr_grad(g.y_pos, g.y_neg)):
             fU = user_embedding(t, variant, u, target, history, norm=spec.fism_norm)
             merged = merge(mk, fU[None], item_embedding(t, target)[None])
-            cache, _ = head_forward(spec, merged)
-            passes.append(head_backward(spec, merged, cache, np.array([d_y]))[0])
+            acts, _ = head_forward(spec, merged)
+            passes.append(head_backward(spec, merged, acts, np.array([d_y]))[0])
         assert list(g.head) == list(passes[0])
         for name, grad in g.head.items():
             assert grad.tobytes() == (passes[0][name] + passes[1][name]).tobytes(), name
