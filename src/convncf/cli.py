@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import fields
 from typing import Optional
 
 import numpy as np
@@ -43,7 +42,6 @@ from convncf.model import (
     ConfigurationError,
     FormatError,
     HeadKind,
-    IdentityHead,
     MergeKind,
     ModelSpec,
     load_checkpoint,
@@ -55,7 +53,6 @@ from convncf.model import (
 from convncf.training import (
     EpochRecord,
     NonFiniteError,
-    TrainConfig,
     pretrain,
     train,
     write_metrics_csv,
@@ -72,12 +69,6 @@ _USER_ERRORS = (
     NonFiniteError,
     OSError,
 )
-
-
-def _train_config(cfg: RunConfig) -> TrainConfig:
-    tc = TrainConfig(**{f.name: getattr(cfg, f.name) for f in fields(TrainConfig)})
-    tc.validate()
-    return tc
 
 
 def _load_splits(cfg: RunConfig) -> tuple[FilterResult, SplitSet]:
@@ -191,22 +182,18 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 def cmd_pretrain(cfg: RunConfig) -> int:
     variant = _variant(cfg)
     fr, splits = _load_splits(cfg)
-    tc = _train_config(cfg)
-    tables, records = pretrain(variant, splits, tc, cfg.K, cfg.alpha)
-    shallow = ModelSpec(
-        variant=variant, merge=MergeKind.INNER, head=IdentityHead(), K=cfg.K, fism_norm=cfg.fism_norm
-    )
+    result = pretrain(variant, splits, cfg, cfg.K, cfg.alpha)
     ckpt = _outpath(cfg, "pretrain.ckpt")
-    save_checkpoint(shallow, tables, ckpt)
-    if records:
-        write_metrics_csv(records, _outpath(cfg, "pretrain_metrics.csv"))
-        _print_eval("val", records[-1].val)
-        _print_eval("test", records[-1].test)
+    save_checkpoint(result.spec, result.tables, ckpt)
+    if result.history:
+        write_metrics_csv(result.history, _outpath(cfg, "pretrain_metrics.csv"))
+        _print_eval("val", result.history[-1].val)
+        _print_eval("test", result.history[-1].test)
     print(f"checkpoint {ckpt}")
     return 0
 
 
-def _initial_tables(cfg: RunConfig, variant: Variant, splits: SplitSet, tc: TrainConfig) -> EmbeddingTables:
+def _initial_tables(cfg: RunConfig, variant: Variant, splits: SplitSet) -> EmbeddingTables:
     ds = splits.train
     if cfg.pretrain_checkpoint:
         loaded_spec, tables = load_checkpoint(cfg.pretrain_checkpoint)
@@ -221,8 +208,7 @@ def _initial_tables(cfg: RunConfig, variant: Variant, splits: SplitSet, tc: Trai
         _check_tables_match(tables, splits, "pretrain checkpoint")
         return tables
     if cfg.merge != "inner":
-        tables, _ = pretrain(variant, splits, tc, cfg.K, cfg.alpha)
-        return tables
+        return pretrain(variant, splits, cfg, cfg.K, cfg.alpha).tables
     return init_tables(ds.M, ds.N, cfg.K, variant, derive_seed(cfg.seed, "init"), alpha=cfg.alpha)
 
 
@@ -238,10 +224,9 @@ def cmd_train(cfg: RunConfig) -> int:
         records = [EpochRecord(epoch=1, mean_loss=float("nan"), val=val, test=test)]
     else:
         variant = Variant(cfg.variant)
-        tc = _train_config(cfg)
-        tables = _initial_tables(cfg, variant, splits, tc)
+        tables = _initial_tables(cfg, variant, splits)
         spec = _build_spec(cfg, variant)
-        result = train(spec, tables, splits, tc)
+        result = train(spec, tables, splits, cfg)
         records = result.history
         spec, tables = result.spec, result.tables
 

@@ -5,6 +5,10 @@ comments, blank lines ignored, later keys overriding earlier ones. Command
 line `--key=value` (or bare `key=value`) overrides the file. Unknown keys
 are hard errors, as are values that fail to parse as the key's type.
 
+The keys are the training hyper-parameters of `training.TrainConfig` plus
+the data, architecture and run-control keys declared here; each key is
+checked in one place, `TrainConfig.validate` or `validate_config`.
+
 All randomness in a run flows from the single `seed` key, split per purpose
 (split, init, shuffle, negatives, gradcheck), so one number reproduces a
 whole pipeline.
@@ -15,13 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
+from convncf.embeddings import Variant
+from convncf.model import HeadKind, MergeKind
+from convncf.training import TrainConfig, check_bound
+
 
 class ConfigError(ValueError):
     """A bad key, a bad value, or a missing required setting."""
 
 
 @dataclass
-class RunConfig:
+class RunConfig(TrainConfig):
     # data
     dataset: str = ""  # interaction TSV; required by data-driven commands
     outdir: str = "runs"
@@ -37,21 +45,7 @@ class RunConfig:
     C: int = 32
     mlp_layers: int = 3
     alpha: float = 0.5
-    fism_norm: str = "excluded_set"  # or full_set
-    # optimization
-    lr_embed: float = 0.005
-    lr_net: float = 0.01
-    lambda1: float = 1e-6  # user-side tables (P, Qp)
-    lambda2: float = 1e-6  # target-item table (Q)
-    lambda3: float = 10.0  # hidden tower
-    lambda4: float = 1.0  # output projection; moves results the most
-    batch_size: int = 512
-    epochs: int = 30
-    adagrad_epsilon: float = 1e-6
-    epochs_pretrain: int = 20
-    lambda_pretrain: float = 1e-6
     # run control
-    seed: int = 42
     threads: int = 1  # evaluation fan-out; 1 keeps output ordering trivial
     # command extras
     user: str = ""  # recommend: raw user id
@@ -60,6 +54,12 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+_CHOICES = {
+    "variant": [v.value for v in Variant] + ["itempop"],
+    "merge": [m.value for m in MergeKind],
+    "head": [h.value for h in HeadKind],
+}
 
 
 def _parse_bool(key: str, text: str) -> bool:
@@ -123,37 +123,16 @@ def build_config(config_path: Optional[str], overrides: list[str]) -> RunConfig:
 
 
 def validate_config(cfg: RunConfig) -> None:
-    if cfg.variant not in ("mf", "fism", "svdpp", "itempop"):
-        raise ConfigError(f"key variant: unknown value {cfg.variant!r}")
-    if cfg.merge not in ("outer", "elementwise", "concat", "inner"):
-        raise ConfigError(f"key merge: unknown value {cfg.merge!r}")
-    if cfg.head not in ("cnn", "mlp", "linear", "identity"):
-        raise ConfigError(f"key head: unknown value {cfg.head!r}")
-    if cfg.fism_norm not in ("excluded_set", "full_set"):
-        raise ConfigError(f"key fism_norm: unknown value {cfg.fism_norm!r}")
-    if cfg.K < 1:
-        raise ConfigError("key K: must be >= 1")
-    if cfg.C < 1:
-        raise ConfigError("key C: must be >= 1")
+    """Raise ConfigError naming the first key with an illegal value."""
+    for key, legal in _CHOICES.items():
+        if getattr(cfg, key) not in legal:
+            raise ConfigError(f"key {key}: unknown value {getattr(cfg, key)!r}")
     if not 1 <= cfg.mlp_layers <= 3:
         raise ConfigError("key mlp_layers: must be in 1..3")
-    if cfg.lr_embed <= 0 or cfg.lr_net <= 0:
-        raise ConfigError("key lr_embed/lr_net: learning rates must be > 0")
-    if min(cfg.lambda1, cfg.lambda2, cfg.lambda3, cfg.lambda4, cfg.lambda_pretrain) < 0:
-        raise ConfigError("regularization strengths must be >= 0")
-    if cfg.batch_size < 1:
-        raise ConfigError("key batch_size: must be >= 1")
-    if cfg.epochs < 1:
-        raise ConfigError("key epochs: must be >= 1")
-    if cfg.epochs_pretrain < 0:
-        raise ConfigError("key epochs_pretrain: must be >= 0")
-    if cfg.adagrad_epsilon <= 0:
-        raise ConfigError("key adagrad_epsilon: must be > 0")
-    if cfg.min_item < 1 or cfg.min_user < 1:
-        raise ConfigError("key min_item/min_user: thresholds must be >= 1")
-    if cfg.threads < 1:
-        raise ConfigError("key threads: must be >= 1")
-    if cfg.topk < 1:
-        raise ConfigError("key topk: must be >= 1")
-    if cfg.alpha < 0:
-        raise ConfigError("key alpha: must be >= 0")
+    try:
+        cfg.validate()
+        for key in ("K", "C", "min_item", "min_user", "threads", "topk"):
+            check_bound(cfg, key, 1)
+        check_bound(cfg, "alpha", 0)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None

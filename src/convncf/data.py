@@ -90,6 +90,10 @@ class Dataset:
         )
         return us, its
 
+    def item_counts(self) -> np.ndarray:
+        """Interactions per item, as an int64 array of length N."""
+        return np.bincount(self.pairs()[1], minlength=self.N)
+
 
 def _assemble(
     triples: Sequence[tuple[str, str, int]],
@@ -156,11 +160,7 @@ def load_interactions(path: str) -> Dataset:
 
 def satisfies_thresholds(ds: Dataset, min_item: int, min_user: int) -> bool:
     """True when every item and every user meets its interaction threshold."""
-    item_counts = np.zeros(ds.N, dtype=np.int64)
-    for rows in ds.per_user:
-        for x in rows:
-            item_counts[x.item] += 1
-    if ds.N and item_counts.min() < min_item:
+    if ds.N and ds.item_counts().min() < min_item:
         return False
     return all(len(rows) >= min_user for rows in ds.per_user)
 
@@ -179,11 +179,7 @@ def filter_dataset(ds: Dataset, min_item: int, min_user: int) -> FilterResult:
     """
     if min_item < 1 or min_user < 1:
         raise ValueError("filter thresholds must be >= 1")
-    item_counts = np.zeros(max(ds.N, 1), dtype=np.int64)
-    for rows in ds.per_user:
-        for x in rows:
-            item_counts[x.item] += 1
-    keep_item = item_counts >= min_item
+    keep_item = ds.item_counts() >= min_item
 
     survivors: list[list[Interaction]] = []
     keep_user = []
@@ -214,13 +210,6 @@ class SplitSet:
     test: dict[int, Interaction]
     eval_negatives: dict[int, np.ndarray]
     skipped_users: int
-
-    def full_item_set(self, u: int) -> frozenset:
-        """Every item u interacted with in any split."""
-        items = self.train.item_set(u)
-        if u in self.validation:
-            items = items | {self.validation[u].item, self.test[u].item}
-        return items
 
     def history_items(self, u: int, include_validation: bool) -> list[int]:
         """Known-positive history for scoring: train items, optionally plus

@@ -24,6 +24,7 @@ import numpy as np
 
 FISM_NORM_EXCLUDED = "excluded_set"
 FISM_NORM_FULL = "full_set"
+FISM_NORMS = (FISM_NORM_EXCLUDED, FISM_NORM_FULL)
 
 
 class Variant(Enum):

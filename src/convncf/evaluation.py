@@ -108,11 +108,7 @@ def evaluate(
 
 def itempop_scores(train: Dataset) -> np.ndarray:
     """Score of item i is its train interaction count."""
-    counts = np.zeros(train.N, dtype=np.float64)
-    for rows in train.per_user:
-        for x in rows:
-            counts[x.item] += 1.0
-    return counts
+    return train.item_counts().astype(np.float64)
 
 
 def make_itempop(train: Dataset) -> tuple[ModelSpec, EmbeddingTables]:

@@ -47,6 +47,7 @@ import numpy as np
 from convncf.embeddings import (
     EmbeddingTables,
     FISM_NORM_EXCLUDED,
+    FISM_NORMS,
     Variant,
     user_embedding,
 )
@@ -174,6 +175,8 @@ class ModelSpec:
     fism_norm: str = FISM_NORM_EXCLUDED
 
     def __post_init__(self) -> None:
+        if self.fism_norm not in FISM_NORMS:
+            raise ConfigurationError(f"unknown fism_norm {self.fism_norm!r}")
         if not isinstance(self.head, _ALLOWED[self.merge]):
             raise ConfigurationError(
                 f"merge {self.merge.value} does not admit head {type(self.head).__name__}"
@@ -601,6 +604,8 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
         head_kind = HeadKind(desc["head"])
         K = int(desc["K"])
         alpha = float(desc["alpha"])
+        if not 0 <= alpha < math.inf:
+            raise ValueError(f"alpha={desc['alpha']} is not a finite number >= 0")
     except ValueError as exc:
         raise FormatError(f"bad descriptor value: {exc}") from None
 

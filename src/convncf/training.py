@@ -27,6 +27,7 @@ from convncf.data import SplitSet, derive_seed, minibatches, sample_negative
 from convncf.embeddings import (
     EmbeddingTables,
     FISM_NORM_EXCLUDED,
+    FISM_NORMS,
     Variant,
     init_tables,
     item_embedding,
@@ -50,37 +51,44 @@ LN2 = math.log(2.0)
 
 @dataclass
 class TrainConfig:
-    """Hyper-parameter surface of a training run. Defaults sit at the tuned
-    centers of the usual search grids; lambda4 (the output projection) is the
-    one that moves results the most."""
+    """Hyper-parameter surface of a training run; the CLI's RunConfig adds
+    the data, architecture and run-control keys on top. Defaults sit at the
+    tuned centers of the usual search grids."""
 
     lr_embed: float = 0.005
     lr_net: float = 0.01
-    lambda1: float = 1e-6
-    lambda2: float = 1e-6
-    lambda3: float = 10.0
-    lambda4: float = 1.0
+    lambda1: float = 1e-6  # user-side tables (P, Qp)
+    lambda2: float = 1e-6  # target-item table (Q)
+    lambda3: float = 10.0  # hidden tower
+    lambda4: float = 1.0  # output projection; moves results the most
     batch_size: int = 512
     epochs: int = 30
     seed: int = 42
-    fism_norm: str = FISM_NORM_EXCLUDED
+    fism_norm: str = FISM_NORM_EXCLUDED  # or full_set
     adagrad_epsilon: float = 1e-6
     epochs_pretrain: int = 20
     lambda_pretrain: float = 1e-6
 
     def validate(self) -> None:
-        if self.lr_embed <= 0 or self.lr_net <= 0:
-            raise ValueError("learning rates must be > 0")
-        if min(self.lambda1, self.lambda2, self.lambda3, self.lambda4) < 0:
-            raise ValueError("regularization strengths must be >= 0")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.epochs_pretrain < 0:
-            raise ValueError("epochs_pretrain must be >= 0")
-        if self.adagrad_epsilon <= 0:
-            raise ValueError("adagrad_epsilon must be > 0")
+        """Raise ValueError naming the first training key out of range."""
+        for key in ("lr_embed", "lr_net", "adagrad_epsilon"):
+            check_bound(self, key, 0, strict=True)
+        for key in ("lambda1", "lambda2", "lambda3", "lambda4", "lambda_pretrain", "epochs_pretrain"):
+            check_bound(self, key, 0)
+        for key in ("batch_size", "epochs"):
+            check_bound(self, key, 1)
+        if self.fism_norm not in FISM_NORMS:
+            raise ValueError(f"key fism_norm: unknown value {self.fism_norm!r}")
+
+
+def check_bound(cfg, key: str, bound: float, strict: bool = False) -> None:
+    """Raise ValueError unless ``cfg.<key>`` is >= ``bound`` (> when
+    ``strict``) and, for a float, finite."""
+    value = getattr(cfg, key)
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"key {key}: must be finite, got {value!r}")
+    if value < bound or (strict and value == bound):
+        raise ValueError(f"key {key}: must be {'>' if strict else '>='} {bound}")
 
 
 # ---------------------------------------------------------------------------
@@ -298,9 +306,9 @@ def pretrain(
     config: TrainConfig,
     K: int,
     alpha: float = 0.5,
-) -> tuple[EmbeddingTables, list[EpochRecord]]:
-    """Train the shallow (inner-product) counterpart of a variant and return
-    its tables for warm-starting the deep model."""
+) -> TrainResult:
+    """Train the shallow (inner-product) counterpart of a variant; its
+    tables warm-start the deep model."""
     tables = init_tables(
         splits.train.M,
         splits.train.N,
@@ -317,7 +325,7 @@ def pretrain(
         fism_norm=config.fism_norm,
     )
     if config.epochs_pretrain == 0:
-        return tables, []
+        return TrainResult(spec=spec, tables=tables)
     shallow = replace(
         config,
         lambda1=config.lambda_pretrain,
@@ -327,7 +335,7 @@ def pretrain(
         epochs=config.epochs_pretrain,
     )
     records = _run_epochs(spec, tables, splits, shallow, seed_namespace="pretrain")
-    return tables, records
+    return TrainResult(spec=spec, tables=tables, history=records)
 
 
 # ---------------------------------------------------------------------------

@@ -147,8 +147,7 @@ class Lab:
     def warm_tables(self):
         def build():
             cfg = TrainConfig(epochs=30, seed=RUN_SEED, epochs_pretrain=PRE_EPOCHS)
-            tables, _ = pretrain(Variant.MF, self.splits, cfg, K_EXP)
-            return tables
+            return pretrain(Variant.MF, self.splits, cfg, K_EXP).tables
 
         return self._get("pretrain", build)
 

@@ -101,6 +101,24 @@ class TestConfig:
         with pytest.raises(ConfigError, match="variant"):
             build_config(None, ["variant=ncf"])
 
+    @pytest.mark.parametrize(
+        "key,text",
+        [
+            ("alpha", "nan"),
+            ("lr_embed", "nan"),
+            ("lambda3", "nan"),
+            ("lr_net", "inf"),
+            ("adagrad_epsilon", "inf"),
+            ("lambda_pretrain", "nan"),
+            ("lambda1", "-inf"),
+        ],
+    )
+    def test_nonfinite_float_is_rejected(self, capsys, key, text):
+        # a NaN rate or alpha would otherwise surface only as a NaN loss
+        rc, out, err = run(capsys, "paramcount", "K=4", "C=2", f"{key}={text}")
+        assert rc == 1 and out == ""
+        assert err == f"error: key {key}: must be finite, got {float(text)!r}\n"
+
 
 class TestIngest:
     def test_counts_and_manifest(self, toy, tmp_path, capsys):
@@ -316,6 +334,29 @@ class TestPipeline:
             f"checkpoint={outdir}/model.ckpt", "user=user03", "seed=9",
         )
         assert rc == 1 and out == "" and err == "error: section Q holds non-finite values\n"
+
+    @pytest.mark.parametrize(
+        "field,bad,message",
+        [
+            ("alpha=0.5", "alpha=nan", "bad descriptor value: alpha=nan is not a finite number >= 0"),
+            ("fism_norm=excluded_set", "fism_norm=bogus_set", "inconsistent checkpoint: unknown fism_norm 'bogus_set'"),
+        ],
+    )
+    def test_bad_checkpoint_header_is_rejected(self, toy, tmp_path, capsys, field, bad, message):
+        # a NaN alpha makes every score NaN, which would rank every target first
+        outdir = tmp_path / "run"
+        rc, _, _ = run(
+            capsys, "train", f"dataset={toy}", f"outdir={outdir}", *self.MF_ARGS, "variant=fism"
+        )
+        assert rc == 0
+        blob = (outdir / "model.ckpt").read_bytes()
+        assert blob.count(field.encode()) == 1
+        (outdir / "model.ckpt").write_bytes(blob.replace(field.encode(), bad.encode()))
+        rc, out, err = run(
+            capsys, "eval", f"dataset={toy}", f"outdir={outdir}",
+            f"checkpoint={outdir}/model.ckpt", "seed=9",
+        )
+        assert rc == 1 and out == "" and err == f"error: {message}\n"
 
     def test_non_scalar_conv_bias_is_rejected(self, toy, tmp_path, capsys):
         outdir = tmp_path / "run"

@@ -75,6 +75,19 @@ class TestLoadInteractions:
             load_interactions(write(tmp_path, "\tx\t1\n"))
 
 
+class TestItemCounts:
+    def test_counts_every_item_once_per_user(self, tmp_path):
+        ds = load_interactions(write(tmp_path, SIX_LINES))
+        assert ds.item_ids == ["book", "film", "game"]
+        np.testing.assert_array_equal(ds.item_counts(), [2, 2, 2])
+        ds = load_interactions(write(tmp_path, "a\tx\t1\nb\tx\t2\na\ty\t3\n"))
+        np.testing.assert_array_equal(ds.item_counts(), [2, 1])
+
+    def test_empty_dataset_counts_nothing(self, tmp_path):
+        ds = load_interactions(write(tmp_path, "# nothing\n"))
+        assert ds.item_counts().shape == (0,)
+
+
 class TestFilter:
     def test_thresholds_one_one_is_identity(self, tmp_path):
         ds = load_interactions(write(tmp_path, SIX_LINES))

@@ -102,6 +102,12 @@ class TestModelSpec:
         with pytest.raises(ConfigurationError):
             ModelSpec(variant=Variant.MF, merge=MergeKind.CONCAT, head=head, K=4)
 
+    def test_rejects_unknown_fism_norm(self):
+        with pytest.raises(ConfigurationError, match="unknown fism_norm 'bogus_set'"):
+            ModelSpec(
+                variant=Variant.FISM, merge=MergeKind.INNER, head=IdentityHead(), K=8, fism_norm="bogus_set"
+            )
+
     def test_rejects_linear_width_mismatch(self):
         with pytest.raises(ConfigurationError):
             ModelSpec(
@@ -337,6 +343,23 @@ class TestCheckpoint:
         save_checkpoint(spec, t, path)
         assert f"\nconv.1.bias 1 {size} ".encode() in open(path, "rb").read()
         with pytest.raises(FormatError, match=re.escape(f"inconsistent checkpoint: conv layer 1 bias shape ({size},)")):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize(
+        "field,bad",
+        [
+            ("alpha=0.4", "alpha=nan"),
+            ("alpha=0.4", "alpha=inf"),
+            ("alpha=0.4", "alpha=-1.0"),
+            ("fism_norm=excluded_set", "fism_norm=bogus_set"),
+        ],
+    )
+    def test_bad_descriptor_field(self, tmp_path, field, bad):
+        *_, path = self.roundtrip(tmp_path, Variant.FISM, MergeKind.INNER, HeadKind.IDENTITY)
+        blob = open(path, "rb").read()
+        assert blob.count(field.encode()) == 1
+        open(path, "wb").write(blob.replace(field.encode(), bad.encode()))
+        with pytest.raises(FormatError, match=re.escape(bad.split("=")[0])):
             load_checkpoint(path)
 
     def test_missing_qp_for_history_variant(self, tmp_path):

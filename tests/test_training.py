@@ -349,7 +349,8 @@ class TestPretrain:
     def test_zero_epochs_returns_untouched_init(self, tmp_path):
         splits = make_splits(tmp_path)
         cfg = TrainConfig(epochs_pretrain=0, seed=13)
-        tables, records = pretrain(Variant.MF, splits, cfg, K=4)
+        res = pretrain(Variant.MF, splits, cfg, K=4)
+        tables, records = res.tables, res.history
         fresh = init_tables(splits.train.M, splits.train.N, 4, Variant.MF, derive_seed(13, "init"))
         assert records == []
         np.testing.assert_array_equal(tables.P, fresh.P)
@@ -360,7 +361,7 @@ class TestPretrain:
         shuffle streams, or warm starts would correlate with the main run."""
         splits = make_splits(tmp_path)
         cfg = TrainConfig(epochs_pretrain=2, epochs=2, seed=21, lambda1=0, lambda2=0)
-        pre_tables, pre_records = pretrain(Variant.MF, splits, cfg, K=4)
+        pre_records = pretrain(Variant.MF, splits, cfg, K=4).history
         tables = init_tables(splits.train.M, splits.train.N, 4, Variant.MF, derive_seed(21, "init"))
         main = train(inner_spec(K=4), tables, splits, TrainConfig(epochs=2, seed=21, lambda1=1e-6, lambda2=1e-6))
         # same init, same epochs, but different sampling order => different losses
@@ -369,7 +370,7 @@ class TestPretrain:
     def test_pretrain_improves_over_init(self, tmp_path):
         splits = make_splits(tmp_path)
         cfg = TrainConfig(epochs_pretrain=8, seed=17)
-        _, records = pretrain(Variant.MF, splits, cfg, K=4)
+        records = pretrain(Variant.MF, splits, cfg, K=4).history
         assert len(records) == 8
         assert records[-1].mean_loss < records[0].mean_loss
 
@@ -385,10 +386,18 @@ class TestConfigValidation:
             {"epochs": 0},
             {"epochs_pretrain": -1},
             {"adagrad_epsilon": 0.0},
+            {"lambda_pretrain": -1.0},
+            {"lr_embed": math.nan},
+            {"lr_net": math.inf},
+            {"lambda3": math.nan},
+            {"adagrad_epsilon": math.inf},
+            {"lambda_pretrain": math.nan},
+            {"fism_norm": "bogus_set"},
         ],
     )
     def test_rejects(self, kw):
-        with pytest.raises(ValueError):
+        (key,) = kw
+        with pytest.raises(ValueError, match=f"^key {key}: "):
             TrainConfig(**kw).validate()
 
     def test_defaults_pass(self):
