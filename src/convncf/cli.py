@@ -197,10 +197,11 @@ def _initial_tables(cfg: RunConfig, variant: Variant, splits: SplitSet) -> Embed
     ds = splits.train
     if cfg.pretrain_checkpoint:
         loaded_spec, tables = load_checkpoint(cfg.pretrain_checkpoint)
-        if loaded_spec.K != cfg.K:
-            raise ConfigError(
-                f"pretrain checkpoint has K={loaded_spec.K} but the run asks for K={cfg.K}"
-            )
+        for key, held in (("K", loaded_spec.K), ("alpha", tables.alpha), ("fism_norm", loaded_spec.fism_norm)):
+            if held != getattr(cfg, key):
+                raise ConfigError(
+                    f"pretrain checkpoint has {key}={held!r} but the run asks for {key}={getattr(cfg, key)!r}"
+                )
         if loaded_spec.variant is not variant:
             raise ConfigError(
                 f"pretrain checkpoint variant {loaded_spec.variant.value} != run variant {variant.value}"

@@ -2,8 +2,14 @@
 
 The on-disk format is one record per line, ``user<TAB>item<TAB>timestamp``,
 with ``#`` comment lines ignored. Raw ids are arbitrary tab-free strings and
-get dense indices in first-appearance order. Repeated (user, item) pairs
-collapse to the earliest timestamp.
+get dense indices in first-appearance order; timestamps are base-10 integers
+in the int64 range. Repeated (user, item) pairs collapse to the earliest
+timestamp.
+
+A log is held as CSR (compressed sparse row) arrays: user u's rows are
+``items[indptr[u]:indptr[u + 1]]`` with their ``stamps``, ascending by
+(timestamp, raw item id). ``keys`` is the sorted array of ``u * N + i`` over
+every row, the index that membership tests search.
 
 Splitting holds out the latest interaction per user as test and one seeded
 uniform pick from the remainder as validation; users with fewer than three
@@ -17,8 +23,9 @@ from __future__ import annotations
 
 import os
 import zlib
-from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from array import array
+from dataclasses import dataclass, field, replace
+from typing import Iterator
 
 import numpy as np
 
@@ -44,6 +51,8 @@ def derive_seed(root_seed: int, purpose: str):
 
 @dataclass(frozen=True)
 class Interaction:
+    """One held-out row of a split."""
+
     user: int
     item: int
     timestamp: int
@@ -51,71 +60,65 @@ class Interaction:
 
 @dataclass
 class Dataset:
-    """An immutable interaction log with dense ids.
-
-    per_user[u] is sorted ascending by (timestamp, raw item id), so the last
-    element is the latest interaction under the deterministic tie-break.
-    """
+    """An immutable interaction log with dense ids, as CSR arrays (see the
+    module docstring); every array is int64."""
 
     M: int
     N: int
-    per_user: list[list[Interaction]]
+    indptr: np.ndarray = field(repr=False)
+    items: np.ndarray = field(repr=False)
+    stamps: np.ndarray = field(repr=False)
+    keys: np.ndarray = field(repr=False)
     user_ids: list[str]
     item_ids: list[str]
     user_index: dict[str, int] = field(repr=False)
     item_index: dict[str, int] = field(repr=False)
-    _item_sets: list[frozenset] = field(default_factory=list, repr=False)
-
-    def __post_init__(self) -> None:
-        if not self._item_sets:
-            self._item_sets = [frozenset(x.item for x in rows) for rows in self.per_user]
 
     @property
     def n_interactions(self) -> int:
-        return sum(len(rows) for rows in self.per_user)
+        return len(self.items)
 
     def items_of(self, u: int) -> list[int]:
-        return [x.item for x in self.per_user[u]]
+        return self.items[self.indptr[u] : self.indptr[u + 1]].tolist()
 
-    def item_set(self, u: int) -> frozenset:
-        return self._item_sets[u]
+    def has(self, u: int, i: int) -> bool:
+        """Whether user u interacted with item i: a binary search of ``keys``."""
+        k = u * self.N + i
+        p = self.keys.searchsorted(k)
+        return p < self.keys.size and bool(self.keys[p] == k)
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All (user, item) interactions as parallel index arrays."""
-        us = np.fromiter(
-            (x.user for rows in self.per_user for x in rows), dtype=np.int64, count=self.n_interactions
-        )
-        its = np.fromiter(
-            (x.item for rows in self.per_user for x in rows), dtype=np.int64, count=self.n_interactions
-        )
-        return us, its
+        return np.repeat(np.arange(self.M), np.diff(self.indptr)), self.items
 
     def item_counts(self) -> np.ndarray:
         """Interactions per item, as an int64 array of length N."""
-        return np.bincount(self.pairs()[1], minlength=self.N)
+        return np.bincount(self.items, minlength=self.N)
 
 
 def _assemble(
-    triples: Sequence[tuple[str, str, int]],
-    user_ids: list[str],
-    item_ids: list[str],
+    users: np.ndarray, items: np.ndarray, stamps: np.ndarray, user_ids: list[str], item_ids: list[str]
 ) -> Dataset:
-    """Build a Dataset from deduplicated raw triples and fixed id orders."""
-    user_index = {raw: k for k, raw in enumerate(user_ids)}
-    item_index = {raw: k for k, raw in enumerate(item_ids)}
-    per_user: list[list[Interaction]] = [[] for _ in user_ids]
-    for raw_u, raw_i, ts in triples:
-        per_user[user_index[raw_u]].append(Interaction(user_index[raw_u], item_index[raw_i], ts))
-    for u, rows in enumerate(per_user):
-        rows.sort(key=lambda x: (x.timestamp, item_ids[x.item]))
+    """Build a Dataset from parallel int64 row arrays in any order and fixed
+    id orders; a repeated (user, item) pair keeps its earliest stamp."""
+    M, N = len(user_ids), len(item_ids)
+    keys = users * N + items
+    # by (user, item) then stamp, so each pair's first row is its earliest
+    rows = np.lexsort((stamps, keys))
+    keys = keys[rows]
+    earliest = np.ones(keys.size, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=earliest[1:])
+    rows, keys = rows[earliest], keys[earliest]
+    rank = np.empty(N, dtype=np.int64)
+    rank[sorted(range(N), key=item_ids.__getitem__)] = np.arange(N)  # raw-id order
+    rows = rows[np.lexsort((rank[items[rows]], stamps[rows], users[rows]))]
+    indptr = np.zeros(M + 1, dtype=np.int64)
+    np.cumsum(np.bincount(users[rows], minlength=M), out=indptr[1:])
     return Dataset(
-        M=len(user_ids),
-        N=len(item_ids),
-        per_user=per_user,
-        user_ids=user_ids,
-        item_ids=item_ids,
-        user_index=user_index,
-        item_index=item_index,
+        M=M, N=N, indptr=indptr, items=items[rows], stamps=stamps[rows], keys=keys,
+        user_ids=user_ids, item_ids=item_ids,
+        user_index={raw: k for k, raw in enumerate(user_ids)},
+        item_index={raw: k for k, raw in enumerate(item_ids)},
     )
 
 
@@ -125,8 +128,7 @@ def load_interactions(path: str) -> Dataset:
     item_ids: list[str] = []
     seen_user: dict[str, int] = {}
     seen_item: dict[str, int] = {}
-    earliest: dict[tuple[str, str], int] = {}
-    order: list[tuple[str, str]] = []
+    users, items, stamps = array("q"), array("q"), array("q")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\n").rstrip("\r")
@@ -139,30 +141,28 @@ def load_interactions(path: str) -> Dataset:
             if not raw_u or not raw_i:
                 raise ParseError(f"line {lineno}: empty user or item id")
             try:
-                ts = int(ts_text)
+                stamps.append(int(ts_text))
             except ValueError:
                 raise ParseError(f"line {lineno}: timestamp {ts_text!r} is not a base-10 integer") from None
+            except OverflowError:
+                raise ParseError(f"line {lineno}: timestamp {ts_text!r} is outside the int64 range") from None
             if raw_u not in seen_user:
                 seen_user[raw_u] = len(user_ids)
                 user_ids.append(raw_u)
             if raw_i not in seen_item:
                 seen_item[raw_i] = len(item_ids)
                 item_ids.append(raw_i)
-            key = (raw_u, raw_i)
-            if key not in earliest:
-                earliest[key] = ts
-                order.append(key)
-            elif ts < earliest[key]:
-                earliest[key] = ts
-    triples = [(u, i, earliest[(u, i)]) for u, i in order]
-    return _assemble(triples, user_ids, item_ids)
+            users.append(seen_user[raw_u])
+            items.append(seen_item[raw_i])
+    users, items, stamps = (np.frombuffer(rows, dtype=np.int64) for rows in (users, items, stamps))
+    return _assemble(users, items, stamps, user_ids, item_ids)
 
 
 def satisfies_thresholds(ds: Dataset, min_item: int, min_user: int) -> bool:
     """True when every item and every user meets its interaction threshold."""
     if ds.N and ds.item_counts().min() < min_item:
         return False
-    return all(len(rows) >= min_user for rows in ds.per_user)
+    return bool(np.all(np.diff(ds.indptr) >= min_user))
 
 
 @dataclass
@@ -179,25 +179,20 @@ def filter_dataset(ds: Dataset, min_item: int, min_user: int) -> FilterResult:
     """
     if min_item < 1 or min_user < 1:
         raise ValueError("filter thresholds must be >= 1")
-    keep_item = ds.item_counts() >= min_item
-
-    survivors: list[list[Interaction]] = []
-    keep_user = []
-    for rows in ds.per_user:
-        kept = [x for x in rows if keep_item[x.item]]
-        keep_user.append(len(kept) >= min_user)
-        survivors.append(kept)
-
-    user_ids = [ds.user_ids[u] for u in range(ds.M) if keep_user[u]]
-    used_items = sorted({x.item for u, rows in enumerate(survivors) if keep_user[u] for x in rows})
-    item_ids = [ds.item_ids[i] for i in used_items]
-    triples = [
-        (ds.user_ids[u], ds.item_ids[x.item], x.timestamp)
-        for u, rows in enumerate(survivors)
-        if keep_user[u]
-        for x in rows
-    ]
-    out = _assemble(triples, user_ids, item_ids)
+    users, items = ds.pairs()
+    kept = (ds.item_counts() >= min_item)[items]
+    keep_user = np.bincount(users[kept], minlength=ds.M) >= min_user
+    kept &= keep_user[users]
+    used_items = np.unique(items[kept])
+    new_item = np.zeros(ds.N, dtype=np.int64)
+    new_item[used_items] = np.arange(used_items.size)
+    out = _assemble(
+        (np.cumsum(keep_user) - 1)[users[kept]],
+        new_item[items[kept]],
+        ds.stamps[kept],
+        [ds.user_ids[u] for u in np.flatnonzero(keep_user).tolist()],
+        [ds.item_ids[i] for i in used_items.tolist()],
+    )
     return FilterResult(dataset=out, stable=satisfies_thresholds(out, min_item, min_user))
 
 
@@ -216,48 +211,49 @@ class SplitSet:
         the validation item (used when scoring the test split)."""
         items = self.train.items_of(u)
         if include_validation and u in self.validation:
-            items = items + [self.validation[u].item]
+            items.append(self.validation[u].item)
         return items
 
 
 def split_leave_latest_out(ds: Dataset, seed) -> SplitSet:
     """Deterministic leave-latest-out split; see the module docstring."""
     rng = np.random.default_rng(seed)
-    train_rows: list[list[Interaction]] = []
+    held = np.zeros(ds.n_interactions, dtype=bool)
     validation: dict[int, Interaction] = {}
     test: dict[int, Interaction] = {}
     eval_negatives: dict[int, np.ndarray] = {}
     skipped = 0
+    bounds = ds.indptr.tolist()
     for u in range(ds.M):
-        rows = ds.per_user[u]
-        if len(rows) < 3:
+        lo, hi = bounds[u], bounds[u + 1]
+        if hi - lo < 3:
             skipped += 1
-            train_rows.append(list(rows))
             continue
-        test[u] = rows[-1]
-        remainder = rows[:-1]
-        val_pos = int(rng.integers(len(remainder)))
-        validation[u] = remainder[val_pos]
-        train_rows.append([x for k, x in enumerate(remainder) if k != val_pos])
+        val = lo + int(rng.integers(hi - lo - 1))
+        test[u] = Interaction(u, int(ds.items[hi - 1]), int(ds.stamps[hi - 1]))
+        validation[u] = Interaction(u, int(ds.items[val]), int(ds.stamps[val]))
+        held[[val, hi - 1]] = True
 
         mask = np.ones(ds.N, dtype=bool)
-        mask[[x.item for x in rows]] = False
+        mask[ds.items[lo:hi]] = False
         complement = np.flatnonzero(mask)
         if complement.size == 0:
             raise ProtocolError(
                 f"user {ds.user_ids[u]!r} (index {u}) interacted with every item; no negatives exist"
             )
         n_neg = min(EVAL_NEGATIVES, complement.size)
-        eval_negatives[u] = rng.choice(complement, size=n_neg, replace=False).astype(np.int64)
+        eval_negatives[u] = rng.choice(complement, size=n_neg, replace=False)
 
-    train = Dataset(
-        M=ds.M,
-        N=ds.N,
-        per_user=train_rows,
-        user_ids=ds.user_ids,
-        item_ids=ds.item_ids,
-        user_index=ds.user_index,
-        item_index=ds.item_index,
+    users, items = ds.pairs()
+    kept = ~held
+    indptr = np.zeros_like(ds.indptr)
+    np.cumsum(np.bincount(users[kept], minlength=ds.M), out=indptr[1:])
+    train = replace(
+        ds,
+        indptr=indptr,
+        items=items[kept],
+        stamps=ds.stamps[kept],
+        keys=np.delete(ds.keys, ds.keys.searchsorted(users[held] * ds.N + items[held])),
     )
     return SplitSet(
         train=train,
@@ -273,8 +269,6 @@ def minibatches(
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Fresh uniform shuffle of all train interactions, then consecutive
     slices; the last batch may be short."""
-    if batch_size < 1:
-        raise ValueError("batch_size must be >= 1")
     us, its = train.pairs()
     perm = rng.permutation(us.shape[0])
     us, its = us[perm], its[perm]
@@ -284,12 +278,11 @@ def minibatches(
 
 def sample_negative(train: Dataset, u: int, rng: np.random.Generator) -> int:
     """Uniform draw from the items u never interacted with, by rejection."""
-    positives = train.item_set(u)
-    if len(positives) >= train.N:
+    if train.indptr[u + 1] - train.indptr[u] >= train.N:
         raise SamplingError(f"user index {u} interacted with every item; cannot sample a negative")
     while True:
         j = int(rng.integers(train.N))
-        if j not in positives:
+        if not train.has(u, j):
             return j
 
 
@@ -297,14 +290,14 @@ def write_manifest(split: SplitSet, path: str) -> None:
     """Emit every interaction as TSV with a fourth column train|val|test,
     grouped per user in dense order."""
     ds = split.train
+    bounds, items, stamps = ds.indptr.tolist(), ds.items.tolist(), ds.stamps.tolist()
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
         for u in range(ds.M):
-            for x in ds.per_user[u]:
-                fh.write(f"{ds.user_ids[u]}\t{ds.item_ids[x.item]}\t{x.timestamp}\ttrain\n")
+            user = ds.user_ids[u]
+            for row in range(bounds[u], bounds[u + 1]):
+                fh.write(f"{user}\t{ds.item_ids[items[row]]}\t{stamps[row]}\ttrain\n")
             if u in split.validation:
-                v = split.validation[u]
-                fh.write(f"{ds.user_ids[u]}\t{ds.item_ids[v.item]}\t{v.timestamp}\tval\n")
-                t = split.test[u]
-                fh.write(f"{ds.user_ids[u]}\t{ds.item_ids[t.item]}\t{t.timestamp}\ttest\n")
+                for x, tag in ((split.validation[u], "val"), (split.test[u], "test")):
+                    fh.write(f"{user}\t{ds.item_ids[x.item]}\t{x.timestamp}\t{tag}\n")
     os.replace(tmp, path)

@@ -296,6 +296,7 @@ def train(
 ) -> TrainResult:
     """Full run: epoch 1 with all lambdas zeroed, then the configured ones;
     validation and test evaluated after every epoch."""
+    config.validate()
     records = _run_epochs(spec, tables, splits, config, seed_namespace="train")
     return TrainResult(spec=spec, tables=tables, history=records)
 
@@ -309,6 +310,7 @@ def pretrain(
 ) -> TrainResult:
     """Train the shallow (inner-product) counterpart of a variant; its
     tables warm-start the deep model."""
+    config.validate()
     tables = init_tables(
         splits.train.M,
         splits.train.N,

@@ -60,6 +60,15 @@ def rank_by_sort(scores: np.ndarray, target_index: int) -> int:
     return rank
 
 
+def sample_negative_set(positives, N: int, rng) -> int:
+    """Rejection loop against a frozenset of the user's positive items."""
+    positives = frozenset(positives)
+    while True:
+        j = int(rng.integers(N))
+        if j not in positives:
+            return j
+
+
 def numeric_grad(f, arr: np.ndarray, flat_index: int, step: float = 1e-6) -> float:
     """Central difference of a scalar function with respect to one entry."""
     orig = arr.flat[flat_index]
@@ -112,3 +121,4 @@ def scatter_user_gradient_loops(variant, u, targets, history, d_FU, alpha, norm)
     if kind != "mf":
         out["Qp"] = Qp
     return out
+

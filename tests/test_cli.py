@@ -388,6 +388,30 @@ class TestPipeline:
         )
         assert rc == 1 and "K=4" in err
 
+    @pytest.mark.parametrize(
+        "override,message",
+        [
+            ("alpha=0.3", "alpha=0.5 but the run asks for alpha=0.3"),
+            ("fism_norm=full_set", "fism_norm='excluded_set' but the run asks for fism_norm='full_set'"),
+        ],
+        ids=["alpha", "fism_norm"],
+    )
+    def test_warm_start_setting_mismatch(self, toy, tmp_path, capsys, override, message):
+        # the warm-started model would carry the checkpoint's value, not the run's
+        pre = tmp_path / "pre"
+        rc, _, _ = run(capsys, "pretrain", f"dataset={toy}", f"outdir={pre}",
+                       "variant=fism", "K=4", "epochs_pretrain=1", "batch_size=32", "seed=5")
+        assert rc == 0
+        outdir = tmp_path / "bad"
+        rc, out, err = run(
+            capsys, "train", f"dataset={toy}", f"outdir={outdir}",
+            f"pretrain_checkpoint={pre}/pretrain.ckpt",
+            "variant=fism", "merge=outer", "head=cnn", "K=4", "C=2",
+            "epochs=1", "seed=5", override,
+        )
+        assert rc == 1 and out == "" and err == f"error: pretrain checkpoint has {message}\n"
+        assert not (outdir / "model.ckpt").exists()
+
 
 class TestDeterminism:
     def test_identical_runs_identical_bytes(self, toy, tmp_path, capsys):

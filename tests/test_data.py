@@ -4,7 +4,6 @@ import pytest
 from convncf.data import (
     EVAL_NEGATIVES,
     Dataset,
-    Interaction,
     ParseError,
     ProtocolError,
     SamplingError,
@@ -17,6 +16,8 @@ from convncf.data import (
     split_leave_latest_out,
     write_manifest,
 )
+
+from _oracles import sample_negative_set
 
 
 def write(tmp_path, text, name="data.tsv"):
@@ -44,18 +45,18 @@ class TestLoadInteractions:
         # dense ids follow first appearance: alice=0, bob=1; book=0, film=1, game=2
         assert ds.user_ids == ["alice", "bob"]
         assert ds.item_ids == ["book", "film", "game"]
-        # per-user lists sorted ascending by timestamp
-        assert [x.timestamp for x in ds.per_user[0]] == [10, 20, 30]
-        assert [x.timestamp for x in ds.per_user[1]] == [5, 7, 9]
+        # per-user rows sorted ascending by timestamp
+        assert stamps_of(ds, 0) == [10, 20, 30]
+        assert stamps_of(ds, 1) == [5, 7, 9]
 
     def test_duplicates_collapse_to_earliest(self, tmp_path):
         ds = load_interactions(write(tmp_path, "a\tx\t10\na\tx\t5\na\tx\t8\n"))
         assert ds.n_interactions == 1
-        assert ds.per_user[0][0].timestamp == 5
+        assert stamps_of(ds, 0)[0] == 5
 
     def test_timestamp_tie_breaks_by_raw_item_id(self, tmp_path):
         ds = load_interactions(write(tmp_path, "a\tzz\t7\na\tmm\t7\na\taa\t7\n"))
-        names = [ds.item_ids[x.item] for x in ds.per_user[0]]
+        names = [ds.item_ids[i] for i in ds.items_of(0)]
         assert names == ["aa", "mm", "zz"]
 
     def test_empty_file(self, tmp_path):
@@ -73,6 +74,15 @@ class TestLoadInteractions:
     def test_empty_id_rejected(self, tmp_path):
         with pytest.raises(ParseError):
             load_interactions(write(tmp_path, "\tx\t1\n"))
+
+    def test_int64_timestamp_range(self, tmp_path):
+        low, high = -(2**63), 2**63 - 1
+        ds = load_interactions(write(tmp_path, f"a\tx\t{high}\na\ty\t{low}\n"))
+        assert stamps_of(ds, 0) == [low, high]
+        for ts in (high + 1, low - 1, 10**30):
+            text = f"a\tx\t1\nb\tx\t{ts}\n"
+            with pytest.raises(ParseError, match=f"^line 2: timestamp '{ts}' is outside the int64 range$"):
+                load_interactions(write(tmp_path, text))
 
 
 class TestItemCounts:
@@ -137,8 +147,12 @@ class TestFilter:
         text = "a\tx\t1\nb\tx\t2\na\ty\t3\nb\tz\t4\na\tz\t5\n"
         ds = load_interactions(write(tmp_path, text))
         out = filter_dataset(ds, 2, 1).dataset
-        items = {x.item for rows in out.per_user for x in rows}
+        items = {i for u in range(out.M) for i in out.items_of(u)}
         assert items == set(range(out.N))
+
+
+def stamps_of(ds, u):
+    return ds.stamps[ds.indptr[u] : ds.indptr[u + 1]].tolist()
 
 
 def three_by_five(tmp_path):
@@ -165,7 +179,7 @@ class TestSplit:
             train_items = set(splits.train.items_of(u))
             val, test = splits.validation[u].item, splits.test[u].item
             assert val not in train_items and test not in train_items and val != test
-            assert train_items | {val, test} == set(x.item for x in ds.per_user[u])
+            assert train_items | {val, test} == set(ds.items_of(u))
 
     def test_same_seed_identical(self, tmp_path):
         ds = three_by_five(tmp_path)
@@ -179,7 +193,7 @@ class TestSplit:
         ds = three_by_five(tmp_path)
         splits = split_leave_latest_out(ds, seed=3)
         for u, negs in splits.eval_negatives.items():
-            full = set(x.item for x in ds.per_user[u])
+            full = set(ds.items_of(u))
             assert not (set(negs.tolist()) & full)
             assert len(set(negs.tolist())) == len(negs)
 
@@ -202,16 +216,19 @@ class TestSplit:
         b = ds.user_index["b"]
         assert splits.skipped_users == 1
         assert b not in splits.test and b not in splits.validation
-        assert len(splits.train.per_user[b]) == 2
+        assert len(splits.train.items_of(b)) == 2
 
 
 class TestMinibatches:
     def _dataset(self, n):
-        rows = [[Interaction(0, i, i) for i in range(n)]]
+        rows = np.arange(n)
         return Dataset(
             M=1,
             N=n,
-            per_user=rows,
+            indptr=np.array([0, n]),
+            items=rows,
+            stamps=rows,
+            keys=rows,
             user_ids=["u"],
             item_ids=[f"i{k}" for k in range(n)],
             user_index={"u": 0},
@@ -234,10 +251,6 @@ class TestMinibatches:
         first = np.concatenate([its for _, its in minibatches(ds, 16, rng)])
         second = np.concatenate([its for _, its in minibatches(ds, 16, rng)])
         assert not np.array_equal(first, second)
-
-    def test_rejects_zero_batch(self):
-        with pytest.raises(ValueError):
-            list(minibatches(self._dataset(4), 0, np.random.default_rng(0)))
 
 
 class TestSampleNegative:
@@ -264,13 +277,44 @@ class TestSampleNegative:
         counts = np.zeros(ds.N, dtype=np.int64)
         for _ in range(draws):
             counts[sample_negative(ds, 0, rng)] += 1
-        positives = ds.item_set(0)
+        positives = set(ds.items_of(0))
         assert all(counts[i] == 0 for i in positives)
         p = 1.0 / 90.0
         sigma = np.sqrt(draws * p * (1 - p))
         for i in range(ds.N):
             if i not in positives:
                 assert abs(counts[i] - draws * p) < 4 * sigma
+
+
+    def test_matches_set_oracle(self, tmp_path):
+        """The key-index rejection draws the same sequence as a frozenset
+        rejection loop from an identically seeded generator, including for a
+        user who holds all but one item."""
+        N = 30
+        lines = [f"full\titem{k:02d}\t{k}\n" for k in range(N - 1)]
+        lines += [f"few\titem{k:02d}\t{k}\n" for k in (29, 3, 17)]
+        lines += [f"half\titem{k:02d}\t{k}\n" for k in range(0, N, 2)]
+        lines += ["one\titem05\t1\n"]
+        ds = load_interactions(write(tmp_path, "".join(lines)))
+        assert ds.N == N
+        for u in range(ds.M):
+            fast, slow = np.random.default_rng([11, u]), np.random.default_rng([11, u])
+            got = [sample_negative(ds, u, fast) for _ in range(3000)]
+            want = [sample_negative_set(ds.items_of(u), ds.N, slow) for _ in range(3000)]
+            assert got == want
+        assert set(got) == set(range(N)) - {5}
+
+
+class TestKeyIndex:
+    def test_membership_matches_item_sets(self, tmp_path):
+        logs = [load_interactions(write(tmp_path, SIX_LINES)), three_by_five(tmp_path)]
+        logs.append(split_leave_latest_out(logs[1], seed=4).train)
+        for ds in logs:
+            assert np.all(np.diff(ds.keys) > 0)
+            for u in range(ds.M):
+                positives = set(ds.items_of(u))
+                for i in range(ds.N):
+                    assert ds.has(u, i) == (i in positives)
 
 
 class TestManifest:

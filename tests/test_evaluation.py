@@ -175,9 +175,9 @@ class TestItemPop:
         splits = splits_fixture(tmp_path)
         counts = itempop_scores(splits.train)
         by_hand = np.zeros(splits.train.N)
-        for rows in splits.train.per_user:
-            for x in rows:
-                by_hand[x.item] += 1
+        for u in range(splits.train.M):
+            for i in splits.train.items_of(u):
+                by_hand[i] += 1
         np.testing.assert_array_equal(counts, by_hand)
 
     def test_model_scores_equal_counts(self, tmp_path):

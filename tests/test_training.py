@@ -22,6 +22,7 @@ from convncf.training import (
     METRICS_HEADER,
     NonFiniteError,
     TrainConfig,
+    _run_epochs,
     adagrad_step,
     bpr_grad,
     bpr_loss,
@@ -328,9 +329,9 @@ class TestTrainLoop:
         frozen = {name: arr.copy() for name, arr in
                   (("w", spec.head.w),) + tuple((f"k{l}", spec.head.layers[l].kernel) for l in range(2))}
         cfg = TrainConfig(epochs=2, seed=6)
-        cfg.lr_net = 0.0  # validate() forbids this; the loop itself must cope
+        cfg.lr_net = 0.0  # validate(), run by train(), forbids this; the loop itself must cope
         P_before = tables.P.copy()
-        train(spec, tables, splits, cfg)
+        _run_epochs(spec, tables, splits, cfg, seed_namespace="train")
         assert spec.head.w.tobytes() == frozen["w"].tobytes()
         assert spec.head.layers[0].kernel.tobytes() == frozen["k0"].tobytes()
         assert spec.head.layers[1].kernel.tobytes() == frozen["k1"].tobytes()
@@ -402,6 +403,27 @@ class TestConfigValidation:
 
     def test_defaults_pass(self):
         TrainConfig().validate()
+
+    @pytest.mark.parametrize(
+        "kw,message",
+        [
+            ({"batch_size": 0}, "key batch_size: must be >= 1"),
+            ({"lr_embed": math.nan}, "key lr_embed: must be finite, got nan"),
+        ],
+        ids=["batch_size", "lr_embed_nan"],
+    )
+    def test_train_and_pretrain_validate_first(self, tmp_path, kw, message):
+        """Both entry points check their config before any step, so a NaN
+        rate never reaches the loss and a bad batch size never reaches the
+        shuffle."""
+        splits = make_splits(tmp_path)
+        tables = init_tables(splits.train.M, splits.train.N, 4, Variant.MF, 2, scale=0.1)
+        P_before = tables.P.copy()
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train(inner_spec(K=4), tables, splits, TrainConfig(epochs=1, seed=5, **kw))
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            pretrain(Variant.MF, splits, TrainConfig(epochs_pretrain=1, seed=5, **kw), K=4)
+        assert tables.P.tobytes() == P_before.tobytes()
 
 
 class TestMetricsCsv:
