@@ -220,8 +220,8 @@ def cmd_train(cfg: RunConfig) -> int:
 
     if cfg.variant == "itempop":
         spec, tables = make_itempop(splits.train)
-        val = evaluate(spec, tables, splits, which="val", threads=cfg.threads)
-        test = evaluate(spec, tables, splits, which="test", threads=cfg.threads)
+        val = evaluate(spec, tables, splits, which="val")
+        test = evaluate(spec, tables, splits, which="test")
         records = [EpochRecord(epoch=1, mean_loss=float("nan"), val=val, test=test)]
     else:
         variant = Variant(cfg.variant)
@@ -249,8 +249,8 @@ def cmd_eval(cfg: RunConfig) -> int:
     spec, tables = load_checkpoint(cfg.checkpoint)
     fr, splits = _load_splits(cfg)
     _check_tables_match(tables, splits, "checkpoint")
-    val = evaluate(spec, tables, splits, which="val", threads=cfg.threads)
-    test = evaluate(spec, tables, splits, which="test", threads=cfg.threads)
+    val = evaluate(spec, tables, splits, which="val")
+    test = evaluate(spec, tables, splits, which="test")
     _print_eval("val", val)
     _print_eval("test", test)
     write_metrics_csv(
@@ -278,8 +278,7 @@ def cmd_recommend(cfg: RunConfig) -> int:
         raise ConfigError(f"key user: id {cfg.user!r} not present in the dataset")
     u = ds.user_index[cfg.user]
     history = splits.history_items(u, include_validation=True)
-    exclude = set(history)
-    candidates = np.array([i for i in range(ds.N) if i not in exclude], dtype=np.int64)
+    candidates = np.delete(np.arange(ds.N), history)  # a mask over the catalogue, ascending
     if candidates.size == 0:
         raise ProtocolError(f"user {cfg.user!r} has interacted with every item")
     scores = predict_batch(spec, tables, u, candidates, history)

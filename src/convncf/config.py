@@ -45,8 +45,6 @@ class RunConfig(TrainConfig):
     C: int = 32
     mlp_layers: int = 3
     alpha: float = 0.5
-    # run control
-    threads: int = 1  # evaluation fan-out; 1 keeps output ordering trivial
     # command extras
     user: str = ""  # recommend: raw user id
     topk: int = 10  # recommend: list length
@@ -131,7 +129,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ConfigError("key mlp_layers: must be in 1..3")
     try:
         cfg.validate()
-        for key in ("K", "C", "min_item", "min_user", "threads", "topk"):
+        for key in ("K", "C", "min_item", "min_user", "topk"):
             check_bound(cfg, key, 1)
         check_bound(cfg, "alpha", 0)
     except ValueError as exc:

@@ -16,7 +16,6 @@ uses train plus validation. The test item never enters any history.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -67,7 +66,6 @@ def evaluate(
     splits: SplitSet,
     which: str = "test",
     ks: Sequence[int] = DEFAULT_KS,
-    threads: int = 1,
 ) -> EvalResult:
     """Average HR@k / NDCG@k over every user carrying a held-out item.
 
@@ -81,7 +79,7 @@ def evaluate(
     ds = splits.train
     users = sorted(splits.test)
 
-    def score_one(u: int) -> tuple[int, int]:
+    def rank_of_held(u: int) -> int:
         held = splits.test[u] if which == "test" else splits.validation[u]
         negatives = splits.eval_negatives[u]
         history = splits.history_items(u, include_validation=(which == "test"))
@@ -92,13 +90,9 @@ def evaluate(
             raise EvaluationError(
                 f"scoring failed for user {ds.user_ids[u]!r} (index {u}): {exc}"
             ) from exc
-        return u, rank_of_target(scores, 0)
+        return rank_of_target(scores, 0)
 
-    if threads > 1 and len(users) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            ranks = dict(pool.map(score_one, users))
-    else:
-        ranks = dict(score_one(u) for u in users)
+    ranks = {u: rank_of_held(u) for u in users}
 
     n = len(users)
     hr = {k: sum(hr_at_k(ranks[u], k) for u in users) / n if n else 0.0 for k in ks}

@@ -7,8 +7,8 @@ import pytest
 
 from convncf.cli import main
 from convncf.config import ConfigError, RunConfig, build_config, parse_value
-from convncf.data import load_interactions
-from convncf.model import load_checkpoint, save_checkpoint
+from convncf.data import derive_seed, load_interactions, split_leave_latest_out
+from convncf.model import load_checkpoint, predict_batch, save_checkpoint
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -70,6 +70,11 @@ class TestConfig:
         # epochs_pretrain=0 is the one way to skip pretraining
         with pytest.raises(ConfigError, match="unknown config key 'pretrain'"):
             build_config(None, ["pretrain=false"])
+
+    def test_threads_is_not_a_key(self):
+        # scoring spreads its blocks over every usable CPU on its own
+        with pytest.raises(ConfigError, match="unknown config key 'threads'"):
+            build_config(None, ["threads=2"])
 
     def test_readme_config_example(self, tmp_path):
         """The README's config file and every convncf command line in it
@@ -225,6 +230,28 @@ class TestPipeline:
         assert not (set(rec_items) & known)
         scores = [float(line.split("\t")[1]) for line in out_rec.strip().splitlines()]
         assert scores == sorted(scores, reverse=True)
+
+    def test_recommend_candidates_match_loop_form(self, toy, tmp_path, capsys):
+        """The full ranked list equals scoring every item outside the
+        train + validation history, gathered by a loop in ascending order."""
+        outdir = tmp_path / "run"
+        run(capsys, "train", f"dataset={toy}", f"outdir={outdir}", *self.MF_ARGS)
+        spec, tables = load_checkpoint(str(outdir / "model.ckpt"))
+        splits = split_leave_latest_out(load_interactions(toy), derive_seed(9, "split"))
+        ds = splits.train
+        for user in ("user00", "user03", "user15"):
+            u = ds.user_index[user]
+            history = splits.history_items(u, include_validation=True)
+            assert history
+            candidates = np.array([i for i in range(ds.N) if i not in set(history)], dtype=np.int64)
+            scores = predict_batch(spec, tables, u, candidates, history)
+            order = np.argsort(-scores, kind="stable")
+            expect = "".join(f"{ds.item_ids[int(candidates[p])]}\t{float(scores[p])!r}\n" for p in order)
+            rc, out, _ = run(
+                capsys, "recommend", f"dataset={toy}", f"outdir={outdir}",
+                f"checkpoint={outdir}/model.ckpt", f"user={user}", f"topk={ds.N}", "seed=9",
+            )
+            assert rc == 0 and out == expect
 
     def test_unknown_user_fails(self, toy, tmp_path, capsys):
         outdir = tmp_path / "run"

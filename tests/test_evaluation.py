@@ -15,7 +15,8 @@ from convncf.evaluation import (
     rolling_last10,
     write_per_user_ranks,
 )
-from convncf.model import IdentityHead, MergeKind, ModelSpec
+from convncf import model
+from convncf.model import HeadKind, IdentityHead, MergeKind, ModelSpec, new_head, predict_batch
 
 from _oracles import rank_by_sort
 
@@ -133,15 +134,6 @@ class TestEvaluate:
         b = evaluate(spec, t, splits)
         assert a.hr == b.hr and a.ndcg == b.ndcg and a.ranks == b.ranks
 
-    def test_threads_match_serial(self, tmp_path):
-        splits = splits_fixture(tmp_path)
-        t = init_tables(splits.train.M, splits.train.N, 4, Variant.SVDPP, 5, scale=1.0)
-        spec = ModelSpec(variant=Variant.SVDPP, merge=MergeKind.INNER, head=IdentityHead(), K=4)
-        serial = evaluate(spec, t, splits, threads=1)
-        parallel = evaluate(spec, t, splits, threads=4)
-        assert serial.ranks == parallel.ranks
-        assert serial.hr == parallel.hr
-
     def test_val_and_test_use_different_histories(self, tmp_path):
         """A SVD++ model scores the two splits differently because the test
         pass folds the validation item into the history sum."""
@@ -168,6 +160,27 @@ class TestEvaluate:
         first = sorted(splits.test)[0]
         with pytest.raises(EvaluationError, match=splits.train.user_ids[first]):
             evaluate(spec, t, splits)
+
+    def test_pooled_block_failure_names_the_user(self, tmp_path, monkeypatch):
+        """An out-of-range candidate in the last of several flagship-shaped
+        blocks fails inside a pool worker; the error reaches the caller and
+        the pool keeps scoring afterwards."""
+        monkeypatch.setattr(model, "SCORE_WORKERS", 2)  # pooled even on one CPU
+        splits = splits_fixture(tmp_path, M=60, N=200)
+        ds = splits.train
+        t = init_tables(ds.M, ds.N, 64, Variant.MF, 5, scale=0.1)
+        head = new_head(HeadKind.CNN, MergeKind.OUTER, 64, 32, 1, derive_seed(5, "init_head"))
+        spec = ModelSpec(variant=Variant.MF, merge=MergeKind.OUTER, head=head, K=64)
+        first = sorted(splits.test)[0]
+        good = np.concatenate([[splits.test[first].item], splits.eval_negatives[first]])
+        assert len(good) > 3 * model._block_rows(spec)
+        splits.eval_negatives[first] = np.append(splits.eval_negatives[first], ds.N)
+        with pytest.raises(IndexError):
+            predict_batch(spec, t, first, np.append(good, ds.N))
+        with pytest.raises(EvaluationError, match=ds.user_ids[first]) as info:
+            evaluate(spec, t, splits)
+        assert isinstance(info.value.__cause__, IndexError)
+        assert predict_batch(spec, t, first, good).shape == good.shape
 
 
 class TestItemPop:

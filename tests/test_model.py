@@ -1,8 +1,11 @@
 import re
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
+from convncf import model
 from convncf.data import derive_seed
 from convncf.embeddings import EmbeddingTables, Variant, init_tables, user_embedding
 from convncf.model import (
@@ -228,8 +231,47 @@ class TestPredictBatch:
         t = init_tables(3, 150, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
         spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
         items = np.arange(150)
-        assert len(items) > SCORE_BLOCK_BYTES // (8 * 32 * 32 * 32)
+        assert len(items) > 2 * SCORE_BLOCK_BYTES // (8 * 32 * 32 * 32)
         assert_rows_score_alone(spec, t, 1, items)
+
+    def test_mlp_over_outer_rows_score_alone_across_blocks(self):
+        t = init_tables(3, 600, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.MLP, K=64, mlp_layers=1)
+        items = np.arange(600)
+        assert len(items) > 2 * model._block_rows(spec)
+        assert_rows_score_alone(spec, t, 1, items)
+
+    def test_pooled_scores_equal_inline(self, monkeypatch):
+        """Blocks scored on the pool equal the same blocks scored inline, bit
+        for bit, with a last block shorter than the rest."""
+        t = init_tables(3, 150, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
+        items = np.arange(3, 150)
+        rows = model._block_rows(spec)
+        assert len(items) > 2 * rows and len(items) % rows
+        monkeypatch.setattr(model, "SCORE_WORKERS", 2)  # pooled even on one CPU
+        pooled = predict_batch(spec, t, 1, items)
+        monkeypatch.setattr(model, "SCORE_WORKERS", 1)
+        inline = predict_batch(spec, t, 1, items)
+        assert pooled.tobytes() == inline.tobytes()
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        """More callers than cores, each splitting its candidates over the
+        one score pool, all get the inline scores."""
+        t = init_tables(3, 100, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
+        items = np.arange(100)
+        monkeypatch.setattr(model, "SCORE_WORKERS", 1)
+        inline = predict_batch(spec, t, 1, items).tobytes()
+        monkeypatch.setattr(model, "SCORE_WORKERS", 2)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=6) as callers:
+                futures = [callers.submit(predict_batch, spec, t, 1, items) for _ in range(12)]
+                assert all(f.result(timeout=60).tobytes() == inline for f in futures)
+        finally:
+            sys.setswitchinterval(switch)
 
     def test_mlp_over_outer_flattens_row_major(self):
         """Flattening convention: entry (k1, k2) of the map lands at k1*K+k2."""
