@@ -81,11 +81,12 @@ class Dataset:
     def items_of(self, u: int) -> list[int]:
         return self.items[self.indptr[u] : self.indptr[u + 1]].tolist()
 
-    def has(self, u: int, i: int) -> bool:
-        """Whether user u interacted with item i: a binary search of ``keys``."""
-        k = u * self.N + i
+    def has(self, u, i):
+        """Whether user u interacted with item i, elementwise over index
+        arrays: one binary search of ``keys``."""
+        k = np.asarray(u) * self.N + i
         p = self.keys.searchsorted(k)
-        return p < self.keys.size and bool(self.keys[p] == k)
+        return self.keys[np.minimum(p, self.keys.size - 1)] == k
 
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All (user, item) interactions as parallel index arrays."""
@@ -276,14 +277,33 @@ def minibatches(
         yield us[start : start + batch_size], its[start : start + batch_size]
 
 
-def sample_negative(train: Dataset, u: int, rng: np.random.Generator) -> int:
-    """Uniform draw from the items u never interacted with, by rejection."""
-    if train.indptr[u + 1] - train.indptr[u] >= train.N:
+def sample_negative(train: Dataset, users, rng: np.random.Generator):
+    """One uniform draw per entry of ``users`` from the items that user never
+    interacted with, by rejection: an array shaped like ``users``, or an int
+    for one user index.
+
+    Each entry gets the item that drawing for one user after another gives
+    it: ``rng.integers(N, size=k)`` yields the next k values of the stream,
+    k the users still waiting, and a rejected value passes its user's turn
+    on to the next value; one ``keys`` search tests each run of values.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    flat = users.reshape(-1)
+    full = train.indptr[flat + 1] - train.indptr[flat] >= train.N
+    if full.any():
+        u = int(flat[full.argmax()])
         raise SamplingError(f"user index {u} interacted with every item; cannot sample a negative")
-    while True:
-        j = int(rng.integers(train.N))
-        if not train.has(u, j):
-            return j
+    out = np.empty_like(flat)
+    done = 0
+    while done < flat.size:
+        values = rng.integers(train.N, size=flat.size - done)
+        while values.size:
+            taken = ~train.has(flat[done : done + values.size], values)
+            n = values.size if taken.all() else int(taken.argmin())
+            out[done : done + n] = values[:n]
+            done += n
+            values = values[n + 1 :]
+    return out.reshape(users.shape) if users.ndim else int(out[0])
 
 
 def write_manifest(split: SplitSet, path: str) -> None:

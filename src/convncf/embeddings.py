@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -69,18 +69,16 @@ def init_tables(
     return EmbeddingTables(P=P, Q=Q, Qp=Qp, K=K, alpha=alpha)
 
 
-def item_embedding(tables: EmbeddingTables, i: int) -> np.ndarray:
-    """Copy of row i of the target-item table."""
-    if not 0 <= i < tables.N:
-        raise IndexError(f"item index {i} out of range [0, {tables.N})")
-    return tables.Q[i].copy()
+def item_embedding(tables: EmbeddingTables, items) -> np.ndarray:
+    """Rows of the target-item table, copied: one row for an index, a
+    ``(B, K)`` block for an index sequence."""
+    return tables.Q.take(items, axis=0)
 
 
-def _history_sum_terms(target_i: Optional[int], history: Iterable[int]) -> np.ndarray:
-    items = np.asarray(sorted(set(history)), dtype=np.int64)
-    if target_i is not None:
-        items = items[items != target_i]
-    return items
+def history_terms(history: Sequence[int]) -> np.ndarray:
+    """The distinct history items, ascending: the rows a history sum adds,
+    in the order it adds them."""
+    return np.unique(np.asarray(history, dtype=np.int64))
 
 
 def _fism_norm_count(norm: str, n_summed: int, n_full: int) -> int:
@@ -91,12 +89,20 @@ def _fism_norm_count(norm: str, n_summed: int, n_full: int) -> int:
     raise ValueError(f"unknown fism norm {norm!r}")
 
 
+def _history_sum(tables: EmbeddingTables, terms: np.ndarray, target_i: Optional[int], norm: str) -> np.ndarray:
+    kept = terms if target_i is None else terms[terms != target_i]
+    if not kept.size:
+        return np.zeros(tables.K)
+    n = _fism_norm_count(norm, kept.size, terms.size)
+    return tables.Qp[kept].sum(axis=0) / float(n) ** tables.alpha
+
+
 def user_embedding(
     tables: EmbeddingTables,
     variant: Variant,
     u: int,
     target_i: Optional[int],
-    history: Iterable[int] = (),
+    history: Sequence[int] = (),
     norm: str = FISM_NORM_EXCLUDED,
 ) -> np.ndarray:
     """The user representation fed to the merge function.
@@ -109,45 +115,53 @@ def user_embedding(
         raise IndexError(f"user index {u} out of range [0, {tables.M})")
     if variant is Variant.MF:
         return tables.P[u].copy()
-
-    history = list(history)
-    terms = _history_sum_terms(target_i, history)
-    if terms.size and (terms.min() < 0 or terms.max() >= tables.N):
+    terms = history_terms(history)
+    if terms.size and (terms[0] < 0 or terms[-1] >= tables.N):
         raise IndexError("history item index out of range")
-    n = _fism_norm_count(norm, terms.size, len(set(history)))
-    if terms.size:
-        hist_vec = tables.Qp[terms].sum(axis=0) / float(n) ** tables.alpha
-    else:
-        hist_vec = np.zeros(tables.K)
-    if variant is Variant.FISM:
-        return hist_vec
+    return user_rows(tables, variant, u, (target_i,), terms, norm)[0]
+
+
+def user_rows(
+    tables: EmbeddingTables,
+    variant: Variant,
+    u: int,
+    targets: Sequence[Optional[int]],
+    terms: np.ndarray,
+    norm: str = FISM_NORM_EXCLUDED,
+) -> np.ndarray:
+    """``(B, K)``: row b is user_embedding for ``targets[b]``, given the
+    history's ``history_terms``; indices are not checked again."""
+    if variant is Variant.MF:
+        return tables.P[[u] * len(targets)]
+    FU = np.array([_history_sum(tables, terms, t, norm) for t in targets])
     if variant is Variant.SVDPP:
-        return tables.P[u] + hist_vec
-    raise ValueError(f"unknown variant {variant!r}")
+        FU += tables.P[u]
+    return FU
 
 
 def scatter_user_gradient(
     variant: Variant,
     u: int,
     targets: Sequence[int],
-    history: Iterable[int],
+    terms: Sequence[int],
     d_FU: np.ndarray,
     alpha: float = 0.5,
     norm: str = FISM_NORM_EXCLUDED,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Adjoint of user_embedding over a batch of targets.
+    """Adjoint of user_rows over a batch of targets.
 
     Row b of ``d_FU`` is the gradient of the representation built for
-    ``targets[b]``. Returns ``{section: (rows, grads)}`` for P and/or Qp,
-    every touched row listed once with its gradient summed over the batch.
-    MF routes every row of d_FU to the user row; the history variants spread
+    ``targets[b]``; ``terms`` are the distinct history items, in any order.
+    Returns ``{section: (rows, grads)}`` for P and/or Qp, every touched row
+    listed once with its gradient summed over the batch. MF routes every row
+    of d_FU to the user row; the history variants spread
     ``d_FU[b] / n_b**alpha`` over the history rows that target b keeps.
     """
     out = {}
     if variant is not Variant.FISM:
         out["P"] = (np.array([u]), d_FU.sum(axis=0, keepdims=True))
     if variant is not Variant.MF:
-        terms = _history_sum_terms(None, history)
+        terms = np.asarray(terms, dtype=np.int64)
         keep = terms[:, None] != np.asarray(targets)[None, :]
         counts = keep.sum(axis=0).tolist()
         scales = [float(_fism_norm_count(norm, c, len(terms))) ** alpha for c in counts]

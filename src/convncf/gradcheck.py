@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from convncf.embeddings import EmbeddingTables, Variant
+from convncf.embeddings import EmbeddingTables, Variant, history_terms
 from convncf.model import ModelSpec, section_arrays
 from convncf.training import TripleGrads, bpr_loss, compute_triple_gradients, triple_forward
 
@@ -73,11 +73,11 @@ def format_report(report: GradReport) -> str:
 
 
 def _loss_and_acts(
-    spec: ModelSpec, tables: EmbeddingTables, u: int, i: int, j: int, history: list[int]
+    spec: ModelSpec, tables: EmbeddingTables, u: int, i: int, j: int, terms: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """The triple's loss and its head's relu outputs (none for a head
     without layers)."""
-    *_, acts, y = triple_forward(spec, tables, u, i, j, history)
+    *_, acts, y = triple_forward(spec, tables, u, i, j, terms)
     return bpr_loss(float(y[0]), float(y[1])), acts[1:] if acts else []
 
 
@@ -88,7 +88,7 @@ def _candidate_indices(
     u: int,
     i: int,
     j: int,
-    history: list[int],
+    terms: np.ndarray,
 ) -> np.ndarray:
     """Flat coordinates the triple can actually reach. Derived from the
     model structure, never from the analytic gradients under test, so a
@@ -99,7 +99,7 @@ def _candidate_indices(
     elif name == "Q":
         rows = [i, j]
     elif name == "Qp":
-        rows = sorted(set(history))
+        rows = terms.tolist()
     else:
         return np.arange(arr.size)
     return np.concatenate([np.arange(r * K, (r + 1) * K) for r in rows]) if rows else np.arange(0)
@@ -156,13 +156,14 @@ def finite_diff_check(
     if grad_fn is None:
         grad_fn = compute_triple_gradients
     grads = grad_fn(spec, tables, u, i, j, history)
-    _, base_acts = _loss_and_acts(spec, tables, u, i, j, history)
+    terms = history_terms(history)
+    _, base_acts = _loss_and_acts(spec, tables, u, i, j, terms)
     rng = np.random.default_rng(seed)
     threshold = 10.0 * step
 
     sections = []
     for name, arr in section_arrays(spec, tables).items():
-        candidates = _candidate_indices(name, arr, spec, u, i, j, history)
+        candidates = _candidate_indices(name, arr, spec, u, i, j, terms)
         if candidates.size > sample:
             candidates = rng.choice(candidates, size=sample, replace=False)
         candidates = np.sort(candidates)
@@ -172,9 +173,9 @@ def finite_diff_check(
         for flat in candidates.tolist():
             orig = arr.flat[flat]
             arr.flat[flat] = orig + step
-            loss_p, acts_p = _loss_and_acts(spec, tables, u, i, j, history)
+            loss_p, acts_p = _loss_and_acts(spec, tables, u, i, j, terms)
             arr.flat[flat] = orig - step
-            loss_m, acts_m = _loss_and_acts(spec, tables, u, i, j, history)
+            loss_m, acts_m = _loss_and_acts(spec, tables, u, i, j, terms)
             arr.flat[flat] = orig
             if not (math.isfinite(loss_p) and math.isfinite(loss_m)):
                 failures.append((flat, _analytic_entry(grads, name, flat, arr), float("nan")))

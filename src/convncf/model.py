@@ -461,18 +461,40 @@ def new_head(kind: HeadKind, spec_merge: MergeKind, K: int, C: int, mlp_layers: 
 # parameter sections
 
 
-def head_sections(head: Head) -> list[tuple[str, np.ndarray]]:
-    """Named parameter arrays of a head, in canonical checkpoint order."""
-    out: list[tuple[str, np.ndarray]] = []
+def _section_slots(head: Head) -> list[tuple[str, object, str]]:
+    """(section name, owner, attribute) of each head parameter, in canonical
+    checkpoint order, which puts w last."""
+    out: list[tuple[str, object, str]] = []
     if isinstance(head, ConvStack):
         for l, layer in enumerate(head.layers, start=1):
-            out += [(f"conv.{l}.kernel", layer.kernel), (f"conv.{l}.bias", layer.bias)]
+            out += [(f"conv.{l}.kernel", layer, "kernel"), (f"conv.{l}.bias", layer, "bias")]
     elif isinstance(head, MlpHead):
         for l, layer in enumerate(head.layers, start=1):
-            out += [(f"mlp.{l}.W", layer.W), (f"mlp.{l}.b", layer.b)]
+            out += [(f"mlp.{l}.W", layer, "W"), (f"mlp.{l}.b", layer, "b")]
     if not isinstance(head, IdentityHead):
-        out.append(("w", head.w))
+        out.append(("w", head, "w"))
     return out
+
+
+def head_sections(head: Head) -> list[tuple[str, np.ndarray]]:
+    """Named parameter arrays of a head, in canonical checkpoint order."""
+    return [(name, getattr(owner, attr)) for name, owner, attr in _section_slots(head)]
+
+
+def pack_head(head: Head) -> np.ndarray:
+    """Copy the head's sections, in head_sections order, into one float64
+    vector and rebind each section to its view of it; returns the vector, so
+    one elementwise update of it updates every section."""
+    slots = _section_slots(head)
+    flat = np.empty(sum(getattr(owner, attr).size for _, owner, attr in slots))
+    start = 0
+    for _, owner, attr in slots:
+        arr = getattr(owner, attr)
+        view = flat[start : start + arr.size].reshape(arr.shape)
+        view[...] = arr
+        setattr(owner, attr, view)
+        start += arr.size
+    return flat
 
 
 def section_arrays(spec: ModelSpec, tables: EmbeddingTables) -> dict[str, np.ndarray]:

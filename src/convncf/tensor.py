@@ -46,13 +46,20 @@ def to_quadtree(x: np.ndarray) -> np.ndarray:
     return np.take(x.reshape(n, s * s, c), quadtree_order(s), axis=1)
 
 
+@cache
+def _row_major_order(s: int) -> np.ndarray:
+    """Quadtree ranks of the positions of an s x s map, in row-major order:
+    the inverse permutation of quadtree_order(s)."""
+    inverse = np.argsort(quadtree_order(s))
+    inverse.flags.writeable = False
+    return inverse
+
+
 def from_quadtree(x: np.ndarray) -> np.ndarray:
     """Inverse of to_quadtree."""
     n, p, c = x.shape
     s = math.isqrt(p)
-    out = np.empty((n, s, s, c))
-    out.reshape(n, p, c)[:, quadtree_order(s)] = x
-    return out
+    return np.take(x, _row_major_order(s), axis=1).reshape(n, s, s, c)
 
 
 def conv2x2s2_forward(inp, kernel, bias):

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -29,10 +29,11 @@ from convncf.embeddings import (
     FISM_NORM_EXCLUDED,
     FISM_NORMS,
     Variant,
+    history_terms,
     init_tables,
     item_embedding,
     scatter_user_gradient,
-    user_embedding,
+    user_rows,
 )
 from convncf.evaluation import EvalResult, evaluate
 from convncf.model import (
@@ -41,8 +42,10 @@ from convncf.model import (
     ModelSpec,
     head_backward,
     head_forward,
+    head_sections,
     merge,
     merge_backward,
+    pack_head,
     section_arrays,
 )
 
@@ -116,19 +119,34 @@ def _sigmoid(x: float) -> float:
 # ---------------------------------------------------------------------------
 # optimizer
 
-# AdagradState: section name -> accumulator array, same shape as the parameter.
-AdagradState = dict
+
+class AdagradState(dict):
+    """Adagrad accumulators, all starting at zero: one per embedding table,
+    by section name, and ``head_acc`` for the packed head (``pack_head``).
+    ``head`` is the head's one parameter vector, whose sections, named
+    ``head_names``, are views of it; ``head[:tower]`` is the hidden tower
+    and ``head[tower:]`` the output projection w."""
+
+    def __init__(self, accs: dict[str, np.ndarray], spec: ModelSpec):
+        super().__init__(accs)
+        self.head = pack_head(spec.head)
+        self.head_acc = np.zeros_like(self.head)
+        self.head_names = [name for name, _ in head_sections(spec.head)]
+        self.tower = self.head.size - (spec.head.w.size if self.head_names else 0)
 
 
 def init_adagrad(spec: ModelSpec, tables: EmbeddingTables) -> AdagradState:
-    return {name: np.zeros_like(arr) for name, arr in section_arrays(spec, tables).items()}
+    """Zero accumulators for a run; packs the head, which rebinds its
+    sections, so take any reference to them after this call."""
+    accs = {"P": tables.P, "Q": tables.Q, "Qp": tables.Qp}
+    return AdagradState({name: np.zeros_like(arr) for name, arr in accs.items() if arr is not None}, spec)
 
 
 def adagrad_step(param: np.ndarray, grad: np.ndarray, state: np.ndarray, lr: float, epsilon: float) -> None:
     """In-place: state += grad^2; param -= lr * grad / (sqrt(state) + epsilon).
 
-    Works on whole arrays and on gathered row blocks alike, so sparse table
-    updates touch only the rows whose gradients exist.
+    Works on whole arrays, row views and gathered row blocks alike, so sparse
+    table updates touch only the rows whose gradients exist.
     """
     state += grad * grad
     param -= lr * grad / (np.sqrt(state) + epsilon)
@@ -153,12 +171,13 @@ def triple_forward(
     u: int,
     i: int,
     j: int,
-    history: list[int],
+    terms: np.ndarray,
 ):
     """Embed, merge and score the positive and the negative of one triple
-    as a batch of two; returns (FU, FI, merged, head activations, scores)."""
-    FU = np.array([user_embedding(tables, spec.variant, u, t, history, norm=spec.fism_norm) for t in (i, j)])
-    FI = np.array([item_embedding(tables, i), item_embedding(tables, j)])
+    as a batch of two, given the user's ``history_terms``; returns (FU, FI,
+    merged, head activations, scores)."""
+    FU = user_rows(tables, spec.variant, u, (i, j), terms, spec.fism_norm)
+    FI = item_embedding(tables, (i, j))
     merged = merge(spec.merge, FU, FI)
     acts, y = head_forward(spec, merged)
     return FU, FI, merged, acts, y
@@ -170,17 +189,17 @@ def compute_triple_gradients(
     u: int,
     i: int,
     j: int,
-    history: Iterable[int] = (),
+    history: Sequence[int] = (),
 ) -> TripleGrads:
     """Forward both branches of one triple and backpropagate the plain
     (regularization-free) pairwise loss through every shared parameter."""
-    history = list(history)
-    FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, history)
+    terms = history_terms(history) if spec.variant is not Variant.MF else None
+    FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms)
     y_pos, y_neg = float(y[0]), float(y[1])
     loss = bpr_loss(y_pos, y_neg)
     head_grads, d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)))
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
-    table_grads = scatter_user_gradient(spec.variant, u, (i, j), history, d_FU, tables.alpha, spec.fism_norm)
+    table_grads = scatter_user_gradient(spec.variant, u, (i, j), terms, d_FU, tables.alpha, spec.fism_norm)
     table_grads["Q"] = (np.array([i, j]), d_FI)
     return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=table_grads)
 
@@ -192,37 +211,39 @@ def train_step(
     config: TrainConfig,
     states: AdagradState,
     regularize: bool,
-    history: Iterable[int] = (),
-    params: Optional[dict[str, np.ndarray]] = None,
+    history: Sequence[int] = (),
 ) -> float:
     """One triple: gradients from both branches, touched-parameter L2,
-    Adagrad application. Returns the pre-update pairwise loss. A caller that
-    runs many steps passes ``params = section_arrays(spec, tables)`` once.
+    Adagrad application. Returns the pre-update pairwise loss.
 
-    Each table section steps once over its touched rows (gather, step,
-    write back); the rows of a section are distinct because a sampled
-    negative is never the positive.
+    The packed head takes one step. The user row P[u] steps through its row
+    view; Q and Qp step once over their touched rows (gather, step, write
+    back), which are distinct because a sampled negative is never the
+    positive.
     """
     u, i, j = triple
     g = compute_triple_gradients(spec, tables, u, i, j, history)
-    if params is None:
-        params = section_arrays(spec, tables)
 
-    for name, grad in g.head.items():
-        arr = params[name]
-        lam = config.lambda4 if name == "w" else config.lambda3
-        if regularize and lam:
-            grad = grad + 2.0 * lam * arr
-        adagrad_step(arr, grad, states[name], config.lr_net, config.adagrad_epsilon)
+    if states.head_names:
+        grad = np.concatenate([g.head[name] for name in states.head_names], axis=None)
+        head, t = states.head, states.tower
+        if regularize and config.lambda3:
+            grad[:t] += 2.0 * config.lambda3 * head[:t]
+        if regularize and config.lambda4:
+            grad[t:] += 2.0 * config.lambda4 * head[t:]
+        adagrad_step(states.head, grad, states.head_acc, config.lr_net, config.adagrad_epsilon)
 
     for name, (rows, grad) in g.tables.items():
-        table, state = params[name], states[name]
-        block, acc = table.take(rows, axis=0), state.take(rows, axis=0)
+        table, acc = getattr(tables, name), states[name]
         lam = config.lambda2 if name == "Q" else config.lambda1
+        if name == "P":
+            rows, grad = u, grad[0]
+        block, block_acc = table[rows], acc[rows]
         if regularize and lam:
             grad = grad + 2.0 * lam * block
-        adagrad_step(block, grad, acc, config.lr_embed, config.adagrad_epsilon)
-        table[rows], state[rows] = block, acc
+        adagrad_step(block, grad, block_acc, config.lr_embed, config.adagrad_epsilon)
+        if name != "P":
+            table[rows], acc[rows] = block, block_acc
     return g.loss
 
 
@@ -261,24 +282,24 @@ def _run_epochs(
     went non-finite."""
     train_ds = splits.train
     states = init_adagrad(spec, tables)
-    params = section_arrays(spec, tables)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".shuffle"))
     neg_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".negatives"))
     needs_history = spec.variant in (Variant.FISM, Variant.SVDPP)
+    bounds = train_ds.indptr.tolist()
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         regularize = epoch > 1
         total, count = 0.0, 0
         for us, its in minibatches(train_ds, config.batch_size, shuffle_rng):
-            for u, i in zip(us.tolist(), its.tolist()):
-                j = sample_negative(train_ds, u, neg_rng)
-                history = train_ds.items_of(u) if needs_history else ()
-                loss = train_step(spec, tables, (u, i, j), config, states, regularize, history, params)
+            js = sample_negative(train_ds, us, neg_rng)
+            for u, i, j in zip(us.tolist(), its.tolist(), js.tolist()):
+                history = train_ds.items[bounds[u] : bounds[u + 1]] if needs_history else ()
+                loss = train_step(spec, tables, (u, i, j), config, states, regularize, history)
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"epoch {epoch}: loss {loss} at triple (u, i, j) = ({u}, {i}, {j})")
                 total += loss
                 count += 1
-        for name, arr in params.items():
+        for name, arr in section_arrays(spec, tables).items():
             if not np.isfinite(arr).all():
                 raise NonFiniteError(f"epoch {epoch}: section {name} holds non-finite values")
         mean_loss = total / max(count, 1)

@@ -304,6 +304,42 @@ class TestSampleNegative:
             assert got == want
         assert set(got) == set(range(N)) - {5}
 
+    def test_bulk_and_scalar_draws_are_one_stream(self):
+        """``integers(N, size=k)`` yields the next k values of the stream
+        that one ``integers(N)`` call at a time yields; the per-minibatch
+        sampler relies on it."""
+        bulk, scalar = np.random.default_rng(21), np.random.default_rng(21)
+        for k in (1, 7, 512, 3):
+            assert bulk.integers(30, size=k).tolist() == [int(scalar.integers(30)) for _ in range(k)]
+        assert bulk.bit_generator.state == scalar.bit_generator.state
+
+    def test_minibatch_matches_set_oracle(self, tmp_path):
+        """Per-minibatch draws equal, draw for draw, the frozenset rejection
+        loop run one triple at a time over the same minibatches for two
+        epochs, and leave the generator where that loop leaves it; one user
+        holds all but one item, so most of its draws are rejected."""
+        N = 30
+        lines = [f"full\titem{k:02d}\t{k}\n" for k in range(N - 1)]
+        lines += [f"u{u}\titem{(7 * u + k) % N:02d}\t{k}\n" for u in range(12) for k in range(3 + u)]
+        ds = load_interactions(write(tmp_path, "".join(lines)))
+        assert ds.N == N
+        order = np.random.default_rng(4)
+        fast, slow = np.random.default_rng(9), np.random.default_rng(9)
+        batches = 0
+        for _ in range(2):
+            for us, _ in minibatches(ds, 16, order):
+                got = sample_negative(ds, us, fast)
+                want = [sample_negative_set(ds.items_of(u), N, slow) for u in us.tolist()]
+                assert got.tolist() == want
+                batches += 1
+            assert fast.bit_generator.state == slow.bit_generator.state
+        assert batches > 6
+
+    def test_minibatch_with_exhausted_user_errors(self, tmp_path):
+        ds = load_interactions(write(tmp_path, "a\tx\t1\nb\tx\t2\nb\ty\t3\n"))
+        with pytest.raises(SamplingError, match="user index 1 "):
+            sample_negative(ds, np.array([0, 1, 0]), np.random.default_rng(0))
+
 
 class TestKeyIndex:
     def test_membership_matches_item_sets(self, tmp_path):
@@ -315,6 +351,9 @@ class TestKeyIndex:
                 positives = set(ds.items_of(u))
                 for i in range(ds.N):
                     assert ds.has(u, i) == (i in positives)
+            us, its = np.divmod(np.arange(ds.M * ds.N), ds.N)
+            want = [ds.has(u, i) for u, i in zip(us.tolist(), its.tolist())]
+            assert ds.has(us, its).tolist() == want
 
 
 class TestManifest:

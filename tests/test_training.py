@@ -13,9 +13,11 @@ from convncf.model import (
     ModelSpec,
     head_backward,
     head_forward,
+    head_sections,
     merge,
     new_head,
     predict_batch,
+    section_arrays,
 )
 from convncf.training import (
     LN2,
@@ -273,6 +275,82 @@ class TestTrainStep:
             assert grad.tobytes() == (passes[0][name] + passes[1][name]).tobytes(), name
 
 
+class TestPackedHead:
+    HEADS = [
+        (MergeKind.OUTER, HeadKind.CNN),
+        (MergeKind.OUTER, HeadKind.MLP),
+        (MergeKind.ELEMENTWISE, HeadKind.LINEAR),
+        (MergeKind.INNER, HeadKind.IDENTITY),
+    ]
+
+    @pytest.mark.parametrize("regularize", [True, False])
+    @pytest.mark.parametrize("lambdas", [(0.3, 0.05), (0.0, 0.05), (0.3, 0.0)])
+    @pytest.mark.parametrize("mk,hk", HEADS)
+    def test_step_matches_per_section_loop(self, mk, hk, lambdas, regularize):
+        """Three steps of the packed head equal, bit for bit, one Adagrad
+        step per section with its own L2 (lambda4 on w, lambda3 elsewhere)
+        and one per touched table row, accumulators included."""
+        t = init_tables(4, 9, 4, Variant.SVDPP, derive_seed(6, "init"), scale=1.0)
+        head = new_head(hk, mk, 4, 3, 2, derive_seed(6, "init_head"))
+        spec = ModelSpec(variant=Variant.SVDPP, merge=mk, head=head, K=4)
+        cfg = TrainConfig(lambda1=0.2, lambda2=0.1, lambda3=lambdas[0], lambda4=lambdas[1])
+        want_spec, want_t = copy.deepcopy((spec, t))
+        states = init_adagrad(spec, t)
+        want_s = {name: np.zeros_like(arr) for name, arr in section_arrays(want_spec, want_t).items()}
+        history = [0, 2, 4, 7]
+        for triple in ((1, 2, 5), (3, 0, 8), (1, 4, 6)):
+            g = compute_triple_gradients(want_spec, want_t, *triple, history)
+            for name, arr in head_sections(want_spec.head):
+                grad, lam = g.head[name], cfg.lambda4 if name == "w" else cfg.lambda3
+                if regularize and lam:
+                    grad = grad + 2.0 * lam * arr
+                adagrad_step(arr, grad, want_s[name], cfg.lr_net, cfg.adagrad_epsilon)
+            for name, (rows, grads) in g.tables.items():
+                table, lam = getattr(want_t, name), cfg.lambda2 if name == "Q" else cfg.lambda1
+                for r, grad in zip(rows.tolist(), grads):
+                    if regularize and lam:
+                        grad = grad + 2.0 * lam * table[r]
+                    adagrad_step(table[r], grad, want_s[name][r], cfg.lr_embed, cfg.adagrad_epsilon)
+            train_step(spec, t, triple, cfg, states, regularize, history)
+        got, want = section_arrays(spec, t), section_arrays(want_spec, want_t)
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        names = [name for name, _ in head_sections(spec.head)]
+        assert states.head_acc.tobytes() == b"".join(want_s[name].tobytes() for name in names)
+        for name in ("P", "Q", "Qp"):
+            assert states[name].tobytes() == want_s[name].tobytes(), name
+
+    def test_sections_are_views_of_the_packed_vector(self):
+        t = init_tables(3, 4, 4, Variant.MF, 0, scale=1.0)
+        spec = cnn_spec(K=4, C=2)
+        before = [arr.copy() for _, arr in head_sections(spec.head)]
+        states = init_adagrad(spec, t)
+        sections = head_sections(spec.head)
+        assert [name for name, _ in sections] == states.head_names
+        assert states.head.size == sum(arr.size for arr in before)
+        assert states.tower == states.head.size - spec.head.w.size
+        for (name, arr), old in zip(sections, before):
+            assert np.shares_memory(arr, states.head), name
+            assert arr.shape == old.shape and arr.tobytes() == old.tobytes(), name
+
+    def test_training_a_deep_copy_gives_the_same_bytes(self, tmp_path):
+        """train() packs whatever spec it gets: a deep copy, fresh or of a
+        spec already packed by an earlier run, trains exactly as the
+        original does."""
+        splits = make_splits(tmp_path)
+        tables = init_tables(splits.train.M, splits.train.N, 4, Variant.MF, 3, scale=0.1)
+        spec = cnn_spec(K=4, C=2, seed=4)
+        cfg = TrainConfig(epochs=2, seed=9)
+        for _ in range(2):
+            copy_spec, copy_tables = copy.deepcopy((spec, tables))
+            train(spec, tables, splits, cfg)
+            train(copy_spec, copy_tables, splits, cfg)
+            got, want = section_arrays(copy_spec, copy_tables), section_arrays(spec, tables)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+
 class TestTrainLoop:
     def test_first_epoch_ignores_lambdas(self, tmp_path):
         splits = make_splits(tmp_path)
@@ -309,6 +387,18 @@ class TestTrainLoop:
         losses = [r.mean_loss for r in res.history]
         assert losses[-1] < losses[0]
         assert all(r.val.users_evaluated == splits.train.M for r in res.history)
+
+    def test_batch_size_changes_no_result(self, tmp_path):
+        """Steps stay per triple and the negatives of a minibatch are the
+        ones drawn one at a time, so batch_size only slices the epoch."""
+        splits = make_splits(tmp_path)
+        base = init_tables(splits.train.M, splits.train.N, 4, Variant.SVDPP, 2, scale=0.1)
+        runs = []
+        for batch_size in (1, 7, 512):
+            spec = ModelSpec(variant=Variant.SVDPP, merge=MergeKind.OUTER, head=cnn_spec(K=4, C=2).head, K=4)
+            res = train(spec, copy.deepcopy(base), splits, TrainConfig(epochs=2, seed=4, batch_size=batch_size))
+            runs.append(([r.mean_loss for r in res.history], {n: a.tobytes() for n, a in section_arrays(spec, res.tables).items()}))
+        assert runs[0] == runs[1] == runs[2]
 
     def test_identical_seeds_identical_runs(self, tmp_path):
         splits = make_splits(tmp_path)
