@@ -16,7 +16,8 @@ uniform pick from the remainder as validation; users with fewer than three
 interactions stay train-only and are counted, not dropped. Each test user
 gets min(999, N - |R_u|) distinct evaluation negatives drawn outside their
 full interaction set, fixed once per split so that per-epoch metrics are
-comparable.
+comparable. Training negatives are drawn a minibatch at a time:
+``sample_negative`` takes an array of user indices.
 """
 
 from __future__ import annotations
@@ -277,33 +278,35 @@ def minibatches(
         yield us[start : start + batch_size], its[start : start + batch_size]
 
 
-def sample_negative(train: Dataset, users, rng: np.random.Generator):
-    """One uniform draw per entry of ``users`` from the items that user never
-    interacted with, by rejection: an array shaped like ``users``, or an int
-    for one user index.
+def sample_negative(train: Dataset, users: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """One uniform draw per entry of the 1-D index array ``users`` from the
+    items that user never interacted with, by rejection.
 
     Each entry gets the item that drawing for one user after another gives
     it: ``rng.integers(N, size=k)`` yields the next k values of the stream,
     k the users still waiting, and a rejected value passes its user's turn
-    on to the next value; one ``keys`` search tests each run of values.
+    on to the next value. A rejection shifts every later value onto the
+    next user, so one ``keys`` search tests a window of about twice the
+    last accepted run, not every value still pending.
     """
     users = np.asarray(users, dtype=np.int64)
-    flat = users.reshape(-1)
-    full = train.indptr[flat + 1] - train.indptr[flat] >= train.N
+    full = train.indptr[users + 1] - train.indptr[users] >= train.N
     if full.any():
-        u = int(flat[full.argmax()])
+        u = int(users[full.argmax()])
         raise SamplingError(f"user index {u} interacted with every item; cannot sample a negative")
-    out = np.empty_like(flat)
-    done = 0
-    while done < flat.size:
-        values = rng.integers(train.N, size=flat.size - done)
+    out = np.empty_like(users)
+    done, width = 0, users.size
+    while done < users.size:
+        values = rng.integers(train.N, size=users.size - done)
         while values.size:
-            taken = ~train.has(flat[done : done + values.size], values)
-            n = values.size if taken.all() else int(taken.argmin())
-            out[done : done + n] = values[:n]
+            run = values[:width]
+            taken = ~train.has(users[done : done + run.size], run)
+            n = run.size if taken.all() else int(taken.argmin())
+            out[done : done + n] = run[:n]
             done += n
-            values = values[n + 1 :]
-    return out.reshape(users.shape) if users.ndim else int(out[0])
+            values = values[n + (n < run.size) :]
+            width = max(8, 2 * n)
+    return out
 
 
 def write_manifest(split: SplitSet, path: str) -> None:

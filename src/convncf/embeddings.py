@@ -1,4 +1,4 @@
-"""User and item embedding functions and their scatter gradients.
+"""Embedding tables, the user representation and its adjoint.
 
 Three user representations share one item table:
 
@@ -8,7 +8,9 @@ Three user representations share one item table:
   sum so it cannot leak its own embedding into the score.
 * ``SVDPP``: the MF vector plus the FISM sum.
 
-The FISM normalizer is ``1 / n**alpha``. By default ``n`` counts the items
+``user_rows`` builds the representation for a batch of targets and
+``scatter_user_gradient`` is its adjoint; both read one keep/norm rule. The
+FISM normalizer is ``1 / n**alpha``. By default ``n`` counts the items
 actually summed (the history with the target removed, clamped to at least
 one so an empty sum stays well-defined); ``norm="full_set"`` instead uses
 the size of the full history set.
@@ -69,71 +71,40 @@ def init_tables(
     return EmbeddingTables(P=P, Q=Q, Qp=Qp, K=K, alpha=alpha)
 
 
-def item_embedding(tables: EmbeddingTables, items) -> np.ndarray:
-    """Rows of the target-item table, copied: one row for an index, a
-    ``(B, K)`` block for an index sequence."""
-    return tables.Q.take(items, axis=0)
-
-
 def history_terms(history: Sequence[int]) -> np.ndarray:
     """The distinct history items, ascending: the rows a history sum adds,
     in the order it adds them."""
     return np.unique(np.asarray(history, dtype=np.int64))
 
 
-def _fism_norm_count(norm: str, n_summed: int, n_full: int) -> int:
-    if norm == FISM_NORM_EXCLUDED:
-        return max(1, n_summed)
-    if norm == FISM_NORM_FULL:
-        return max(1, n_full)
-    raise ValueError(f"unknown fism norm {norm!r}")
-
-
-def _history_sum(tables: EmbeddingTables, terms: np.ndarray, target_i: Optional[int], norm: str) -> np.ndarray:
-    kept = terms if target_i is None else terms[terms != target_i]
-    if not kept.size:
-        return np.zeros(tables.K)
-    n = _fism_norm_count(norm, kept.size, terms.size)
-    return tables.Qp[kept].sum(axis=0) / float(n) ** tables.alpha
-
-
-def user_embedding(
-    tables: EmbeddingTables,
-    variant: Variant,
-    u: int,
-    target_i: Optional[int],
-    history: Sequence[int] = (),
-    norm: str = FISM_NORM_EXCLUDED,
-) -> np.ndarray:
-    """The user representation fed to the merge function.
-
-    ``target_i`` may be None when scoring candidates that are known not to
-    be in the history (the evaluation fast path); the exclusion rule is
-    then a no-op.
-    """
-    if not 0 <= u < tables.M:
-        raise IndexError(f"user index {u} out of range [0, {tables.M})")
-    if variant is Variant.MF:
-        return tables.P[u].copy()
-    terms = history_terms(history)
-    if terms.size and (terms[0] < 0 or terms[-1] >= tables.N):
-        raise IndexError("history item index out of range")
-    return user_rows(tables, variant, u, (target_i,), terms, norm)[0]
+def _history_weights(terms: np.ndarray, targets: Optional[Sequence[int]], norm: str, alpha: float):
+    """The keep/norm rule of a batch of history sums, shared by the forward
+    and its adjoint: ``(keep, scales)``. ``keep[r, b]`` says whether target
+    b's sum adds history row ``terms[r]`` (one all-true column when
+    ``targets`` is None); ``scales[b]`` is ``max(1, n_b) ** alpha``, n_b the
+    rows target b keeps, or every row under ``full_set``."""
+    keep = np.ones((terms.size, 1), bool) if targets is None else terms[:, None] != np.asarray(targets)[None, :]
+    counts = keep.sum(axis=0).tolist() if norm == FISM_NORM_EXCLUDED else [terms.size] * keep.shape[1]
+    return keep, np.array([float(max(1, n)) ** alpha for n in counts])
 
 
 def user_rows(
     tables: EmbeddingTables,
     variant: Variant,
     u: int,
-    targets: Sequence[Optional[int]],
-    terms: np.ndarray,
+    terms: Optional[np.ndarray] = None,
+    targets: Optional[Sequence[int]] = None,
     norm: str = FISM_NORM_EXCLUDED,
 ) -> np.ndarray:
-    """``(B, K)``: row b is user_embedding for ``targets[b]``, given the
-    history's ``history_terms``; indices are not checked again."""
+    """The user representation fed to the merge function: ``(B, K)``, row b
+    built for ``targets[b]``, or one row with nothing excluded when
+    ``targets`` is None. ``terms`` is the history's ``history_terms`` (MF
+    reads none); indices are not checked here."""
     if variant is Variant.MF:
-        return tables.P[[u] * len(targets)]
-    FU = np.array([_history_sum(tables, terms, t, norm) for t in targets])
+        own = tables.P[u : u + 1]
+        return own.copy() if targets is None else own.repeat(len(targets), axis=0)
+    keep, scales = _history_weights(terms, targets, norm, tables.alpha)
+    FU = np.where(keep[:, :, None], tables.Qp[terms][:, None, :], 0.0).sum(axis=0) / scales[:, None]
     if variant is Variant.SVDPP:
         FU += tables.P[u]
     return FU
@@ -162,10 +133,8 @@ def scatter_user_gradient(
         out["P"] = (np.array([u]), d_FU.sum(axis=0, keepdims=True))
     if variant is not Variant.MF:
         terms = np.asarray(terms, dtype=np.int64)
-        keep = terms[:, None] != np.asarray(targets)[None, :]
-        counts = keep.sum(axis=0).tolist()
-        scales = [float(_fism_norm_count(norm, c, len(terms))) ** alpha for c in counts]
-        scaled = d_FU / np.array(scales)[:, None]
+        keep, scales = _history_weights(terms, targets, norm, alpha)
+        scaled = d_FU / scales[:, None]
         touched = keep.any(axis=1)
         if not touched.all():
             terms, keep = terms[touched], keep[touched]

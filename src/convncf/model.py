@@ -47,13 +47,7 @@ from typing import Iterable, Optional, Union
 
 import numpy as np
 
-from convncf.embeddings import (
-    EmbeddingTables,
-    FISM_NORM_EXCLUDED,
-    FISM_NORMS,
-    Variant,
-    user_embedding,
-)
+from convncf.embeddings import EmbeddingTables, FISM_NORM_EXCLUDED, FISM_NORMS, Variant, history_terms, user_rows
 from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, to_quadtree
 
 
@@ -375,13 +369,19 @@ def predict_batch(
 ) -> np.ndarray:
     """Score candidate items for one user, in blocks of rows.
 
-    The user embedding is computed once with no target exclusion, which is
-    exact whenever no candidate sits in the history (the ranking protocol
-    guarantees that). Every score is bit-identical to that candidate scored
-    alone, except with an MLP head (see ``mlp_scores``).
+    The one public scoring entry, so it checks ``u`` and the history items
+    (numpy would wrap a negative index). The user row is built once with no
+    target exclusion, exact whenever no candidate sits in the history (the
+    ranking protocol guarantees that). Every score is bit-identical to that
+    candidate scored alone, except with an MLP head (see ``mlp_scores``).
     """
+    if not 0 <= u < tables.M:
+        raise IndexError(f"user index {u} out of range [0, {tables.M})")
+    terms = None if spec.variant is Variant.MF else history_terms(history)
+    if terms is not None and terms.size and (terms[0] < 0 or terms[-1] >= tables.N):
+        raise IndexError("history item index out of range")
     items = np.asarray(items, dtype=np.int64)
-    fU = user_embedding(tables, spec.variant, u, None, history, norm=spec.fism_norm)[None]
+    fU = user_rows(tables, spec.variant, u, terms, norm=spec.fism_norm)
     score = partial(_score_block, spec, fU, tables.Q)
     rows = _block_rows(spec)
     if items.shape[0] <= rows:

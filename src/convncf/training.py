@@ -31,7 +31,6 @@ from convncf.embeddings import (
     Variant,
     history_terms,
     init_tables,
-    item_embedding,
     scatter_user_gradient,
     user_rows,
 )
@@ -176,8 +175,8 @@ def triple_forward(
     """Embed, merge and score the positive and the negative of one triple
     as a batch of two, given the user's ``history_terms``; returns (FU, FI,
     merged, head activations, scores)."""
-    FU = user_rows(tables, spec.variant, u, (i, j), terms, spec.fism_norm)
-    FI = item_embedding(tables, (i, j))
+    FU = user_rows(tables, spec.variant, u, terms, (i, j), spec.fism_norm)
+    FI = tables.Q.take((i, j), axis=0)
     merged = merge(spec.merge, FU, FI)
     acts, y = head_forward(spec, merged)
     return FU, FI, merged, acts, y

@@ -93,6 +93,28 @@ def numeric_grad_full(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return out
 
 
+def user_rows_loops(tables, variant, u, targets, history, norm):
+    """One user row per target, built alone: the sum of the distinct history
+    rows other than the target (a None target keeps them all), divided by
+    ``max(1, n)**alpha`` with n the rows kept (``excluded_set``) or every
+    distinct row (``full_set``); MF and SVD++ add the user row."""
+    kind = variant.value
+    full = sorted(set(history))
+    rows = []
+    for target in targets:
+        row = np.zeros(tables.K)
+        if kind != "mf":
+            kept = [t for t in full if t != target]
+            for t in kept:
+                row = row + tables.Qp[t]
+            n = max(1, len(kept) if norm == "excluded_set" else len(full))
+            row = row / float(n) ** tables.alpha
+        if kind != "fism":
+            row = row + tables.P[u]
+        rows.append(row)
+    return np.array(rows)
+
+
 def scatter_user_gradient_loops(variant, u, targets, history, d_FU, alpha, norm):
     """Per-row dict accumulation of the user-embedding adjoint: one pass per
     target, each pass adding its gradient row to the user row (MF, SVD++) and

@@ -26,14 +26,19 @@ the end-state model must score essentially all users without exact target
 ties. Numbers quoted from a run that fails either guard are garbage, so
 the guards are part of the criteria, not optional hygiene.
 
-Criterion 9 encodes a stability-across-feature-map-counts property that,
-on this fixture, the two-map tower does not meet: across every regime
-tried (tower penalty 0.3-10, tower step 0.003-0.03, embedding step
-0.002-0.01, 10-40 pretrain epochs, several seeds), a live C=2 tower
-plateaus near HR@10 0.05-0.08 while C=8 tracks the matrix-factorization
-baseline at 0.17-0.19. The check asserts the property anyway and is
-expected to fail; see the printed band and liveness flags for the
-diagnosis rather than trusting any single averaged number.
+Criterion 9 encodes a stability-across-feature-map-counts property that
+this fixture's runs do not meet, and the measured cause is the per-triple
+tower L2, not a weak two-map tower. Epoch 1 runs without L2 and every width
+learns (loss 0.62 / 0.49 / 0.38 for C = 2 / 8 / 32). From epoch 2 the tower
+penalties, added at every triple, shrink all three towers: by epochs 3-5
+each mean loss sits within 1e-4 of ln 2. C=2's 0.272 and C=32's 0.231 are
+then tie-inflated readings of collapsed towers (each window holds two
+all-tied epochs), and C=8's 0.186 is a collapsed tower that keeps the
+pretrained MF ranking. With the tower lambdas divided by 512, about one
+penalty per 512-triple batch, the towers stay live and C=2 reads 0.244,
+C=8 and C=32 0.265. The check asserts the property anyway and is expected
+to fail; see the printed band and liveness flags for the diagnosis rather
+than trusting any single averaged number.
 """
 
 import contextlib

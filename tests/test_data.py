@@ -258,13 +258,12 @@ class TestSampleNegative:
         ds = load_interactions(write(tmp_path, "a\tx\t1\nb\tx\t2\nb\ty\t3\n"))
         # user a interacted only with x (index 0); the sole negative is y
         rng = np.random.default_rng(0)
-        for _ in range(20):
-            assert sample_negative(ds, 0, rng) == 1
+        assert sample_negative(ds, np.zeros(20, dtype=np.int64), rng).tolist() == [1] * 20
 
     def test_exhausted_user_errors(self, tmp_path):
         ds = load_interactions(write(tmp_path, "a\tx\t1\n"))
         with pytest.raises(SamplingError):
-            sample_negative(ds, 0, np.random.default_rng(0))
+            sample_negative(ds, np.zeros(1, dtype=np.int64), np.random.default_rng(0))
 
     def test_uniform_over_complement(self, tmp_path):
         """10^5 draws over a 90-item complement: every count within 4 sigma
@@ -274,9 +273,7 @@ class TestSampleNegative:
         ds = load_interactions(write(tmp_path, "".join(lines)))
         rng = np.random.default_rng(12345)
         draws = 100_000
-        counts = np.zeros(ds.N, dtype=np.int64)
-        for _ in range(draws):
-            counts[sample_negative(ds, 0, rng)] += 1
+        counts = np.bincount(sample_negative(ds, np.zeros(draws, dtype=np.int64), rng), minlength=ds.N)
         positives = set(ds.items_of(0))
         assert all(counts[i] == 0 for i in positives)
         p = 1.0 / 90.0
@@ -299,7 +296,7 @@ class TestSampleNegative:
         assert ds.N == N
         for u in range(ds.M):
             fast, slow = np.random.default_rng([11, u]), np.random.default_rng([11, u])
-            got = [sample_negative(ds, u, fast) for _ in range(3000)]
+            got = sample_negative(ds, np.full(3000, u), fast).tolist()
             want = [sample_negative_set(ds.items_of(u), ds.N, slow) for _ in range(3000)]
             assert got == want
         assert set(got) == set(range(N)) - {5}

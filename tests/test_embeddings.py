@@ -1,22 +1,28 @@
 import numpy as np
 import pytest
 
-from _oracles import scatter_user_gradient_loops
+from _oracles import scatter_user_gradient_loops, user_rows_loops
 from convncf.data import derive_seed
 from convncf.embeddings import (
     FISM_NORM_EXCLUDED,
     FISM_NORM_FULL,
     EmbeddingTables,
     Variant,
+    history_terms,
     init_tables,
-    item_embedding,
     scatter_user_gradient,
-    user_embedding,
+    user_rows,
 )
 
 
-def unit_tables(M=5, N=9, K=4, variant=Variant.SVDPP, seed=0):
-    return init_tables(M, N, K, variant, derive_seed(seed, "init"), scale=1.0)
+def unit_tables(M=5, N=9, K=4, variant=Variant.SVDPP, seed=0, alpha=0.5):
+    return init_tables(M, N, K, variant, derive_seed(seed, "init"), scale=1.0, alpha=alpha)
+
+
+def user_row(tables, variant, u, target, history, norm=FISM_NORM_EXCLUDED):
+    """The one row ``user_rows`` builds for ``target`` (None: nothing excluded)."""
+    targets = None if target is None else (target,)
+    return user_rows(tables, variant, u, history_terms(history), targets, norm)[0]
 
 
 class TestInit:
@@ -48,66 +54,53 @@ class TestInit:
             init_tables(0, 6, 3, Variant.MF, 0)
 
 
-class TestItemEmbedding:
-    def test_returns_copy_of_row(self):
-        t = unit_tables()
-        q = item_embedding(t, 2)
-        np.testing.assert_array_equal(q, t.Q[2])
-        q[0] += 99.0
-        assert t.Q[2, 0] != q[0]
-
-    def test_bounds(self):
-        t = unit_tables()
-        with pytest.raises(IndexError):
-            item_embedding(t, t.N)
-
-
 class TestUserEmbedding:
     def test_mf_is_user_row(self):
         t = unit_tables(variant=Variant.MF)
-        np.testing.assert_array_equal(user_embedding(t, Variant.MF, 3, None), t.P[3])
+        np.testing.assert_array_equal(user_rows(t, Variant.MF, 3), t.P[3][None])
+        np.testing.assert_array_equal(user_rows(t, Variant.MF, 3, None, (0, 4)), t.P[[3, 3]])
 
     def test_fism_excludes_target(self):
         t = unit_tables()
         history = [1, 4, 7]
         # with the target removed, n = 2 and only rows 1 and 7 are summed
-        f = user_embedding(t, Variant.FISM, 0, 4, history)
+        f = user_row(t, Variant.FISM, 0, 4, history)
         expect = (t.Qp[1] + t.Qp[7]) / np.sqrt(2.0)
         np.testing.assert_allclose(f, expect, atol=1e-15)
 
     def test_fism_single_other_item(self):
         t = unit_tables()
-        f = user_embedding(t, Variant.FISM, 0, 4, [4, 6])
+        f = user_row(t, Variant.FISM, 0, 4, [4, 6])
         np.testing.assert_allclose(f, t.Qp[6], atol=1e-15)
 
     def test_history_equal_to_target_is_zero(self):
         t = unit_tables()
-        f = user_embedding(t, Variant.FISM, 0, 4, [4])
+        f = user_row(t, Variant.FISM, 0, 4, [4])
         np.testing.assert_array_equal(f, np.zeros(t.K))
 
     def test_duplicate_history_items_count_once(self):
         t = unit_tables()
-        a = user_embedding(t, Variant.FISM, 0, None, [1, 1, 7, 7])
-        b = user_embedding(t, Variant.FISM, 0, None, [1, 7])
+        a = user_row(t, Variant.FISM, 0, None, [1, 1, 7, 7])
+        b = user_row(t, Variant.FISM, 0, None, [1, 7])
         np.testing.assert_array_equal(a, b)
 
     def test_svdpp_adds_user_row(self):
         t = unit_tables()
         history = [0, 2, 5, 8]
-        f = user_embedding(t, Variant.SVDPP, 1, 2, history)
+        f = user_row(t, Variant.SVDPP, 1, 2, history)
         expect = t.P[1] + (t.Qp[0] + t.Qp[5] + t.Qp[8]) / 3.0 ** 0.5
         np.testing.assert_allclose(f, expect, atol=1e-15)
 
     def test_full_set_norm_differs(self):
         t = unit_tables()
         history = [1, 4, 7]
-        ex = user_embedding(t, Variant.FISM, 0, 4, history, norm=FISM_NORM_EXCLUDED)
-        fu = user_embedding(t, Variant.FISM, 0, 4, history, norm=FISM_NORM_FULL)
+        ex = user_row(t, Variant.FISM, 0, 4, history, norm=FISM_NORM_EXCLUDED)
+        fu = user_row(t, Variant.FISM, 0, 4, history, norm=FISM_NORM_FULL)
         np.testing.assert_allclose(fu * np.sqrt(3.0), ex * np.sqrt(2.0), atol=1e-15)
 
     def test_none_target_keeps_all_items(self):
         t = unit_tables()
-        f = user_embedding(t, Variant.FISM, 0, None, [1, 4, 7])
+        f = user_row(t, Variant.FISM, 0, None, [1, 4, 7])
         expect = (t.Qp[1] + t.Qp[4] + t.Qp[7]) / np.sqrt(3.0)
         np.testing.assert_allclose(f, expect, atol=1e-15)
 
@@ -116,19 +109,9 @@ class TestUserEmbedding:
         t = unit_tables()
         big = EmbeddingTables(P=2 * t.P, Q=2 * t.Q, Qp=2 * t.Qp, K=t.K, alpha=t.alpha)
         for var in Variant:
-            a = user_embedding(t, var, 2, 5, [1, 3, 5])
-            b = user_embedding(big, var, 2, 5, [1, 3, 5])
+            a = user_row(t, var, 2, 5, [1, 3, 5])
+            b = user_row(big, var, 2, 5, [1, 3, 5])
             np.testing.assert_allclose(b, 2 * a, atol=1e-14)
-
-    def test_bad_history_index(self):
-        t = unit_tables()
-        with pytest.raises(IndexError):
-            user_embedding(t, Variant.FISM, 0, None, [t.N])
-
-    def test_bad_user_index(self):
-        t = unit_tables()
-        with pytest.raises(IndexError):
-            user_embedding(t, Variant.MF, t.M, None)
 
 
 class TestScatterGradient:
@@ -183,8 +166,9 @@ class TestScatterGradient:
             dP = rng.normal(size=t.P.shape)
             dQp = rng.normal(size=t.Qp.shape)
             bumped = EmbeddingTables(P=t.P + dP, Q=t.Q, Qp=t.Qp + dQp, K=t.K, alpha=t.alpha)
-            before = sum(d[b] @ user_embedding(t, var, 2, x, history, norm=norm) for b, x in enumerate(targets))
-            after = sum(d[b] @ user_embedding(bumped, var, 2, x, history, norm=norm) for b, x in enumerate(targets))
+            terms = history_terms(history)
+            before = sum(d[b] @ row for b, row in enumerate(user_rows(t, var, 2, terms, targets, norm)))
+            after = sum(d[b] @ row for b, row in enumerate(user_rows(bumped, var, 2, terms, targets, norm)))
             bumps = {"P": dP, "Qp": dQp}
             via_grads = sum(vec @ bumps[name][r] for name, (rows, grads) in g.items() for r, vec in zip(rows, grads))
             assert after - before == pytest.approx(via_grads, abs=1e-10)
@@ -193,9 +177,9 @@ class TestScatterGradient:
         """Perturbing the target's own history row never changes the score
         path: the target is excluded from its own history sum."""
         t = unit_tables(seed=9)
-        f0 = user_embedding(t, Variant.FISM, 0, 4, [1, 4, 7])
+        f0 = user_row(t, Variant.FISM, 0, 4, [1, 4, 7])
         t.Qp[4] += 100.0
-        f1 = user_embedding(t, Variant.FISM, 0, 4, [1, 4, 7])
+        f1 = user_row(t, Variant.FISM, 0, 4, [1, 4, 7])
         np.testing.assert_array_equal(f0, f1)
 
 
@@ -224,3 +208,21 @@ class TestScatterMatchesLoopOracle:
             assert sorted(rows.tolist()) == sorted(want[name]), name
             for r, grad in zip(rows.tolist(), grads):
                 assert grad.tobytes() == want[name][r].tobytes(), (name, r)
+
+
+class TestUserRowsMatchLoopOracle:
+    """The masked batch sum equals, bit for bit, one gather-then-sum pass per
+    target, for a batch of targets and for one row with nothing excluded."""
+
+    @pytest.mark.parametrize("case", sorted(TestScatterMatchesLoopOracle.CASES))
+    @pytest.mark.parametrize("norm", [FISM_NORM_EXCLUDED, FISM_NORM_FULL])
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_bit_identical(self, variant, norm, case):
+        history, targets = TestScatterMatchesLoopOracle.CASES[case]
+        t = unit_tables(seed=4, alpha=0.75)
+        terms = history_terms(history)
+        for batch in (targets, None):
+            got = user_rows(t, variant, 3, terms, batch, norm)
+            want = user_rows_loops(t, variant, 3, (None,) if batch is None else batch, history, norm)
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()

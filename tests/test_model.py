@@ -7,7 +7,7 @@ import pytest
 
 from convncf import model
 from convncf.data import derive_seed
-from convncf.embeddings import EmbeddingTables, Variant, init_tables, user_embedding
+from convncf.embeddings import EmbeddingTables, Variant, history_terms, init_tables, user_rows
 from convncf.model import (
     SCORE_BLOCK_BYTES,
     ConfigurationError,
@@ -202,9 +202,10 @@ def assert_rows_score_alone(spec, tables, u, items, history=()):
     block with one matrix product per layer (mlp_scores), which agrees with
     the row-by-row forward to rounding only."""
     single = []
+    terms = history_terms(history)
     for i in items:
-        fU = user_embedding(tables, spec.variant, u, int(i), history, norm=spec.fism_norm)
-        _, y = head_forward(spec, merge(spec.merge, fU[None], tables.Q[[i]]))
+        fU = user_rows(tables, spec.variant, u, terms, (int(i),), spec.fism_norm)
+        _, y = head_forward(spec, merge(spec.merge, fU, tables.Q[[i]]))
         single.append(y)
     single = np.concatenate(single)
     batch = predict_batch(spec, tables, u, items, history)
@@ -226,6 +227,21 @@ class TestPredictBatch:
         t = init_tables(5, 12, 8, variant, derive_seed(7, "init"), scale=1.0)
         scores = predict_batch(spec_for(variant, mk, hk), t, 2, np.array([], dtype=np.int64), [0])
         assert scores.shape == (0,)
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("u", [-1, 5])
+    def test_bad_user_index(self, variant, u):
+        t = init_tables(5, 12, 8, variant, derive_seed(7, "init"), scale=1.0)
+        with pytest.raises(IndexError, match="user index"):
+            predict_batch(spec_for(variant, MergeKind.OUTER, HeadKind.CNN), t, u, np.array([1, 2]))
+
+    @pytest.mark.parametrize("variant", [Variant.FISM, Variant.SVDPP])
+    @pytest.mark.parametrize("item", [-1, 12])
+    def test_bad_history_index(self, variant, item):
+        """A negative history item would wrap to the last Qp row unchecked."""
+        t = init_tables(5, 12, 8, variant, derive_seed(7, "init"), scale=1.0)
+        with pytest.raises(IndexError, match="history item"):
+            predict_batch(spec_for(variant, MergeKind.OUTER, HeadKind.CNN), t, 0, np.array([1, 2]), [3, item])
 
     def test_flagship_rows_score_alone_across_blocks(self):
         t = init_tables(3, 150, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)

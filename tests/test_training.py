@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from convncf.data import derive_seed, load_interactions, split_leave_latest_out
-from convncf.embeddings import EmbeddingTables, Variant, init_tables, item_embedding, user_embedding
+from convncf.embeddings import EmbeddingTables, Variant, history_terms, init_tables, user_rows
 from convncf.model import (
     HeadKind,
     IdentityHead,
@@ -266,8 +266,8 @@ class TestTrainStep:
         g = compute_triple_gradients(spec, t, u, i, j, history)
         passes = []
         for target, d_y in zip((i, j), bpr_grad(g.y_pos, g.y_neg)):
-            fU = user_embedding(t, variant, u, target, history, norm=spec.fism_norm)
-            merged = merge(mk, fU[None], item_embedding(t, target)[None])
+            fU = user_rows(t, variant, u, history_terms(history), (target,), spec.fism_norm)
+            merged = merge(mk, fU, t.Q[[target]])
             acts, _ = head_forward(spec, merged)
             passes.append(head_backward(spec, merged, acts, np.array([d_y]))[0])
         assert list(g.head) == list(passes[0])
