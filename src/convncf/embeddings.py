@@ -46,8 +46,11 @@ class EmbeddingTables:
     P: np.ndarray
     Q: np.ndarray
     Qp: Optional[np.ndarray]
-    K: int
     alpha: float = 0.5
+
+    @property
+    def K(self) -> int:
+        return self.P.shape[1]
 
     @property
     def M(self) -> int:
@@ -68,7 +71,7 @@ def init_tables(
     P = rng.normal(0.0, scale, size=(M, K))
     Q = rng.normal(0.0, scale, size=(N, K))
     Qp = rng.normal(0.0, scale, size=(N, K)) if variant in (Variant.FISM, Variant.SVDPP) else None
-    return EmbeddingTables(P=P, Q=Q, Qp=Qp, K=K, alpha=alpha)
+    return EmbeddingTables(P=P, Q=Q, Qp=Qp, alpha=alpha)
 
 
 def history_terms(history: Sequence[int]) -> np.ndarray:

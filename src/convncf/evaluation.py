@@ -113,7 +113,6 @@ def make_itempop(train: Dataset) -> tuple[ModelSpec, EmbeddingTables]:
         P=np.ones((train.M, 1)),
         Q=itempop_scores(train).reshape(train.N, 1),
         Qp=None,
-        K=1,
     )
     spec = ModelSpec(variant=Variant.MF, merge=MergeKind.INNER, head=IdentityHead(), K=1)
     return spec, tables

@@ -21,11 +21,10 @@ with the P = s*s positions of an s x s map in quadtree order, and scores
 ``(B,)``. Training runs a triple's positive and negative as one batch of
 two, gradcheck runs that same forward, and ``predict_batch`` scores one user
 against many candidates in blocks of a few MiB, spread over every usable
-CPU; each row's result is bit-identical to that row scored alone. The
-exception is scoring with an MLP head: there each layer is one matrix
-product over the block (``mlp_scores``), equal to the per-row forward to
-rounding, because the per-row products read every weight matrix once per
-candidate.
+CPU, through the same ``head_forward``. Each row's result is bit-identical
+to that row scored alone, except with an MLP head: each of its layers is one
+matrix product over the whole batch, which reads the weight matrix once per
+batch and agrees with the row alone to rounding.
 
 Gradients for head parameters are summed over the batch and returned as a
 dict keyed by section name
@@ -186,19 +185,11 @@ class ModelSpec:
                 )
         elif isinstance(self.head, MlpHead):
             self.head.validate()
-            if self.head.in_width != self.merged_width():
-                raise ConfigurationError(
-                    f"mlp input width {self.head.in_width} != merged width {self.merged_width()}"
-                )
+            width = merged_width(self.merge, self.K)
+            if self.head.in_width != width:
+                raise ConfigurationError(f"mlp input width {self.head.in_width} != merged width {width}")
         elif isinstance(self.head, LinearHead) and self.head.w.shape != (self.K,):
             raise ConfigurationError(f"linear head weights shape {self.head.w.shape}, expected ({self.K},)")
-
-    def merged_width(self) -> int:
-        if self.merge is MergeKind.OUTER:
-            return self.K * self.K
-        if self.merge is MergeKind.CONCAT:
-            return 2 * self.K
-        return self.K
 
     @property
     def head_kind(self) -> HeadKind:
@@ -207,6 +198,11 @@ class ModelSpec:
 
 # ---------------------------------------------------------------------------
 # merge
+
+
+def merged_width(kind: MergeKind, K: int) -> int:
+    """Width of a merged row flattened row-major: an MLP head's input width."""
+    return {MergeKind.OUTER: K * K, MergeKind.CONCAT: 2 * K}.get(kind, K)
 
 
 def merge(kind: MergeKind, FU: np.ndarray, FI: np.ndarray):
@@ -247,8 +243,10 @@ def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged):
 # l + 1's input. Backward passes mask on acts[l] > 0, the same mask as the
 # pre-activation's sign, so no pre-activation is kept. They take one score
 # cotangent per row; they return the head gradients summed over the batch
-# (formed per row, then summed, so a batch of two gives exactly the sum of
-# two single-row passes) and the per-row cotangents of the merged values.
+# and the per-row cotangents of the merged values. The conv and linear heads
+# form gradients per row, then sum, so a batch of two gives exactly the sum
+# of two single-row passes; the MLP head sums inside one matrix product per
+# layer, which equals that sum to rounding.
 
 
 def convncf_forward(stack: ConvStack, E: np.ndarray):
@@ -274,36 +272,27 @@ def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray):
 
 
 def mlp_forward(head: MlpHead, X0: np.ndarray):
-    """Run the tower over ``(B, n)`` rows; returns (acts, scores)."""
+    """Run the tower over ``(B, n)`` rows, one matrix product per layer over
+    the whole batch; returns (acts, scores)."""
     acts = [X0]
     for layer in head.layers:
-        X = (layer.W @ acts[-1][..., None])[..., 0]
+        X = acts[-1] @ layer.W.T
         X += layer.b
         acts.append(np.maximum(X, 0.0, out=X))
     return acts, np.vecdot(acts[-1], head.w)
 
 
-def mlp_scores(head: MlpHead, X: np.ndarray) -> np.ndarray:
-    """Scores of ``(B, n)`` rows with one matrix product per layer and no
-    caches. mlp_forward multiplies row by row, which keeps a training step
-    bit-identical to its pairs run alone but reads each weight matrix once
-    per row; here it is read once per block, and the scores agree with
-    mlp_forward's to rounding."""
-    for layer in head.layers:
-        X = np.maximum(X @ layer.W.T + layer.b, 0.0)
-    return np.vecdot(X, head.w)
-
-
 def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray):
-    """Adjoint of mlp_forward; returns (head grads by section, d_X0)."""
+    """Adjoint of mlp_forward, two matrix products per layer over the whole
+    batch; returns (head grads by section, d_X0)."""
     grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * acts[-1]).sum(axis=0)}
     d_X = d_y[:, None] * head.w
     for l in range(len(head.layers), 0, -1):
         layer = head.layers[l - 1]
         d_pre = np.where(acts[l] > 0, d_X, 0.0)
-        grads[f"mlp.{l}.W"] = (d_pre[:, :, None] * acts[l - 1][:, None, :]).sum(axis=0)
+        grads[f"mlp.{l}.W"] = d_pre.T @ acts[l - 1]
         grads[f"mlp.{l}.b"] = d_pre.sum(axis=0)
-        d_X = (layer.W.T @ d_pre[..., None])[..., 0]
+        d_X = d_pre @ layer.W
     return grads, d_X
 
 
@@ -314,7 +303,7 @@ def head_forward(spec: ModelSpec, merged):
     if isinstance(head, ConvStack):
         return convncf_forward(head, merged)
     if isinstance(head, MlpHead):
-        return mlp_forward(head, merged.reshape(merged.shape[0], -1))
+        return mlp_forward(head, merged.reshape(merged.shape[0], head.in_width))
     if isinstance(head, LinearHead):
         return None, np.vecdot(merged, head.w)
     return None, merged
@@ -373,7 +362,8 @@ def predict_batch(
     (numpy would wrap a negative index). The user row is built once with no
     target exclusion, exact whenever no candidate sits in the history (the
     ranking protocol guarantees that). Every score is bit-identical to that
-    candidate scored alone, except with an MLP head (see ``mlp_scores``).
+    candidate scored alone, except with an MLP head, whose matrix products
+    over a block agree with the candidate alone to rounding.
     """
     if not 0 <= u < tables.M:
         raise IndexError(f"user index {u} out of range [0, {tables.M})")
@@ -391,10 +381,7 @@ def predict_batch(
 
 
 def _score_block(spec: ModelSpec, FU: np.ndarray, Q: np.ndarray, items: np.ndarray) -> np.ndarray:
-    merged = merge(spec.merge, FU, Q[items])
-    if isinstance(spec.head, MlpHead):
-        return mlp_scores(spec.head, merged.reshape(merged.shape[0], spec.head.in_width))
-    return head_forward(spec, merged)[1]
+    return head_forward(spec, merge(spec.merge, FU, Q[items]))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -423,8 +410,6 @@ def init_conv_stack(K: int, C: int, seed) -> ConvStack:
 
 def init_mlp_head(in_width: int, n_layers: int, seed) -> MlpHead:
     """Half-size tower of relu layers plus a scalar projection."""
-    if not 1 <= n_layers <= 3:
-        raise ConfigurationError(f"mlp head supports 1..3 hidden layers, got {n_layers}")
     rng = np.random.default_rng(seed)
     layers = []
     prev = in_width
@@ -447,10 +432,7 @@ def new_head(kind: HeadKind, spec_merge: MergeKind, K: int, C: int, mlp_layers: 
     if kind is HeadKind.CNN:
         return init_conv_stack(K, C, seed)
     if kind is HeadKind.MLP:
-        widths = {MergeKind.OUTER: K * K, MergeKind.CONCAT: 2 * K, MergeKind.ELEMENTWISE: K}
-        if spec_merge not in widths:
-            raise ConfigurationError(f"mlp head does not pair with merge {spec_merge.value}")
-        return init_mlp_head(widths[spec_merge], mlp_layers, seed)
+        return init_mlp_head(merged_width(spec_merge, K), mlp_layers, seed)
     if kind is HeadKind.LINEAR:
         # all-ones projection, so the untrained model starts at the inner product
         return LinearHead(w=np.ones(K))
@@ -645,7 +627,7 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
             raise FormatError(f"section {name} missing")
         return arrays[name]
 
-    tables = EmbeddingTables(P=section("P"), Q=section("Q"), Qp=arrays.get("Qp"), K=K, alpha=alpha)
+    tables = EmbeddingTables(P=section("P"), Q=section("Q"), Qp=arrays.get("Qp"), alpha=alpha)
     if variant in (Variant.FISM, Variant.SVDPP) and tables.Qp is None:
         raise FormatError("section Qp missing for history-based variant")
 

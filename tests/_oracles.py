@@ -46,6 +46,43 @@ def dense_loops(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def dense_backward_loops(x: np.ndarray, W: np.ndarray, act: np.ndarray, d_act: np.ndarray):
+    """Adjoint of one relu dense layer for one row, entry by entry: (d_x,
+    d_W, d_b). A unit whose output is 0 passes no gradient."""
+    d_pre = np.array([d_act[r] if act[r] > 0 else 0.0 for r in range(W.shape[0])])
+    d_x = np.zeros(W.shape[1])
+    d_W = np.zeros(W.shape)
+    for r in range(W.shape[0]):
+        for c in range(W.shape[1]):
+            d_W[r, c] = d_pre[r] * x[c]
+            d_x[c] += W[r, c] * d_pre[r]
+    return d_x, d_W, d_pre
+
+
+def mlp_loops(head, X0: np.ndarray, d_y: np.ndarray):
+    """An MLP head run one row at a time through dense_loops and
+    dense_backward_loops: (acts, scores, grads, d_X0). acts[l] stacks layer
+    l's relu outputs over the rows; grads are summed over the rows in row
+    order, by section name."""
+    rows, scores, grads, d_X0 = [], [], {}, []
+    for x, dy in zip(X0, d_y):
+        acts = [x]
+        for layer in head.layers:
+            acts.append(np.maximum(dense_loops(acts[-1], layer.W, layer.b), 0.0))
+        scores.append(sum(a * w for a, w in zip(acts[-1], head.w)))
+        row = {"w": dy * acts[-1]}
+        d_act = dy * head.w
+        for l in range(len(head.layers), 0, -1):
+            layer = head.layers[l - 1]
+            d_act, row[f"mlp.{l}.W"], row[f"mlp.{l}.b"] = dense_backward_loops(acts[l - 1], layer.W, acts[l], d_act)
+        for name, grad in row.items():
+            grads[name] = grads[name] + grad if name in grads else grad
+        rows.append(acts)
+        d_X0.append(d_act)
+    acts = [np.array([r[l] for r in rows]) for l in range(len(head.layers) + 1)]
+    return acts, np.array(scores), grads, np.array(d_X0)
+
+
 def rank_by_sort(scores: np.ndarray, target_index: int) -> int:
     """Rank via a full stable sort: position of the target among descending
     scores, counting only strictly better candidates ahead of it."""

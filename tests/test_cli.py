@@ -168,6 +168,11 @@ class TestParamcount:
         first = [l for l in out.splitlines() if l.startswith("mlp.1.W")]
         assert first and first[0].split()[-1] == "8,388,608"
 
+    @pytest.mark.parametrize("head,merge", [("mlp", "inner"), ("cnn", "elementwise")])
+    def test_unpaired_head_and_merge(self, capsys, head, merge):
+        rc, _, err = run(capsys, "paramcount", f"head={head}", f"merge={merge}")
+        assert rc == 1 and "does not admit head" in err
+
     def test_embedding_totals_with_dataset(self, toy, tmp_path, capsys):
         rc, out, _ = run(
             capsys, "paramcount", f"dataset={toy}", f"outdir={tmp_path}",

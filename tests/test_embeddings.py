@@ -107,7 +107,7 @@ class TestUserEmbedding:
     def test_linear_in_tables(self):
         """Scaling every table scales the embedding (all variants are linear)."""
         t = unit_tables()
-        big = EmbeddingTables(P=2 * t.P, Q=2 * t.Q, Qp=2 * t.Qp, K=t.K, alpha=t.alpha)
+        big = EmbeddingTables(P=2 * t.P, Q=2 * t.Q, Qp=2 * t.Qp, alpha=t.alpha)
         for var in Variant:
             a = user_row(t, var, 2, 5, [1, 3, 5])
             b = user_row(big, var, 2, 5, [1, 3, 5])
@@ -165,7 +165,7 @@ class TestScatterGradient:
             g = scatter_user_gradient(var, 2, targets, history, d, norm=norm)
             dP = rng.normal(size=t.P.shape)
             dQp = rng.normal(size=t.Qp.shape)
-            bumped = EmbeddingTables(P=t.P + dP, Q=t.Q, Qp=t.Qp + dQp, K=t.K, alpha=t.alpha)
+            bumped = EmbeddingTables(P=t.P + dP, Q=t.Q, Qp=t.Qp + dQp, alpha=t.alpha)
             terms = history_terms(history)
             before = sum(d[b] @ row for b, row in enumerate(user_rows(t, var, 2, terms, targets, norm)))
             after = sum(d[b] @ row for b, row in enumerate(user_rows(bumped, var, 2, terms, targets, norm)))

@@ -28,6 +28,7 @@ from convncf.model import (
     load_checkpoint,
     merge,
     merge_backward,
+    merged_width,
     new_head,
     param_count,
     predict_batch,
@@ -137,8 +138,9 @@ class TestModelSpec:
             ModelSpec(variant=Variant.MF, merge=MergeKind.CONCAT, head=head, K=8)
 
     def test_merged_width(self):
-        assert spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=8).merged_width() == 64
-        assert spec_for(Variant.MF, MergeKind.CONCAT, HeadKind.MLP, K=8).merged_width() == 16
+        assert merged_width(MergeKind.OUTER, 8) == 64
+        assert merged_width(MergeKind.CONCAT, 8) == 16
+        assert merged_width(MergeKind.ELEMENTWISE, 8) == 8
 
 
 class TestConvHead:
@@ -199,8 +201,8 @@ class TestGmfReduction:
 def assert_rows_score_alone(spec, tables, u, items, history=()):
     """Each row of predict_batch equals the training forward of that one
     (user, item) pair, a batch of one, bit for bit. An MLP head scores a
-    block with one matrix product per layer (mlp_scores), which agrees with
-    the row-by-row forward to rounding only."""
+    block with one matrix product per layer, which agrees with the pair
+    alone to rounding only."""
     single = []
     terms = history_terms(history)
     for i in items:

@@ -22,12 +22,11 @@ from convncf.model import (
     merge,
     mlp_backward,
     mlp_forward,
-    mlp_scores,
     new_head,
 )
 from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, quadtree_order, to_quadtree
 
-from _oracles import conv2x2s2_loops, dense_loops, numeric_grad, outer_loops
+from _oracles import conv2x2s2_loops, dense_loops, mlp_loops, numeric_grad, outer_loops
 
 
 def one_layer_mlp(W, b, w):
@@ -262,6 +261,29 @@ class TestDense:
         np.testing.assert_array_equal(grads["mlp.1.b"], [0.0, 2.0, 0.0])
         np.testing.assert_array_equal(d_x, [[2.0, 2.0]])  # 2 * W[1] alone
 
+    def test_batch_matches_per_row_loop_oracle(self):
+        """A batch of five rows through a three-layer tower, some units dead:
+        every layer's output, the scores, the W, b and w gradients summed
+        over the rows and each row's input gradient equal the row-by-row
+        loop oracle."""
+        rng = np.random.default_rng(73)
+        head = init_mlp_head(24, 3, 73)
+        for layer in head.layers:
+            layer.b = rng.normal(size=layer.b.shape)
+        X0 = rng.normal(size=(5, 24))
+        d_y = rng.normal(size=5)
+        acts, y = mlp_forward(head, X0)
+        grads, d_X0 = mlp_backward(head, acts, d_y)
+        want_acts, want_y, want_grads, want_d_X0 = mlp_loops(head, X0, d_y)
+        assert all((a == 0).any() and (a > 0).any() for a in acts[1:])
+        for l, (got, want) in enumerate(zip(acts, want_acts)):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"layer {l}")
+        np.testing.assert_allclose(y, want_y, rtol=0, atol=1e-12)
+        assert list(grads) == ["w", "mlp.3.W", "mlp.3.b", "mlp.2.W", "mlp.2.b", "mlp.1.W", "mlp.1.b"]
+        for name, grad in grads.items():
+            np.testing.assert_allclose(grad, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
+        np.testing.assert_allclose(d_X0, want_d_X0, rtol=0, atol=1e-12)
+
 
 def _arrays(*objs):
     """Every array reachable from the arguments: arrays, lists and tuples of
@@ -299,7 +321,6 @@ class TestArgumentsUnchanged:
         X0 = rng.normal(size=(3, 6))
         acts, _ = call_unchanged(mlp_forward, head, X0)
         call_unchanged(mlp_backward, head, acts, rng.normal(size=3))
-        call_unchanged(mlp_scores, head, X0)
 
     @pytest.mark.parametrize(
         "mk,hk",

@@ -1,5 +1,6 @@
 import copy
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -35,6 +36,8 @@ from convncf.training import (
     train_step,
     write_metrics_csv,
 )
+
+from _oracles import mlp_loops
 
 # frozen reference values, computed once with mpmath at 50 digits
 SOFTPLUS_NEG20 = 2.061153620314381e-09
@@ -251,9 +254,7 @@ class TestTrainStep:
         [
             (Variant.MF, MergeKind.OUTER, HeadKind.CNN),
             (Variant.SVDPP, MergeKind.OUTER, HeadKind.CNN),
-            (Variant.MF, MergeKind.OUTER, HeadKind.MLP),
             (Variant.MF, MergeKind.ELEMENTWISE, HeadKind.LINEAR),
-            (Variant.MF, MergeKind.CONCAT, HeadKind.MLP),
         ],
     )
     def test_head_grads_are_two_single_row_passes_summed(self, variant, mk, hk):
@@ -273,6 +274,39 @@ class TestTrainStep:
         assert list(g.head) == list(passes[0])
         for name, grad in g.head.items():
             assert grad.tobytes() == (passes[0][name] + passes[1][name]).tobytes(), name
+
+    @pytest.mark.parametrize("mk", [MergeKind.OUTER, MergeKind.CONCAT])
+    def test_mlp_head_grads_match_per_row_loop_oracle(self, mk):
+        """An MLP head's batch-of-two backward sums over the pair inside its
+        matrix products; its scores and gradients equal the positive's and
+        the negative's row-by-row loop passes summed, to rounding."""
+        t = init_tables(4, 9, 8, Variant.MF, derive_seed(3, "init"), scale=1.0)
+        head = new_head(HeadKind.MLP, mk, 8, 4, 2, derive_seed(3, "init_head"))
+        spec = ModelSpec(variant=Variant.MF, merge=mk, head=head, K=8)
+        u, i, j = 1, 2, 5
+        g = compute_triple_gradients(spec, t, u, i, j)
+        merged = merge(mk, user_rows(t, Variant.MF, u, targets=(i, j)), t.Q[[i, j]])
+        _, y, grads, _ = mlp_loops(head, merged.reshape(2, -1), np.array(bpr_grad(g.y_pos, g.y_neg)))
+        np.testing.assert_allclose([g.y_pos, g.y_neg], y, rtol=1e-12)
+        assert sorted(g.head) == sorted(grads)
+        for name, grad in g.head.items():
+            np.testing.assert_allclose(grad, grads[name], rtol=1e-12, err_msg=name)
+
+    def test_wide_mlp_triple_allocates_one_weight_gradient(self):
+        """At K=64 MLP-over-OUTER, one triple's gradients peak below twice
+        the first weight matrix (64 MiB), which its gradient alone fills: no
+        per-row outer product is built before the sum."""
+        t = init_tables(3, 6, 64, Variant.MF, derive_seed(3, "init"), scale=1.0)
+        head = new_head(HeadKind.MLP, MergeKind.OUTER, 64, 1, 1, derive_seed(3, "init_head"))
+        spec = ModelSpec(variant=Variant.MF, merge=MergeKind.OUTER, head=head, K=64)
+        tracemalloc.start()
+        try:
+            compute_triple_gradients(spec, t, 1, 2, 5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = 2 * head.layers[0].W.nbytes
+        assert peak < limit, f"peak {peak} B, limit {limit} B"
 
 
 class TestPackedHead:
