@@ -220,8 +220,9 @@ def cmd_train(cfg: RunConfig) -> int:
 
     if cfg.variant == "itempop":
         spec, tables = make_itempop(splits.train)
-        val = evaluate(spec, tables, splits, which="val")
-        test = evaluate(spec, tables, splits, which="test")
+        store: dict = {}
+        val = evaluate(spec, tables, splits, which="val", store=store)
+        test = evaluate(spec, tables, splits, which="test", store=store)
         records = [EpochRecord(epoch=1, mean_loss=float("nan"), val=val, test=test)]
     else:
         variant = Variant(cfg.variant)
@@ -249,8 +250,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     spec, tables = load_checkpoint(cfg.checkpoint)
     fr, splits = _load_splits(cfg)
     _check_tables_match(tables, splits, "checkpoint")
-    val = evaluate(spec, tables, splits, which="val")
-    test = evaluate(spec, tables, splits, which="test")
+    store: dict = {}
+    val = evaluate(spec, tables, splits, which="val", store=store)
+    test = evaluate(spec, tables, splits, which="test", store=store)
     _print_eval("val", val)
     _print_eval("test", test)
     write_metrics_csv(

@@ -10,7 +10,9 @@ reduction, 1/log2(rank+1) inside the cutoff and 0 outside, whose ideal value
 is exactly 1.
 
 Scoring the validation split uses train-only history; scoring the test split
-uses train plus validation. The test item never enters any history.
+uses train plus validation. The test item never enters any history. A model
+whose user vector ignores history (MF, and so ItemPop) scores both targets
+and the negatives in one pass that serves both splits.
 """
 
 from __future__ import annotations
@@ -66,6 +68,7 @@ def evaluate(
     splits: SplitSet,
     which: str = "test",
     ks: Sequence[int] = DEFAULT_KS,
+    store: dict[tuple[int, str], int] | None = None,
 ) -> EvalResult:
     """Average HR@k / NDCG@k over every user carrying a held-out item.
 
@@ -73,24 +76,45 @@ def evaluate(
     negatives never intersect any split of the user's interactions, so the
     same list serves validation and test. Results are reduced per user id,
     making the outcome independent of evaluation order.
+
+    A history-free model (MF, and so ItemPop) scores each user's validation
+    target, negatives and test target in one pass and ranks each target
+    against the negatives only. ``store`` keeps those ranks by (user,
+    split), so the other split's call reads them instead of scoring again:
+    give the val and test calls on one model state the same fresh dict.
+    Without one, a call scores on its own. FISM and SVD++ score one pass per
+    split, since the test history holds the validation item.
     """
     if which not in ("test", "val"):
         raise ValueError(f"unknown evaluation split {which!r}")
     ds = splits.train
     users = sorted(splits.test)
+    history_free = spec.variant is Variant.MF
+    served = ("val", "test") if history_free else (which,)
+    held_out = {"val": splits.validation, "test": splits.test}
+    store = {} if store is None else store
 
-    def rank_of_held(u: int) -> int:
-        held = splits.test[u] if which == "test" else splits.validation[u]
+    def score_pass(u: int) -> None:
+        held = np.array([held_out[split][u].item for split in served], dtype=np.int64)
         negatives = splits.eval_negatives[u]
-        history = splits.history_items(u, include_validation=(which == "test"))
-        candidates = np.concatenate([np.array([held.item], dtype=np.int64), negatives])
+        history = () if history_free else splits.history_items(u, include_validation=(which == "test"))
+        # first target, negatives, second target: each target's contiguous
+        # view of the scores holds it and the negatives only
+        candidates = np.concatenate([held[:1], negatives, held[1:]])
         try:
             scores = predict_batch(spec, tables, u, candidates, history)
         except Exception as exc:
             raise EvaluationError(
                 f"scoring failed for user {ds.user_ids[u]!r} (index {u}): {exc}"
             ) from exc
-        return rank_of_target(scores, 0)
+        n = negatives.shape[0]
+        for split, view, at in zip(served, (scores[: n + 1], scores[1:]), (0, n)):
+            store[(u, split)] = rank_of_target(view, at)
+
+    def rank_of_held(u: int) -> int:
+        if (u, which) not in store:
+            score_pass(u)
+        return store[(u, which)]
 
     ranks = {u: rank_of_held(u) for u in users}
 

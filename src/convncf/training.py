@@ -49,6 +49,11 @@ from convncf.model import (
 )
 
 LN2 = math.log(2.0)
+# Entries per part of the packed head's update: 128 KiB per operand, so a
+# part's operations run in cache. On a 2-CPU Xeon one K=64 MLP-over-OUTER
+# step (8.4M head entries) takes ~120 ms this way, ~170-200 ms in whole
+# passes.
+HEAD_STEP_ENTRIES = 1 << 14
 
 
 @dataclass
@@ -124,7 +129,9 @@ class AdagradState(dict):
     by section name, and ``head_acc`` for the packed head (``pack_head``).
     ``head`` is the head's one parameter vector, whose sections, named
     ``head_names``, are views of it; ``head[:tower]`` is the hidden tower
-    and ``head[tower:]`` the output projection w."""
+    and ``head[tower:]`` the output projection w. The head steps in
+    ``parts``, (start, stop, tower entries among them) runs of at most
+    ``HEAD_STEP_ENTRIES``, with ``scratch`` as one part's work buffer."""
 
     def __init__(self, accs: dict[str, np.ndarray], spec: ModelSpec):
         super().__init__(accs)
@@ -132,6 +139,9 @@ class AdagradState(dict):
         self.head_acc = np.zeros_like(self.head)
         self.head_names = [name for name, _ in head_sections(spec.head)]
         self.tower = self.head.size - (spec.head.w.size if self.head_names else 0)
+        size, step = self.head.size, HEAD_STEP_ENTRIES
+        self.parts = [(lo, min(lo + step, size), min(max(self.tower - lo, 0), step)) for lo in range(0, size, step)]
+        self.scratch = np.empty(min(size, step))
 
 
 def init_adagrad(spec: ModelSpec, tables: EmbeddingTables) -> AdagradState:
@@ -141,14 +151,31 @@ def init_adagrad(spec: ModelSpec, tables: EmbeddingTables) -> AdagradState:
     return AdagradState({name: np.zeros_like(arr) for name, arr in accs.items() if arr is not None}, spec)
 
 
-def adagrad_step(param: np.ndarray, grad: np.ndarray, state: np.ndarray, lr: float, epsilon: float) -> None:
+def adagrad_step(
+    param: np.ndarray,
+    grad: np.ndarray,
+    state: np.ndarray,
+    lr: float,
+    epsilon: float,
+    out: np.ndarray | None = None,
+) -> None:
     """In-place: state += grad^2; param -= lr * grad / (sqrt(state) + epsilon).
 
     Works on whole arrays, row views and gathered row blocks alike, so sparse
-    table updates touch only the rows whose gradients exist.
+    table updates touch only the rows whose gradients exist. ``out``, an
+    array shaped like ``grad`` (a fresh one without it), holds grad^2 and
+    then the denominator; ``lr * grad`` is the only other temporary. The
+    formula's operations run in its order, so the bytes are the formula's.
+    Each is a ufunc call with its output passed by position: on rows of a
+    few entries numpy's in-place operators and the ``out=`` keyword cost
+    about twice as much.
     """
-    state += grad * grad
-    param -= lr * grad / (np.sqrt(state) + epsilon)
+    out = np.multiply(grad, grad, np.empty_like(grad) if out is None else out)
+    np.add(state, out, state)
+    np.sqrt(state, out)
+    np.add(out, epsilon, out)
+    np.divide(np.multiply(grad, lr), out, out)
+    np.subtract(param, out, param)
 
 
 # ---------------------------------------------------------------------------
@@ -215,22 +242,25 @@ def train_step(
     """One triple: gradients from both branches, touched-parameter L2,
     Adagrad application. Returns the pre-update pairwise loss.
 
-    The packed head takes one step. The user row P[u] steps through its row
-    view; Q and Qp step once over their touched rows (gather, step, write
-    back), which are distinct because a sampled negative is never the
-    positive.
+    The packed head steps in its ``parts``, each one elementwise pass per
+    operation while it sits in cache, so the packed gradient is its only
+    head-sized temporary. The user row P[u] steps through its row view; Q
+    and Qp step once over their touched rows (gather, step, write back),
+    which are distinct because a sampled negative is never the positive.
     """
     u, i, j = triple
     g = compute_triple_gradients(spec, tables, u, i, j, history)
 
     if states.head_names:
         grad = np.concatenate([g.head[name] for name in states.head_names], axis=None)
-        head, t = states.head, states.tower
-        if regularize and config.lambda3:
-            grad[:t] += 2.0 * config.lambda3 * head[:t]
-        if regularize and config.lambda4:
-            grad[t:] += 2.0 * config.lambda4 * head[t:]
-        adagrad_step(states.head, grad, states.head_acc, config.lr_net, config.adagrad_epsilon)
+        g.head.clear()  # the packed copy is all the step needs
+        for lo, hi, t in states.parts:
+            g_part, head, s = grad[lo:hi], states.head[lo:hi], states.scratch[: hi - lo]
+            if regularize and config.lambda3:
+                g_part[:t] += np.multiply(head[:t], 2.0 * config.lambda3, s[:t])
+            if regularize and config.lambda4:
+                g_part[t:] += np.multiply(head[t:], 2.0 * config.lambda4, s[t:])
+            adagrad_step(head, g_part, states.head_acc[lo:hi], config.lr_net, config.adagrad_epsilon, s)
 
     for name, (rows, grad) in g.tables.items():
         table, acc = getattr(tables, name), states[name]
@@ -302,8 +332,9 @@ def _run_epochs(
             if not np.isfinite(arr).all():
                 raise NonFiniteError(f"epoch {epoch}: section {name} holds non-finite values")
         mean_loss = total / max(count, 1)
-        val = evaluate(spec, tables, splits, which="val")
-        test = evaluate(spec, tables, splits, which="test")
+        store: dict = {}  # this epoch's model state, shared by its two calls
+        val = evaluate(spec, tables, splits, which="val", store=store)
+        test = evaluate(spec, tables, splits, which="test", store=store)
         records.append(EpochRecord(epoch=epoch, mean_loss=mean_loss, val=val, test=test))
     return records
 

@@ -15,8 +15,9 @@ from convncf.evaluation import (
     rolling_last10,
     write_per_user_ranks,
 )
-from convncf import model
+from convncf import evaluation, model
 from convncf.model import HeadKind, IdentityHead, MergeKind, ModelSpec, new_head, predict_batch
+from convncf.training import TrainConfig, train
 
 from _oracles import rank_by_sort
 
@@ -161,10 +162,12 @@ class TestEvaluate:
         with pytest.raises(EvaluationError, match=splits.train.user_ids[first]):
             evaluate(spec, t, splits)
 
-    def test_pooled_block_failure_names_the_user(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_pooled_block_failure_names_the_user(self, tmp_path, monkeypatch, shared):
         """An out-of-range candidate in the last of several flagship-shaped
-        blocks fails inside a pool worker; the error reaches the caller and
-        the pool keeps scoring afterwards."""
+        blocks fails inside a pool worker; the error reaches the caller of
+        either split, with or without a shared store, and the pool keeps
+        scoring afterwards."""
         monkeypatch.setattr(model, "SCORE_WORKERS", 2)  # pooled even on one CPU
         splits = splits_fixture(tmp_path, M=60, N=200)
         ds = splits.train
@@ -177,10 +180,90 @@ class TestEvaluate:
         splits.eval_negatives[first] = np.append(splits.eval_negatives[first], ds.N)
         with pytest.raises(IndexError):
             predict_batch(spec, t, first, np.append(good, ds.N))
-        with pytest.raises(EvaluationError, match=ds.user_ids[first]) as info:
-            evaluate(spec, t, splits)
-        assert isinstance(info.value.__cause__, IndexError)
+        store = {} if shared else None
+        for which in ("val", "test"):
+            with pytest.raises(EvaluationError, match=ds.user_ids[first]) as info:
+                evaluate(spec, t, splits, which=which, store=store)
+            assert isinstance(info.value.__cause__, IndexError)
         assert predict_batch(spec, t, first, good).shape == good.shape
+
+
+def per_split_ranks(spec, tables, splits, which):
+    """Each user's target scored with the negatives alone, with the split's
+    history: one pass per split and user, no store."""
+    ranks = {}
+    for u in sorted(splits.test):
+        held = (splits.test if which == "test" else splits.validation)[u].item
+        history = splits.history_items(u, include_validation=(which == "test"))
+        scores = predict_batch(spec, tables, u, np.append(held, splits.eval_negatives[u]), history)
+        ranks[u] = rank_of_target(scores, 0)
+    return ranks
+
+
+class TestSharedPass:
+    HEADS = [
+        (MergeKind.OUTER, HeadKind.CNN),
+        (MergeKind.ELEMENTWISE, HeadKind.LINEAR),
+        (MergeKind.INNER, HeadKind.IDENTITY),
+        (MergeKind.OUTER, HeadKind.MLP),
+        (MergeKind.CONCAT, HeadKind.MLP),
+    ]
+
+    @pytest.mark.parametrize("mk,hk", HEADS)
+    @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM, Variant.SVDPP])
+    def test_paired_calls_match_one_pass_per_split(self, tmp_path, variant, mk, hk):
+        """Val and test calls sharing one store give the hr, ndcg and ranks
+        of calls without one, and each rank is that of the target scored
+        with the negatives alone, MLP heads included."""
+        splits = splits_fixture(tmp_path, M=30, N=200, per_user=8)
+        t = init_tables(splits.train.M, splits.train.N, 4, variant, derive_seed(8, "init"), scale=1.0)
+        head = new_head(hk, mk, 4, 3, 2, derive_seed(8, "init_head"))
+        spec = ModelSpec(variant=variant, merge=mk, head=head, K=4)
+        store = {}
+        for which in ("val", "test"):
+            shared = evaluate(spec, t, splits, which=which, store=store)
+            alone = evaluate(spec, t, splits, which=which)
+            assert shared.ranks == alone.ranks == per_split_ranks(spec, t, splits, which)
+            assert shared.hr == alone.hr and shared.ndcg == alone.ndcg
+        assert len(store) == 2 * len(splits.test)
+
+    def test_itempop(self, tmp_path):
+        splits = splits_fixture(tmp_path, M=30, N=200, per_user=8)
+        spec, t = make_itempop(splits.train)
+        store = {}
+        for which in ("val", "test"):
+            shared = evaluate(spec, t, splits, which=which, store=store)
+            alone = evaluate(spec, t, splits, which=which)
+            assert shared.ranks == alone.ranks == per_split_ranks(spec, t, splits, which)
+            assert shared.hr == alone.hr and shared.ndcg == alone.ndcg
+
+    @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM, Variant.SVDPP])
+    def test_scoring_calls_per_user(self, tmp_path, monkeypatch, variant):
+        """Over two trained epochs a history-free model scores each user once
+        per epoch; FISM and SVD++ score twice, and only the test call's
+        history holds the validation item."""
+        splits = splits_fixture(tmp_path, M=12, N=40)
+        calls = []
+
+        def counting(spec, tables, u, items, history=()):
+            calls.append((u, list(history)))
+            return predict_batch(spec, tables, u, items, history)
+
+        monkeypatch.setattr(evaluation, "predict_batch", counting)
+        t = init_tables(splits.train.M, splits.train.N, 4, variant, derive_seed(2, "init"), scale=0.1)
+        spec = ModelSpec(variant=variant, merge=MergeKind.INNER, head=IdentityHead(), K=4)
+        train(spec, t, splits, TrainConfig(epochs=2, seed=4))
+        users = sorted(splits.test)
+        if variant is Variant.MF:
+            assert [u for u, _ in calls] == users * 2
+            return
+        assert [u for u, _ in calls] == users * 4
+        for epoch in range(2):
+            val_calls = calls[2 * epoch * len(users) :][: len(users)]
+            test_calls = calls[(2 * epoch + 1) * len(users) :][: len(users)]
+            for (u, val_history), (_, test_history) in zip(val_calls, test_calls):
+                assert splits.validation[u].item not in val_history
+                assert test_history == val_history + [splits.validation[u].item]
 
 
 class TestItemPop:

@@ -1,10 +1,13 @@
 import copy
+import inspect
 import math
+import sys
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from convncf import training
 from convncf.data import derive_seed, load_interactions, split_leave_latest_out
 from convncf.embeddings import EmbeddingTables, Variant, history_terms, init_tables, user_rows
 from convncf.model import (
@@ -317,13 +320,18 @@ class TestPackedHead:
         (MergeKind.INNER, HeadKind.IDENTITY),
     ]
 
+    @pytest.mark.parametrize("part", [None, 7])
     @pytest.mark.parametrize("regularize", [True, False])
     @pytest.mark.parametrize("lambdas", [(0.3, 0.05), (0.0, 0.05), (0.3, 0.0)])
     @pytest.mark.parametrize("mk,hk", HEADS)
-    def test_step_matches_per_section_loop(self, mk, hk, lambdas, regularize):
+    def test_step_matches_per_section_loop(self, monkeypatch, mk, hk, lambdas, regularize, part):
         """Three steps of the packed head equal, bit for bit, one Adagrad
         step per section with its own L2 (lambda4 on w, lambda3 elsewhere)
-        and one per touched table row, accumulators included."""
+        and one per touched table row, accumulators included; also when the
+        head steps in parts of 7 entries, one of which straddles the tower's
+        end."""
+        if part:
+            monkeypatch.setattr(training, "HEAD_STEP_ENTRIES", part)
         t = init_tables(4, 9, 4, Variant.SVDPP, derive_seed(6, "init"), scale=1.0)
         head = new_head(hk, mk, 4, 3, 2, derive_seed(6, "init_head"))
         spec = ModelSpec(variant=Variant.SVDPP, merge=mk, head=head, K=4)
@@ -354,6 +362,23 @@ class TestPackedHead:
         assert states.head_acc.tobytes() == b"".join(want_s[name].tobytes() for name in names)
         for name in ("P", "Q", "Qp"):
             assert states[name].tobytes() == want_s[name].tobytes(), name
+
+    def test_wide_mlp_step_allocates_one_head_copy(self):
+        """A K=32 MLP-over-OUTER step (a 0.5M-entry packed head) peaks below
+        2.5x the packed head's bytes: the section gradients go once packed,
+        L2 and Adagrad run in place over cache-sized parts."""
+        t = init_tables(3, 6, 32, Variant.MF, derive_seed(3, "init"), scale=1.0)
+        head = new_head(HeadKind.MLP, MergeKind.OUTER, 32, 1, 1, derive_seed(3, "init_head"))
+        spec = ModelSpec(variant=Variant.MF, merge=MergeKind.OUTER, head=head, K=32)
+        states = init_adagrad(spec, t)
+        tracemalloc.start()
+        try:
+            train_step(spec, t, (1, 2, 5), TrainConfig(), states, regularize=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        limit = 2.5 * states.head.nbytes
+        assert peak < limit, f"peak {peak} B, limit {limit} B"
 
     def test_sections_are_views_of_the_packed_vector(self):
         t = init_tables(3, 4, 4, Variant.MF, 0, scale=1.0)
@@ -386,6 +411,43 @@ class TestPackedHead:
 
 
 class TestTrainLoop:
+    @pytest.mark.parametrize("variant", [Variant.MF, Variant.SVDPP])
+    def test_scoring_happens_only_in_two_evaluate_calls_per_epoch(self, tmp_path, monkeypatch, variant):
+        """perfbench times everything between an epoch's evaluate calls as
+        training: train must call training.evaluate exactly twice per epoch,
+        val then test, and score no candidate outside those calls."""
+        splits = make_splits(tmp_path)
+        inner = training.evaluate
+        splits_called, inside, scored = [], [], []
+
+        def evaluate(*args, **kwargs):
+            bound = inspect.signature(inner).bind(*args, **kwargs)
+            bound.apply_defaults()
+            splits_called.append(bound.arguments["which"])
+            inside.append(True)
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def guarded(score):
+            def predict_batch(*args, **kwargs):
+                scored.append(bool(inside))
+                return score(*args, **kwargs)
+
+            return predict_batch
+
+        monkeypatch.setattr(training, "evaluate", evaluate)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("convncf") and hasattr(module, "predict_batch"):
+                monkeypatch.setattr(module, "predict_batch", guarded(module.predict_batch))
+        t = init_tables(splits.train.M, splits.train.N, 4, variant, 3, scale=0.1)
+        head = new_head(HeadKind.CNN, MergeKind.OUTER, 4, 2, 2, derive_seed(3, "init_head"))
+        spec = ModelSpec(variant=variant, merge=MergeKind.OUTER, head=head, K=4)
+        train(spec, t, splits, TrainConfig(epochs=3, seed=5))
+        assert splits_called == ["val", "test"] * 3
+        assert scored and all(scored)
+
     def test_first_epoch_ignores_lambdas(self, tmp_path):
         splits = make_splits(tmp_path)
         specs = [inner_spec(K=4) for _ in range(2)]
