@@ -32,7 +32,6 @@ from convncf.embeddings import EmbeddingTables, Variant, init_tables
 from convncf.evaluation import (
     EvalResult,
     EvaluationError,
-    evaluate,
     make_itempop,
     rolling_last10,
     write_per_user_ranks,
@@ -50,13 +49,7 @@ from convncf.model import (
     predict_batch,
     save_checkpoint,
 )
-from convncf.training import (
-    EpochRecord,
-    NonFiniteError,
-    pretrain,
-    train,
-    write_metrics_csv,
-)
+from convncf.training import NonFiniteError, evaluate_state, pretrain, train, write_metrics_csv
 
 _USER_ERRORS = (
     ConfigError,
@@ -220,10 +213,7 @@ def cmd_train(cfg: RunConfig) -> int:
 
     if cfg.variant == "itempop":
         spec, tables = make_itempop(splits.train)
-        store: dict = {}
-        val = evaluate(spec, tables, splits, which="val", store=store)
-        test = evaluate(spec, tables, splits, which="test", store=store)
-        records = [EpochRecord(epoch=1, mean_loss=float("nan"), val=val, test=test)]
+        records = [evaluate_state(spec, tables, splits, epoch=1)]
     else:
         variant = Variant(cfg.variant)
         tables = _initial_tables(cfg, variant, splits)
@@ -250,20 +240,15 @@ def cmd_eval(cfg: RunConfig) -> int:
     spec, tables = load_checkpoint(cfg.checkpoint)
     fr, splits = _load_splits(cfg)
     _check_tables_match(tables, splits, "checkpoint")
-    store: dict = {}
-    val = evaluate(spec, tables, splits, which="val", store=store)
-    test = evaluate(spec, tables, splits, which="test", store=store)
-    _print_eval("val", val)
-    _print_eval("test", test)
-    write_metrics_csv(
-        [EpochRecord(epoch=0, mean_loss=float("nan"), val=val, test=test)],
-        _outpath(cfg, "eval.csv"),
-    )
+    record = evaluate_state(spec, tables, splits, epoch=0)
+    _print_eval("val", record.val)
+    _print_eval("test", record.test)
+    write_metrics_csv([record], _outpath(cfg, "eval.csv"))
     if cfg.per_user:
         path = _outpath(cfg, "per_user.tsv")
-        write_per_user_ranks(test, fr.dataset, path)
+        write_per_user_ranks(record.test, fr.dataset, path)
         print(f"per_user {path}")
-    print(f"users_evaluated {test.users_evaluated}")
+    print(f"users_evaluated {record.test.users_evaluated}")
     return 0
 
 

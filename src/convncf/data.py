@@ -2,9 +2,9 @@
 
 The on-disk format is one record per line, ``user<TAB>item<TAB>timestamp``,
 with ``#`` comment lines ignored. Raw ids are arbitrary tab-free strings and
-get dense indices in first-appearance order; timestamps are base-10 integers
-in the int64 range. Repeated (user, item) pairs collapse to the earliest
-timestamp.
+get dense indices in first-appearance order; timestamps are base-10 integers,
+an optional sign then ASCII digits, in the int64 range. Repeated (user, item)
+pairs collapse to the earliest timestamp.
 
 A log is held as CSR (compressed sparse row) arrays: user u's rows are
 ``items[indptr[u]:indptr[u + 1]]`` with their ``stamps``, ascending by
@@ -142,10 +142,11 @@ def load_interactions(path: str) -> Dataset:
             raw_u, raw_i, ts_text = parts
             if not raw_u or not raw_i:
                 raise ParseError(f"line {lineno}: empty user or item id")
+            # an optional sign, then ASCII digits: int() also takes '1_000', ' 7' and '١٢'
+            if not ((ts_text.isdigit() or ts_text[:1] in ("+", "-") and ts_text[1:].isdigit()) and ts_text.isascii()):
+                raise ParseError(f"line {lineno}: timestamp {ts_text!r} is not a base-10 integer")
             try:
                 stamps.append(int(ts_text))
-            except ValueError:
-                raise ParseError(f"line {lineno}: timestamp {ts_text!r} is not a base-10 integer") from None
             except OverflowError:
                 raise ParseError(f"line {lineno}: timestamp {ts_text!r} is outside the int64 range") from None
             if raw_u not in seen_user:

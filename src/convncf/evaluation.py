@@ -67,7 +67,6 @@ def evaluate(
     tables: EmbeddingTables,
     splits: SplitSet,
     which: str = "test",
-    ks: Sequence[int] = DEFAULT_KS,
     store: dict[tuple[int, str], int] | None = None,
 ) -> EvalResult:
     """Average HR@k / NDCG@k over every user carrying a held-out item.
@@ -80,21 +79,22 @@ def evaluate(
     A history-free model (MF, and so ItemPop) scores each user's validation
     target, negatives and test target in one pass and ranks each target
     against the negatives only. ``store`` keeps those ranks by (user,
-    split), so the other split's call reads them instead of scoring again:
-    give the val and test calls on one model state the same fresh dict.
-    Without one, a call scores on its own. FISM and SVD++ score one pass per
-    split, since the test history holds the validation item.
+    split), so the other split's call reads them instead of scoring again;
+    ``training.evaluate_state`` gives a model state's val and test calls one
+    fresh store. Without one, a call scores on its own. FISM and SVD++
+    score one pass per split, since the test history holds the validation
+    item.
     """
     if which not in ("test", "val"):
         raise ValueError(f"unknown evaluation split {which!r}")
-    ds = splits.train
-    users = sorted(splits.test)
     history_free = spec.variant is Variant.MF
     served = ("val", "test") if history_free else (which,)
     held_out = {"val": splits.validation, "test": splits.test}
     store = {} if store is None else store
-
-    def score_pass(u: int) -> None:
+    users = sorted(splits.test)
+    for u in users:
+        if (u, which) in store:
+            continue
         held = np.array([held_out[split][u].item for split in served], dtype=np.int64)
         negatives = splits.eval_negatives[u]
         history = () if history_free else splits.history_items(u, include_validation=(which == "test"))
@@ -105,22 +105,16 @@ def evaluate(
             scores = predict_batch(spec, tables, u, candidates, history)
         except Exception as exc:
             raise EvaluationError(
-                f"scoring failed for user {ds.user_ids[u]!r} (index {u}): {exc}"
+                f"scoring failed for user {splits.train.user_ids[u]!r} (index {u}): {exc}"
             ) from exc
         n = negatives.shape[0]
         for split, view, at in zip(served, (scores[: n + 1], scores[1:]), (0, n)):
             store[(u, split)] = rank_of_target(view, at)
 
-    def rank_of_held(u: int) -> int:
-        if (u, which) not in store:
-            score_pass(u)
-        return store[(u, which)]
-
-    ranks = {u: rank_of_held(u) for u in users}
-
+    ranks = {u: store[(u, which)] for u in users}
     n = len(users)
-    hr = {k: sum(hr_at_k(ranks[u], k) for u in users) / n if n else 0.0 for k in ks}
-    ndcg = {k: sum(ndcg_at_k(ranks[u], k) for u in users) / n if n else 0.0 for k in ks}
+    hr = {k: sum(hr_at_k(ranks[u], k) for u in users) / n if n else 0.0 for k in DEFAULT_KS}
+    ndcg = {k: sum(ndcg_at_k(ranks[u], k) for u in users) / n if n else 0.0 for k in DEFAULT_KS}
     return EvalResult(hr=hr, ndcg=ndcg, users_evaluated=n, ranks=ranks)
 
 

@@ -358,12 +358,13 @@ def predict_batch(
 ) -> np.ndarray:
     """Score candidate items for one user, in blocks of rows.
 
-    The one public scoring entry, so it checks ``u`` and the history items
-    (numpy would wrap a negative index). The user row is built once with no
-    target exclusion, exact whenever no candidate sits in the history (the
-    ranking protocol guarantees that). Every score is bit-identical to that
-    candidate scored alone, except with an MLP head, whose matrix products
-    over a block agree with the candidate alone to rounding.
+    The one public scoring entry, so it checks ``u``, the candidate items
+    and the history items (numpy would wrap a negative index). The user row
+    is built once with no target exclusion, exact whenever no candidate sits
+    in the history (the ranking protocol guarantees that). Every score is
+    bit-identical to that candidate scored alone, except with an MLP head,
+    whose matrix products over a block agree with the candidate alone to
+    rounding.
     """
     if not 0 <= u < tables.M:
         raise IndexError(f"user index {u} out of range [0, {tables.M})")
@@ -371,6 +372,9 @@ def predict_batch(
     if terms is not None and terms.size and (terms[0] < 0 or terms[-1] >= tables.N):
         raise IndexError("history item index out of range")
     items = np.asarray(items, dtype=np.int64)
+    if items.size and items.view(np.uint64).max() >= tables.N:  # a negative index reads as >= 2**63
+        bad = items[(items < 0) | (items >= tables.N)][0]
+        raise IndexError(f"candidate item index {bad} out of range [0, {tables.N})")
     fU = user_rows(tables, spec.variant, u, terms, norm=spec.fism_norm)
     score = partial(_score_block, spec, fU, tables.Q)
     rows = _block_rows(spec)
@@ -601,15 +605,21 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
 
     payload = blob[pos:]
     arrays: dict[str, np.ndarray] = {}
+    filled = 0  # the sections tile the payload in directory order
     for name, dims, offset in directory:
-        count = int(np.prod(dims)) if dims else 1
-        nbytes = count * 8
-        if offset + nbytes > len(payload):
+        if name in arrays:
+            raise FormatError(f"section {name} listed twice")
+        if offset != filled:
+            raise FormatError(f"section {name} starts at byte {offset}, expected {filled}")
+        filled = offset + 8 * math.prod(dims)
+        if filled > len(payload):
             raise FormatError(f"section {name} truncated")
-        arr = np.frombuffer(payload[offset : offset + nbytes], dtype="<f8").astype(np.float64)
+        arr = np.frombuffer(payload[offset:filled], dtype="<f8").astype(np.float64)
         if not np.isfinite(arr).all():
             raise FormatError(f"section {name} holds non-finite values")
         arrays[name] = arr.reshape(dims)
+    if filled != len(payload):
+        raise FormatError(f"{len(payload) - filled} bytes after the last section")
 
     try:
         variant = Variant(desc["variant"])

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from convncf import evaluation
 from convncf.cli import main
 from convncf.config import ConfigError, RunConfig, build_config, parse_value
 from convncf.data import derive_seed, load_interactions, split_leave_latest_out
@@ -23,6 +24,18 @@ def toy(tmp_path):
     path = tmp_path / "toy.tsv"
     path.write_text("".join(lines), encoding="utf-8")
     return str(path)
+
+
+def count_scoring(monkeypatch) -> list[int]:
+    """The user index of every predict_batch call evaluation makes, in order."""
+    calls: list[int] = []
+
+    def counting(spec, tables, u, items, history=()):
+        calls.append(u)
+        return predict_batch(spec, tables, u, items, history)
+
+    monkeypatch.setattr(evaluation, "predict_batch", counting)
+    return calls
 
 
 def run(capsys, *argv):
@@ -283,6 +296,23 @@ class TestPipeline:
         assert tables.Q.sum() > 0  # popularity counts, not random values
         lines = (outdir / "metrics.csv").read_text().splitlines()
         assert len(lines) == 3 and lines[1].split(",")[-1] == "nan"
+
+    @pytest.mark.parametrize("variant,passes", [("mf", 1), ("fism", 2), ("svdpp", 2)])
+    def test_eval_scores_each_user_once_per_pass(self, toy, tmp_path, capsys, monkeypatch, variant, passes):
+        """`eval` scores every evaluated user once when the user vector
+        ignores history, and once per split for FISM and SVD++."""
+        outdir = tmp_path / "run"
+        args = (f"variant={variant}", "merge=inner", "head=identity", "K=4", "epochs=1", "epochs_pretrain=0")
+        assert run(capsys, "train", f"dataset={toy}", f"outdir={outdir}", *args)[0] == 0
+        calls = count_scoring(monkeypatch)
+        rc, out, _ = run(capsys, "eval", f"dataset={toy}", f"outdir={outdir}", f"checkpoint={outdir}/model.ckpt")
+        assert rc == 0 and "users_evaluated 16" in out
+        assert sorted(calls) == sorted(list(range(16)) * passes)
+
+    def test_itempop_training_scores_each_user_once(self, toy, tmp_path, capsys, monkeypatch):
+        calls = count_scoring(monkeypatch)
+        assert run(capsys, "train", f"dataset={toy}", f"outdir={tmp_path}", "variant=itempop")[0] == 0
+        assert calls == list(range(16))
 
     def test_itempop_recommend_matches_counting_oracle(self, toy, tmp_path, capsys):
         outdir = tmp_path / "pop"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -70,6 +72,17 @@ class TestLoadInteractions:
     def test_bad_timestamp_reports_line_number(self, tmp_path):
         with pytest.raises(ParseError, match="line 1"):
             load_interactions(write(tmp_path, "a\tx\tsoon\n"))
+
+    @pytest.mark.parametrize("ts", ["1_000", " 7", "7 ", "١٢", "", "+", "-", "+-5", "0x10", "1e3"])
+    def test_timestamp_must_be_ascii_digits(self, tmp_path, ts):
+        """int() would read '1_000', ' 7' and Arabic-Indic '١٢' as 1000, 7
+        and 12, which the manifest would then write back as other text."""
+        with pytest.raises(ParseError, match=re.escape(f"line 2: timestamp {ts!r} is not a base-10 integer")):
+            load_interactions(write(tmp_path, f"a\tx\t1\nb\tx\t{ts}\n"))
+
+    def test_signed_timestamps(self, tmp_path):
+        ds = load_interactions(write(tmp_path, "a\tx\t+7\na\ty\t-3\na\tz\t007\n"))
+        assert stamps_of(ds, 0) == [-3, 7, 7]
 
     def test_empty_id_rejected(self, tmp_path):
         with pytest.raises(ParseError):

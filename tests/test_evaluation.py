@@ -4,6 +4,7 @@ import pytest
 from convncf.data import derive_seed, load_interactions, split_leave_latest_out
 from convncf.embeddings import EmbeddingTables, Variant, init_tables
 from convncf.evaluation import (
+    DEFAULT_KS,
     EvalResult,
     EvaluationError,
     evaluate,
@@ -17,7 +18,7 @@ from convncf.evaluation import (
 )
 from convncf import evaluation, model
 from convncf.model import HeadKind, IdentityHead, MergeKind, ModelSpec, new_head, predict_batch
-from convncf.training import TrainConfig, train
+from convncf.training import TrainConfig, evaluate_state, train
 
 from _oracles import rank_by_sort
 
@@ -164,10 +165,9 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_pooled_block_failure_names_the_user(self, tmp_path, monkeypatch, shared):
-        """An out-of-range candidate in the last of several flagship-shaped
-        blocks fails inside a pool worker; the error reaches the caller of
-        either split, with or without a shared store, and the pool keeps
-        scoring afterwards."""
+        """A block that fails inside a pool worker, the last of several
+        flagship-shaped blocks, fails the caller of either split, with or
+        without a shared store, and the pool keeps scoring afterwards."""
         monkeypatch.setattr(model, "SCORE_WORKERS", 2)  # pooled even on one CPU
         splits = splits_fixture(tmp_path, M=60, N=200)
         ds = splits.train
@@ -177,9 +177,18 @@ class TestEvaluate:
         first = sorted(splits.test)[0]
         good = np.concatenate([[splits.test[first].item], splits.eval_negatives[first]])
         assert len(good) > 3 * model._block_rows(spec)
-        splits.eval_negatives[first] = np.append(splits.eval_negatives[first], ds.N)
-        with pytest.raises(IndexError):
-            predict_batch(spec, t, first, np.append(good, ds.N))
+        poison = ds.items_of(first)[0]  # a train item, so never one of the user's candidates
+        score_block = model._score_block
+
+        def failing(spec, FU, Q, items):
+            if poison in items:
+                raise IndexError(f"item {poison} cannot be scored")
+            return score_block(spec, FU, Q, items)
+
+        monkeypatch.setattr(model, "_score_block", failing)
+        splits.eval_negatives[first] = np.append(splits.eval_negatives[first], poison)
+        with pytest.raises(IndexError, match="cannot be scored"):
+            predict_batch(spec, t, first, np.append(good, poison))
         store = {} if shared else None
         for which in ("val", "test"):
             with pytest.raises(EvaluationError, match=ds.user_ids[first]) as info:
@@ -236,6 +245,27 @@ class TestSharedPass:
             alone = evaluate(spec, t, splits, which=which)
             assert shared.ranks == alone.ranks == per_split_ranks(spec, t, splits, which)
             assert shared.hr == alone.hr and shared.ndcg == alone.ndcg
+
+    @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM, Variant.SVDPP, "itempop"])
+    def test_state_record_matches_separate_calls(self, tmp_path, variant):
+        """evaluate_state's record carries the hr, ndcg and ranks of one
+        evaluate call per split with no store, byte for byte."""
+        splits = splits_fixture(tmp_path, M=30, N=200, per_user=8)
+        if variant == "itempop":
+            spec, t = make_itempop(splits.train)
+        else:
+            t = init_tables(splits.train.M, splits.train.N, 4, variant, derive_seed(8, "init"), scale=1.0)
+            head = new_head(HeadKind.CNN, MergeKind.OUTER, 4, 3, 1, derive_seed(8, "init_head"))
+            spec = ModelSpec(variant=variant, merge=MergeKind.OUTER, head=head, K=4)
+        record = evaluate_state(spec, t, splits, epoch=3, mean_loss=0.5)
+        assert (record.epoch, record.mean_loss) == (3, 0.5)
+        for which, res in (("val", record.val), ("test", record.test)):
+            alone = evaluate(spec, t, splits, which=which)
+            assert res.users_evaluated == alone.users_evaluated == len(splits.test)
+            assert res.ranks == alone.ranks == per_split_ranks(spec, t, splits, which)
+            for got, want in ((res.hr, alone.hr), (res.ndcg, alone.ndcg)):
+                assert list(got) == list(want) == list(DEFAULT_KS)
+                assert np.array(list(got.values())).tobytes() == np.array(list(want.values())).tobytes()
 
     @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM, Variant.SVDPP])
     def test_scoring_calls_per_user(self, tmp_path, monkeypatch, variant):

@@ -245,6 +245,21 @@ class TestPredictBatch:
         with pytest.raises(IndexError, match="history item"):
             predict_batch(spec_for(variant, MergeKind.OUTER, HeadKind.CNN), t, 0, np.array([1, 2]), [3, item])
 
+    @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM, Variant.SVDPP])
+    @pytest.mark.parametrize("items,named", [([-1, 4], -1), ([0, 5, 2], 5), ([-3, 7], -3)])
+    def test_bad_item_index(self, variant, items, named):
+        """A negative candidate would wrap to the last Q row unchecked: on a
+        5-item table, -1 would score as item 4."""
+        t = init_tables(3, 5, 8, variant, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(variant, MergeKind.OUTER, HeadKind.CNN)
+        with pytest.raises(IndexError, match=rf"candidate item index {named} out of range \[0, 5\)"):
+            predict_batch(spec, t, 0, np.array(items), [1])
+
+    def test_empty_candidates(self):
+        t = init_tables(3, 5, 8, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN)
+        assert predict_batch(spec, t, 0, np.array([], dtype=np.int64)).shape == (0,)
+
     def test_flagship_rows_score_alone_across_blocks(self):
         t = init_tables(3, 150, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
         spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
@@ -382,6 +397,33 @@ class TestCheckpoint:
         # rename section Q in the directory; the loader must notice its absence
         open(path, "wb").write(blob.replace(b"\nQ 2 ", b"\nZ 2 ", 1))
         with pytest.raises(FormatError, match="Q missing"):
+            load_checkpoint(path)
+
+    def test_section_listed_twice(self, tmp_path):
+        """A second P line would otherwise replace the first."""
+        *_, path = self.roundtrip(tmp_path, Variant.MF, MergeKind.INNER, HeadKind.IDENTITY)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob.replace(b"\nQ 2 ", b"\nP 2 ", 1))
+        with pytest.raises(FormatError, match="^section P listed twice$"):
+            load_checkpoint(path)
+
+    def test_sections_must_tile_the_payload(self, tmp_path):
+        """Q pointed back at P's bytes: every section must start where the
+        previous one ends."""
+        *_, path = self.roundtrip(tmp_path, Variant.MF, MergeKind.INNER, HeadKind.IDENTITY)
+        blob = open(path, "rb").read()
+        line = re.search(rb"\nQ 2 (\d+) (\d+) (\d+)\n", blob)
+        start = int(line.group(3))
+        assert start > 0
+        open(path, "wb").write(blob.replace(line.group(0), b"\nQ 2 %s %s 0\n" % line.group(1, 2), 1))
+        with pytest.raises(FormatError, match=f"^section Q starts at byte 0, expected {start}$"):
+            load_checkpoint(path)
+
+    def test_bytes_after_the_last_section(self, tmp_path):
+        *_, path = self.roundtrip(tmp_path, Variant.MF, MergeKind.OUTER, HeadKind.CNN)
+        with open(path, "ab") as fh:
+            fh.write(b"\0" * 8)
+        with pytest.raises(FormatError, match="^8 bytes after the last section$"):
             load_checkpoint(path)
 
     @pytest.mark.parametrize("name,value", [("conv.2.kernel", np.inf), ("w", -np.inf), ("conv.1.bias", np.nan)])

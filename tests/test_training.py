@@ -620,7 +620,7 @@ class TestMetricsCsv:
         path = tmp_path / "metrics.csv"
         write_metrics_csv(res.history, str(path))
         lines = path.read_text().splitlines()
-        assert lines[0] == METRICS_HEADER
+        assert lines[0] == METRICS_HEADER == "epoch,split,hr@5,hr@10,hr@20,ndcg@5,ndcg@10,ndcg@20,loss"
         assert len(lines) == 1 + 2 * 2  # header + (val, test) per epoch
         first = lines[1].split(",")
         assert first[:2] == ["1", "val"] and lines[2].split(",")[:2] == ["1", "test"]
