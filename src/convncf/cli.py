@@ -89,7 +89,7 @@ def _build_spec(cfg: RunConfig, variant: Variant) -> ModelSpec:
         derive_seed(cfg.seed, "init_head"),
     )
     return ModelSpec(
-        variant=variant, merge=MergeKind(cfg.merge), head=head, K=cfg.K, fism_norm=cfg.fism_norm
+        variant=variant, merge=MergeKind(cfg.merge), head=head, K=cfg.K, fism_norm=cfg.fism_norm, alpha=cfg.alpha
     )
 
 
@@ -105,10 +105,9 @@ def _print_eval(label: str, res: EvalResult) -> None:
 
 def _check_tables_match(tables: EmbeddingTables, splits: SplitSet, source: str) -> None:
     ds = splits.train
-    if tables.M != ds.M or tables.N != ds.N:
-        raise ConfigError(
-            f"{source} holds {tables.M} users x {tables.N} items but the dataset has {ds.M} x {ds.N}"
-        )
+    if tables.M not in (None, ds.M) or tables.N != ds.N:
+        held = f"{tables.N} items" if tables.M is None else f"{tables.M} users x {tables.N} items"
+        raise ConfigError(f"{source} holds {held} but the dataset has {ds.M} x {ds.N}")
 
 
 # ---------------------------------------------------------------------------
@@ -157,9 +156,7 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
     """
     variant = _variant(cfg)
     spec = _build_spec(cfg, variant)
-    tables = init_tables(
-        6, 12, cfg.K, variant, derive_seed(cfg.seed, "init"), scale=1.0, alpha=cfg.alpha
-    )
+    tables = init_tables(6, 12, cfg.K, variant, derive_seed(cfg.seed, "init"), scale=1.0)
     history = [0, 2, 3, 7]
     report = finite_diff_check(
         spec,
@@ -190,7 +187,7 @@ def _initial_tables(cfg: RunConfig, variant: Variant, splits: SplitSet) -> Embed
     ds = splits.train
     if cfg.pretrain_checkpoint:
         loaded_spec, tables = load_checkpoint(cfg.pretrain_checkpoint)
-        for key, held in (("K", loaded_spec.K), ("alpha", tables.alpha), ("fism_norm", loaded_spec.fism_norm)):
+        for key, held in (("K", loaded_spec.K), ("alpha", loaded_spec.alpha), ("fism_norm", loaded_spec.fism_norm)):
             if held != getattr(cfg, key):
                 raise ConfigError(
                     f"pretrain checkpoint has {key}={held!r} but the run asks for {key}={getattr(cfg, key)!r}"
@@ -203,7 +200,7 @@ def _initial_tables(cfg: RunConfig, variant: Variant, splits: SplitSet) -> Embed
         return tables
     if cfg.merge != "inner":
         return pretrain(variant, splits, cfg, cfg.K, cfg.alpha).tables
-    return init_tables(ds.M, ds.N, cfg.K, variant, derive_seed(cfg.seed, "init"), alpha=cfg.alpha)
+    return init_tables(ds.M, ds.N, cfg.K, variant, derive_seed(cfg.seed, "init"))
 
 
 def cmd_train(cfg: RunConfig) -> int:

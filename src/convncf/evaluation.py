@@ -87,7 +87,7 @@ def evaluate(
     """
     if which not in ("test", "val"):
         raise ValueError(f"unknown evaluation split {which!r}")
-    history_free = spec.variant is Variant.MF
+    history_free = not spec.variant.reads_history
     served = ("val", "test") if history_free else (which,)
     held_out = {"val": splits.validation, "test": splits.test}
     store = {} if store is None else store

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from convncf.embeddings import EmbeddingTables, Variant, history_terms
+from convncf.embeddings import EmbeddingTables, history_terms
 from convncf.model import ModelSpec, section_arrays
 from convncf.training import TripleGrads, bpr_loss, compute_triple_gradients, triple_forward
 
@@ -81,28 +81,16 @@ def _loss_and_acts(
     return bpr_loss(float(y[0]), float(y[1])), acts[1:] if acts else []
 
 
-def _candidate_indices(
-    name: str,
-    arr: np.ndarray,
-    spec: ModelSpec,
-    u: int,
-    i: int,
-    j: int,
-    terms: np.ndarray,
-) -> np.ndarray:
-    """Flat coordinates the triple can actually reach. Derived from the
-    model structure, never from the analytic gradients under test, so a
-    scatter rule that drops a row is caught instead of skipped."""
-    K = arr.shape[1] if arr.ndim == 2 else 0
-    if name == "P":
-        rows = [u] if spec.variant in (Variant.MF, Variant.SVDPP) else []
-    elif name == "Q":
-        rows = [i, j]
-    elif name == "Qp":
-        rows = terms.tolist()
-    else:
+def _candidate_indices(name: str, arr: np.ndarray, u: int, i: int, j: int, terms: np.ndarray) -> np.ndarray:
+    """Flat coordinates the triple can actually reach in a section the model
+    owns. Derived from the model structure, never from the analytic
+    gradients under test, so a scatter rule that drops a row is caught
+    instead of skipped."""
+    rows = {"P": [u], "Q": [i, j], "Qp": terms}.get(name)
+    if rows is None:
         return np.arange(arr.size)
-    return np.concatenate([np.arange(r * K, (r + 1) * K) for r in rows]) if rows else np.arange(0)
+    K = arr.shape[1]
+    return (np.asarray(rows, dtype=np.int64)[:, None] * K + np.arange(K)).ravel()
 
 
 def _analytic_entry(grads: TripleGrads, name: str, flat: int, arr: np.ndarray) -> float:
@@ -163,7 +151,7 @@ def finite_diff_check(
 
     sections = []
     for name, arr in section_arrays(spec, tables).items():
-        candidates = _candidate_indices(name, arr, spec, u, i, j, terms)
+        candidates = _candidate_indices(name, arr, u, i, j, terms)
         if candidates.size > sample:
             candidates = rng.choice(candidates, size=sample, replace=False)
         candidates = np.sort(candidates)

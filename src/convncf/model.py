@@ -1,8 +1,8 @@
 """Model assembly: merge function x prediction head, checkpoints, parameter counts.
 
 A model is a ``ModelSpec`` (architecture plus head parameters) together with
-``EmbeddingTables``. The merge kind decides how the two embeddings combine;
-the head maps the merged value to a scalar score:
+``EmbeddingTables``, the tables its variant owns. The merge kind decides how
+the two embeddings combine; the head maps the merged value to a scalar score:
 
 * ``OUTER`` + ``ConvStack``: the full interaction-map model. The K x K outer
   product is treated as a one-channel image, gathered once into quadtree
@@ -162,13 +162,17 @@ _ALLOWED = {
 
 @dataclass
 class ModelSpec:
-    """Architecture record: embedding variant, merge kind, head parameters."""
+    """Architecture record: embedding variant, merge kind, head parameters,
+    and the history normalizer: the sum over ``n`` history rows is divided
+    by ``n**alpha``, with ``n`` counted by the ``fism_norm`` rule (read only
+    by variants that read history)."""
 
     variant: Variant
     merge: MergeKind
     head: Head
     K: int
     fism_norm: str = FISM_NORM_EXCLUDED
+    alpha: float = 0.5
 
     def __post_init__(self) -> None:
         if self.fism_norm not in FISM_NORMS:
@@ -358,24 +362,25 @@ def predict_batch(
 ) -> np.ndarray:
     """Score candidate items for one user, in blocks of rows.
 
-    The one public scoring entry, so it checks ``u``, the candidate items
-    and the history items (numpy would wrap a negative index). The user row
-    is built once with no target exclusion, exact whenever no candidate sits
-    in the history (the ranking protocol guarantees that). Every score is
+    The one public scoring entry, so it checks ``u`` (given a user table),
+    the candidate items and the history items (numpy would wrap a negative
+    index). The user row is built once with no target exclusion, exact
+    whenever no candidate sits in the history (the ranking protocol
+    guarantees that). Every score is
     bit-identical to that candidate scored alone, except with an MLP head,
     whose matrix products over a block agree with the candidate alone to
     rounding.
     """
-    if not 0 <= u < tables.M:
+    if tables.M is not None and not 0 <= u < tables.M:
         raise IndexError(f"user index {u} out of range [0, {tables.M})")
-    terms = None if spec.variant is Variant.MF else history_terms(history)
+    terms = history_terms(history) if spec.variant.reads_history else None
     if terms is not None and terms.size and (terms[0] < 0 or terms[-1] >= tables.N):
         raise IndexError("history item index out of range")
     items = np.asarray(items, dtype=np.int64)
     if items.size and items.view(np.uint64).max() >= tables.N:  # a negative index reads as >= 2**63
         bad = items[(items < 0) | (items >= tables.N)][0]
         raise IndexError(f"candidate item index {bad} out of range [0, {tables.N})")
-    fU = user_rows(tables, spec.variant, u, terms, norm=spec.fism_norm)
+    fU = user_rows(spec, tables, u, terms)
     score = partial(_score_block, spec, fU, tables.Q)
     rows = _block_rows(spec)
     if items.shape[0] <= rows:
@@ -484,12 +489,9 @@ def pack_head(head: Head) -> np.ndarray:
 
 
 def section_arrays(spec: ModelSpec, tables: EmbeddingTables) -> dict[str, np.ndarray]:
-    """All trainable arrays by section name, embedding tables included."""
-    out: dict[str, np.ndarray] = {"P": tables.P, "Q": tables.Q}
-    if tables.Qp is not None:
-        out["Qp"] = tables.Qp
-    out.update(dict(head_sections(spec.head)))
-    return out
+    """All trainable arrays by section name: the tables the variant owns,
+    then the head's sections."""
+    return {name: getattr(tables, name) for name in spec.variant.tables} | dict(head_sections(spec.head))
 
 
 @dataclass
@@ -507,10 +509,8 @@ def param_count(spec: ModelSpec, M: Optional[int] = None, N: Optional[int] = Non
     head_total = sum(c for _, c in sections)
     embed_sections: list[tuple[str, int]] = []
     if M is not None and N is not None:
-        embed_sections.append(("P", M * spec.K))
-        embed_sections.append(("Q", N * spec.K))
-        if spec.variant in (Variant.FISM, Variant.SVDPP):
-            embed_sections.append(("Qp", N * spec.K))
+        rows = {"P": M, "Q": N, "Qp": N}
+        embed_sections = [(name, rows[name] * spec.K) for name in spec.variant.tables]
     return ParamCount(
         head_sections=sections,
         head_total=head_total,
@@ -525,10 +525,10 @@ def param_count(spec: ModelSpec, M: Optional[int] = None, N: Optional[int] = Non
 _MAGIC = "ONCF1"
 
 
-def _descriptor(spec: ModelSpec, tables: EmbeddingTables) -> str:
+def _descriptor(spec: ModelSpec) -> str:
     return (
         f"variant={spec.variant.value},merge={spec.merge.value},head={spec.head_kind.value},"
-        f"K={spec.K},alpha={tables.alpha!r},fism_norm={spec.fism_norm}"
+        f"K={spec.K},alpha={spec.alpha!r},fism_norm={spec.fism_norm}"
     )
 
 
@@ -537,7 +537,7 @@ def save_checkpoint(spec: ModelSpec, tables: EmbeddingTables, path: str) -> None
     float64 payloads. Round-trips bit-exactly."""
     sections = list(section_arrays(spec, tables).items())
     header = io.StringIO()
-    header.write(f"{_MAGIC} {_descriptor(spec, tables)}\n")
+    header.write(f"{_MAGIC} {_descriptor(spec)}\n")
     offset = 0
     payloads = []
     for name, arr in sections:
@@ -567,7 +567,9 @@ def _parse_descriptor(text: str) -> dict[str, str]:
 
 
 def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
-    """Read a checkpoint written by save_checkpoint, validating as it goes."""
+    """Read a checkpoint written by save_checkpoint, validating as it goes.
+    It must hold exactly the sections of its variant's tables and its head:
+    a missing one is reported first, then any other."""
     with open(path, "rb") as fh:
         blob = fh.read()
     nl = blob.find(b"\n")
@@ -637,13 +639,12 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
             raise FormatError(f"section {name} missing")
         return arrays[name]
 
-    tables = EmbeddingTables(P=section("P"), Q=section("Q"), Qp=arrays.get("Qp"), alpha=alpha)
-    if variant in (Variant.FISM, Variant.SVDPP) and tables.Qp is None:
-        raise FormatError("section Qp missing for history-based variant")
+    owned = {name: section(name) for name in variant.tables}
+    tables = EmbeddingTables(P=owned.get("P"), Q=owned["Q"], Qp=owned.get("Qp"))
 
     head: Head
     if head_kind is HeadKind.CNN:
-        depth = sum(n.endswith(".kernel") for n in arrays)
+        depth = sum(n.startswith("conv.") and n.endswith(".kernel") for n in arrays)
         layers = [ConvLayer(section(f"conv.{l}.kernel"), section(f"conv.{l}.bias")) for l in range(1, depth + 1)]
         head = ConvStack(layers=layers, w=section("w"))
     elif head_kind is HeadKind.MLP:
@@ -654,11 +655,15 @@ def load_checkpoint(path: str) -> tuple[ModelSpec, EmbeddingTables]:
         head = LinearHead(w=section("w"))
     else:
         head = IdentityHead()
+    known = set(owned) | {name for name, _ in head_sections(head)}
+    for name in arrays:
+        if name not in known:
+            raise FormatError(f"unexpected section {name} for variant={variant.value}, head={head_kind.value}")
 
     try:
-        spec = ModelSpec(variant=variant, merge=merge_kind, head=head, K=K, fism_norm=desc["fism_norm"])
+        spec = ModelSpec(variant=variant, merge=merge_kind, head=head, K=K, fism_norm=desc["fism_norm"], alpha=alpha)
     except ConfigurationError as exc:
         raise FormatError(f"inconsistent checkpoint: {exc}") from None
-    if any(t is not None and t.shape[1:] != (K,) for t in (tables.P, tables.Q, tables.Qp)):
+    if any(t.shape[1:] != (K,) for t in owned.values()):
         raise FormatError(f"section P/Q/Qp width does not match K={K}")
     return spec, tables

@@ -3,11 +3,11 @@
 The loss for a triple (u, i, j) with i observed and j not is
 -ln sigmoid(y_ui - y_uj), evaluated through the softplus of the negated
 margin so large margins never overflow. Regularization splits into four
-groups: lambda1 on the user-representation tables (P and the history table
-Qp), lambda2 on the target-item table Q, lambda3 on the hidden tower
-(convolution kernels and biases, or MLP layers), lambda4 on the output
-projection w. Embedding tables step with lr_embed, the tower and w with
-lr_net, all under Adagrad with accumulators starting at zero.
+groups: lambda1 on the user-representation tables the variant owns (P and
+the history table Qp), lambda2 on the target-item table Q, lambda3 on the
+hidden tower (convolution kernels and biases, or MLP layers), lambda4 on
+the output projection w. Embedding tables step with lr_embed, the tower and
+w with lr_net, all under Adagrad with accumulators starting at zero.
 
 L2 gradients are added per step for the parameters that step touches (the
 triple's embedding rows; every tower parameter), not as a global penalty
@@ -145,10 +145,10 @@ class AdagradState(dict):
 
 
 def init_adagrad(spec: ModelSpec, tables: EmbeddingTables) -> AdagradState:
-    """Zero accumulators for a run; packs the head, which rebinds its
-    sections, so take any reference to them after this call."""
-    accs = {"P": tables.P, "Q": tables.Q, "Qp": tables.Qp}
-    return AdagradState({name: np.zeros_like(arr) for name, arr in accs.items() if arr is not None}, spec)
+    """Zero accumulators for the tables the variant owns; packs the head,
+    which rebinds its sections, so take any reference to them after this
+    call."""
+    return AdagradState({name: np.zeros_like(getattr(tables, name)) for name in spec.variant.tables}, spec)
 
 
 def adagrad_step(
@@ -202,7 +202,7 @@ def triple_forward(
     """Embed, merge and score the positive and the negative of one triple
     as a batch of two, given the user's ``history_terms``; returns (FU, FI,
     merged, head activations, scores)."""
-    FU = user_rows(tables, spec.variant, u, terms, (i, j), spec.fism_norm)
+    FU = user_rows(spec, tables, u, terms, (i, j))
     FI = tables.Q.take((i, j), axis=0)
     merged = merge(spec.merge, FU, FI)
     acts, y = head_forward(spec, merged)
@@ -219,13 +219,13 @@ def compute_triple_gradients(
 ) -> TripleGrads:
     """Forward both branches of one triple and backpropagate the plain
     (regularization-free) pairwise loss through every shared parameter."""
-    terms = history_terms(history) if spec.variant is not Variant.MF else None
+    terms = history_terms(history) if spec.variant.reads_history else None
     FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms)
     y_pos, y_neg = float(y[0]), float(y[1])
     loss = bpr_loss(y_pos, y_neg)
     head_grads, d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)))
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
-    table_grads = scatter_user_gradient(spec.variant, u, (i, j), terms, d_FU, tables.alpha, spec.fism_norm)
+    table_grads = scatter_user_gradient(spec, u, (i, j), terms, d_FU)
     table_grads["Q"] = (np.array([i, j]), d_FI)
     return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=table_grads)
 
@@ -330,7 +330,6 @@ def _run_epochs(
     states = init_adagrad(spec, tables)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".shuffle"))
     neg_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".negatives"))
-    needs_history = spec.variant in (Variant.FISM, Variant.SVDPP)
     bounds = train_ds.indptr.tolist()
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
@@ -339,7 +338,7 @@ def _run_epochs(
         for us, its in minibatches(train_ds, config.batch_size, shuffle_rng):
             js = sample_negative(train_ds, us, neg_rng)
             for u, i, j in zip(us.tolist(), its.tolist(), js.tolist()):
-                history = train_ds.items[bounds[u] : bounds[u + 1]] if needs_history else ()
+                history = train_ds.items[bounds[u] : bounds[u + 1]] if spec.variant.reads_history else ()
                 loss = train_step(spec, tables, (u, i, j), config, states, regularize, history)
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"epoch {epoch}: loss {loss} at triple (u, i, j) = ({u}, {i}, {j})")
@@ -375,20 +374,14 @@ def pretrain(
     """Train the shallow (inner-product) counterpart of a variant; its
     tables warm-start the deep model."""
     config.validate()
-    tables = init_tables(
-        splits.train.M,
-        splits.train.N,
-        K,
-        variant,
-        derive_seed(config.seed, "init"),
-        alpha=alpha,
-    )
+    tables = init_tables(splits.train.M, splits.train.N, K, variant, derive_seed(config.seed, "init"))
     spec = ModelSpec(
         variant=variant,
         merge=MergeKind.INNER,
         head=IdentityHead(),
         K=K,
         fism_norm=config.fism_norm,
+        alpha=alpha,
     )
     if config.epochs_pretrain == 0:
         return TrainResult(spec=spec, tables=tables)

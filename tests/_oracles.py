@@ -130,7 +130,7 @@ def numeric_grad_full(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
     return out
 
 
-def user_rows_loops(tables, variant, u, targets, history, norm):
+def user_rows_loops(tables, variant, u, targets, history, norm, alpha):
     """One user row per target, built alone: the sum of the distinct history
     rows other than the target (a None target keeps them all), divided by
     ``max(1, n)**alpha`` with n the rows kept (``excluded_set``) or every
@@ -145,7 +145,7 @@ def user_rows_loops(tables, variant, u, targets, history, norm):
             for t in kept:
                 row = row + tables.Qp[t]
             n = max(1, len(kept) if norm == "excluded_set" else len(full))
-            row = row / float(n) ** tables.alpha
+            row = row / float(n) ** alpha
         if kind != "fism":
             row = row + tables.P[u]
         rows.append(row)

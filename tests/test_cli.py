@@ -196,6 +196,18 @@ class TestParamcount:
         assert got["P"] == "128"  # 16 users x 8
         assert got["Q"] == got["Qp"] == "160"  # 20 items x 8
 
+    def test_fism_counts_no_user_table(self, toy, tmp_path, capsys):
+        rc, out, _ = run(
+            capsys, "paramcount", f"dataset={toy}", f"outdir={tmp_path}",
+            "K=8", "C=4", "variant=fism",
+        )
+        assert rc == 0
+        got = {l.rsplit(None, 1)[0]: l.split()[-1] for l in out.splitlines()}
+        assert "P" not in got
+        assert got["Q"] == got["Qp"] == "160"  # 20 items x 8
+        assert got["embedding total"] == "320"
+        assert got["total"] == f"{int(got['head total'].replace(',', '')) + 320:,}"
+
 
 class TestGradcheckCommand:
     def test_passes_for_default_architecture(self, capsys):
@@ -279,6 +291,17 @@ class TestPipeline:
             f"checkpoint={outdir}/model.ckpt", "user=nobody", "seed=9",
         )
         assert rc == 1 and "nobody" in err
+
+    @pytest.mark.parametrize("variant,held", [("mf", "16 users x 20 items"), ("fism", "20 items")])
+    def test_checkpoint_must_fit_the_dataset(self, toy, tmp_path, capsys, variant, held):
+        """Item counts must match; user counts only where there is a user table."""
+        outdir = tmp_path / "run"
+        args = (f"variant={variant}", "merge=inner", "head=identity", "K=4", "epochs=1", "epochs_pretrain=0")
+        assert run(capsys, "train", f"dataset={toy}", f"outdir={outdir}", *args)[0] == 0
+        small = tmp_path / "small.tsv"  # user00..user07: 8 users x 18 items
+        small.write_text("".join(l for l in open(toy).readlines() if int(l[4:6]) < 8))
+        rc, out, err = run(capsys, "eval", f"dataset={small}", f"outdir={outdir}", f"checkpoint={outdir}/model.ckpt")
+        assert rc == 1 and err == f"error: checkpoint holds {held} but the dataset has 8 x 18\n"
 
     def test_eval_requires_checkpoint_key(self, toy, tmp_path, capsys):
         rc, _, err = run(capsys, "eval", f"dataset={toy}", f"outdir={tmp_path}")

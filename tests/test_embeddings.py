@@ -13,16 +13,22 @@ from convncf.embeddings import (
     scatter_user_gradient,
     user_rows,
 )
+from convncf.model import IdentityHead, MergeKind, ModelSpec
 
 
-def unit_tables(M=5, N=9, K=4, variant=Variant.SVDPP, seed=0, alpha=0.5):
-    return init_tables(M, N, K, variant, derive_seed(seed, "init"), scale=1.0, alpha=alpha)
+def unit_tables(M=5, N=9, K=4, variant=Variant.SVDPP, seed=0):
+    return init_tables(M, N, K, variant, derive_seed(seed, "init"), scale=1.0)
+
+
+def side(variant, norm=FISM_NORM_EXCLUDED, alpha=0.5):
+    """A spec carrying the user-side settings: variant, norm rule, alpha."""
+    return ModelSpec(variant=variant, merge=MergeKind.INNER, head=IdentityHead(), K=4, fism_norm=norm, alpha=alpha)
 
 
 def user_row(tables, variant, u, target, history, norm=FISM_NORM_EXCLUDED):
     """The one row ``user_rows`` builds for ``target`` (None: nothing excluded)."""
     targets = None if target is None else (target,)
-    return user_rows(tables, variant, u, history_terms(history), targets, norm)[0]
+    return user_rows(side(variant, norm), tables, u, history_terms(history), targets)[0]
 
 
 class TestInit:
@@ -57,8 +63,8 @@ class TestInit:
 class TestUserEmbedding:
     def test_mf_is_user_row(self):
         t = unit_tables(variant=Variant.MF)
-        np.testing.assert_array_equal(user_rows(t, Variant.MF, 3), t.P[3][None])
-        np.testing.assert_array_equal(user_rows(t, Variant.MF, 3, None, (0, 4)), t.P[[3, 3]])
+        np.testing.assert_array_equal(user_rows(side(Variant.MF), t, 3), t.P[3][None])
+        np.testing.assert_array_equal(user_rows(side(Variant.MF), t, 3, None, (0, 4)), t.P[[3, 3]])
 
     def test_fism_excludes_target(self):
         t = unit_tables()
@@ -107,7 +113,7 @@ class TestUserEmbedding:
     def test_linear_in_tables(self):
         """Scaling every table scales the embedding (all variants are linear)."""
         t = unit_tables()
-        big = EmbeddingTables(P=2 * t.P, Q=2 * t.Q, Qp=2 * t.Qp, alpha=t.alpha)
+        big = EmbeddingTables(P=2 * t.P, Q=2 * t.Q, Qp=2 * t.Qp)
         for var in Variant:
             a = user_row(t, var, 2, 5, [1, 3, 5])
             b = user_row(big, var, 2, 5, [1, 3, 5])
@@ -117,7 +123,7 @@ class TestUserEmbedding:
 class TestScatterGradient:
     def test_mf_routes_to_user_row(self):
         d = np.array([1.0, -2.0, 0.5])
-        g = scatter_user_gradient(Variant.MF, 4, (0,), [1, 2], d[None])
+        g = scatter_user_gradient(side(Variant.MF), 4, (0,), [1, 2], d[None])
         rows, grads = g["P"]
         assert rows.tolist() == [4]
         np.testing.assert_array_equal(grads[0], d)
@@ -125,7 +131,7 @@ class TestScatterGradient:
 
     def test_fism_spreads_scaled_gradient(self):
         d = np.array([2.0, 4.0])
-        g = scatter_user_gradient(Variant.FISM, 0, (4,), [1, 4, 7], d[None])
+        g = scatter_user_gradient(side(Variant.FISM), 0, (4,), [1, 4, 7], d[None])
         rows, grads = g["Qp"]
         assert rows.tolist() == [1, 7]
         for grad in grads:
@@ -134,7 +140,7 @@ class TestScatterGradient:
 
     def test_svdpp_routes_both(self):
         d = np.array([1.0, 1.0])
-        g = scatter_user_gradient(Variant.SVDPP, 3, (5,), [0, 2], d[None])
+        g = scatter_user_gradient(side(Variant.SVDPP), 3, (5,), [0, 2], d[None])
         rows, grads = g["P"]
         assert rows.tolist() == [3]
         np.testing.assert_array_equal(grads[0], d)
@@ -142,7 +148,7 @@ class TestScatterGradient:
 
     def test_accumulates_across_calls(self):
         """The targets of one batch accumulate on the shared user row."""
-        g = scatter_user_gradient(Variant.MF, 1, (0, 3), [], np.array([[1.0], [2.5]]))
+        g = scatter_user_gradient(side(Variant.MF), 1, (0, 3), [], np.array([[1.0], [2.5]]))
         rows, grads = g["P"]
         assert rows.tolist() == [1]
         np.testing.assert_array_equal(grads, [[3.5]])
@@ -162,13 +168,13 @@ class TestScatterGradient:
             (Variant.FISM, FISM_NORM_FULL),
             (Variant.SVDPP, FISM_NORM_EXCLUDED),
         ]:
-            g = scatter_user_gradient(var, 2, targets, history, d, norm=norm)
+            g = scatter_user_gradient(side(var, norm), 2, targets, history, d)
             dP = rng.normal(size=t.P.shape)
             dQp = rng.normal(size=t.Qp.shape)
-            bumped = EmbeddingTables(P=t.P + dP, Q=t.Q, Qp=t.Qp + dQp, alpha=t.alpha)
+            bumped = EmbeddingTables(P=t.P + dP, Q=t.Q, Qp=t.Qp + dQp)
             terms = history_terms(history)
-            before = sum(d[b] @ row for b, row in enumerate(user_rows(t, var, 2, terms, targets, norm)))
-            after = sum(d[b] @ row for b, row in enumerate(user_rows(bumped, var, 2, terms, targets, norm)))
+            before = sum(d[b] @ row for b, row in enumerate(user_rows(side(var, norm), t, 2, terms, targets)))
+            after = sum(d[b] @ row for b, row in enumerate(user_rows(side(var, norm), bumped, 2, terms, targets)))
             bumps = {"P": dP, "Qp": dQp}
             via_grads = sum(vec @ bumps[name][r] for name, (rows, grads) in g.items() for r, vec in zip(rows, grads))
             assert after - before == pytest.approx(via_grads, abs=1e-10)
@@ -200,7 +206,7 @@ class TestScatterMatchesLoopOracle:
     def test_bit_identical(self, variant, norm, case):
         history, targets = self.CASES[case]
         d = np.random.default_rng(5).normal(size=(len(targets), 4))
-        got = scatter_user_gradient(variant, 3, targets, history, d, alpha=0.75, norm=norm)
+        got = scatter_user_gradient(side(variant, norm, alpha=0.75), 3, targets, history, d)
         want = scatter_user_gradient_loops(variant, 3, targets, history, d, alpha=0.75, norm=norm)
         assert set(got) == set(want)
         for name, (rows, grads) in got.items():
@@ -219,10 +225,10 @@ class TestUserRowsMatchLoopOracle:
     @pytest.mark.parametrize("variant", list(Variant))
     def test_bit_identical(self, variant, norm, case):
         history, targets = TestScatterMatchesLoopOracle.CASES[case]
-        t = unit_tables(seed=4, alpha=0.75)
+        t = unit_tables(seed=4)
         terms = history_terms(history)
         for batch in (targets, None):
-            got = user_rows(t, variant, 3, terms, batch, norm)
-            want = user_rows_loops(t, variant, 3, (None,) if batch is None else batch, history, norm)
+            got = user_rows(side(variant, norm, alpha=0.75), t, 3, terms, batch)
+            want = user_rows_loops(t, variant, 3, (None,) if batch is None else batch, history, norm, alpha=0.75)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()

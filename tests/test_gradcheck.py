@@ -44,7 +44,7 @@ class TestPassesOnCorrectGradients:
         spec, tables = fixture(Variant.FISM)
         report = finite_diff_check(spec, tables, TRIPLE, HISTORY, seed=3)
         by_name = {s.name: s for s in report.sections}
-        assert by_name["P"].checked == 0 and by_name["P"].skipped == 0
+        assert "P" not in by_name
         assert by_name["Qp"].checked > 0
 
     def test_deterministic_given_seed(self):

@@ -8,6 +8,7 @@ import pytest
 from convncf import model
 from convncf.data import derive_seed
 from convncf.embeddings import EmbeddingTables, Variant, history_terms, init_tables, user_rows
+from convncf.gradcheck import finite_diff_check
 from convncf.model import (
     SCORE_BLOCK_BYTES,
     ConfigurationError,
@@ -33,15 +34,27 @@ from convncf.model import (
     param_count,
     predict_batch,
     save_checkpoint,
+    section_arrays,
 )
 from convncf.tensor import conv2x2s2_forward, to_quadtree
+from convncf.training import init_adagrad
 
 from _oracles import numeric_grad_full
 
 
-def spec_for(variant, merge_kind, head_kind, K=8, C=4, mlp_layers=2, seed=5):
+def spec_for(variant, merge_kind, head_kind, K=8, C=4, mlp_layers=2, seed=5, alpha=0.5):
     head = new_head(head_kind, merge_kind, K, C, mlp_layers, derive_seed(seed, "init_head"))
-    return ModelSpec(variant=variant, merge=merge_kind, head=head, K=K)
+    return ModelSpec(variant=variant, merge=merge_kind, head=head, K=K, alpha=alpha)
+
+
+def add_section(path, name, arr):
+    """Append one section to a checkpoint file: a directory line and its
+    payload after the last one."""
+    blob = open(path, "rb").read()
+    cut = blob.index(b"\n\n") + 1  # the blank line that ends the directory
+    payload = blob[cut + 1 :]
+    line = f"{name} {arr.ndim}" + "".join(f" {d}" for d in arr.shape) + f" {len(payload)}\n"
+    open(path, "wb").write(blob[:cut] + line.encode() + b"\n" + payload + arr.astype("<f8").tobytes())
 
 
 ALL_COMBOS = [
@@ -206,7 +219,7 @@ def assert_rows_score_alone(spec, tables, u, items, history=()):
     single = []
     terms = history_terms(history)
     for i in items:
-        fU = user_rows(tables, spec.variant, u, terms, (int(i),), spec.fism_norm)
+        fU = user_rows(spec, tables, u, terms, (int(i),))
         _, y = head_forward(spec, merge(spec.merge, fU, tables.Q[[i]]))
         single.append(y)
     single = np.concatenate(single)
@@ -230,12 +243,19 @@ class TestPredictBatch:
         scores = predict_batch(spec_for(variant, mk, hk), t, 2, np.array([], dtype=np.int64), [0])
         assert scores.shape == (0,)
 
-    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("variant", [Variant.MF, Variant.SVDPP])
     @pytest.mark.parametrize("u", [-1, 5])
     def test_bad_user_index(self, variant, u):
         t = init_tables(5, 12, 8, variant, derive_seed(7, "init"), scale=1.0)
         with pytest.raises(IndexError, match="user index"):
             predict_batch(spec_for(variant, MergeKind.OUTER, HeadKind.CNN), t, u, np.array([1, 2]))
+
+    def test_fism_reads_no_user_index(self):
+        """FISM has no user table: its scores depend on the history only."""
+        t = init_tables(5, 12, 8, Variant.FISM, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.FISM, MergeKind.OUTER, HeadKind.CNN)
+        scores = [predict_batch(spec, t, u, np.array([1, 2]), [0, 3]).tobytes() for u in (0, -1, 5)]
+        assert scores[0] == scores[1] == scores[2]
 
     @pytest.mark.parametrize("variant", [Variant.FISM, Variant.SVDPP])
     @pytest.mark.parametrize("item", [-1, 12])
@@ -339,6 +359,9 @@ class TestParamCount:
         pc = param_count(spec, M=10, N=20)
         assert dict(pc.embedding_sections) == {"P": 80, "Q": 160, "Qp": 160}
         assert pc.embedding_total == 400
+        pc = param_count(spec_for(Variant.FISM, MergeKind.OUTER, HeadKind.CNN, K=8, C=4), M=10, N=20)
+        assert dict(pc.embedding_sections) == {"Q": 160, "Qp": 160}
+        assert pc.embedding_total == 320
 
     def test_identity_head_is_empty(self):
         spec = spec_for(Variant.MF, MergeKind.INNER, HeadKind.IDENTITY)
@@ -347,8 +370,8 @@ class TestParamCount:
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path, variant, mk, hk, **kw):
-        t = init_tables(4, 7, 8, variant, derive_seed(13, "init"), scale=1.0, alpha=0.4)
-        spec = spec_for(variant, mk, hk, **kw)
+        t = init_tables(4, 7, 8, variant, derive_seed(13, "init"), scale=1.0)
+        spec = spec_for(variant, mk, hk, alpha=0.4, **kw)
         path = str(tmp_path / "model.ckpt")
         save_checkpoint(spec, t, path)
         spec2, t2 = load_checkpoint(path)
@@ -358,7 +381,7 @@ class TestCheckpoint:
     def test_bit_exact_roundtrip(self, tmp_path, variant, mk, hk):
         spec, t, spec2, t2, _ = self.roundtrip(tmp_path, variant, mk, hk)
         assert (spec2.variant, spec2.merge, spec2.K) == (spec.variant, spec.merge, spec.K)
-        assert t2.alpha == t.alpha
+        assert spec2.alpha == spec.alpha
         np.testing.assert_array_equal(t.P, t2.P)
         np.testing.assert_array_equal(t.Q, t2.Q)
         for (n1, a1), (n2, a2) in zip(head_sections(spec.head), head_sections(spec2.head)):
@@ -488,12 +511,70 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="width"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize(
+        "variant,mk,hk,kw,name",
+        [
+            (Variant.MF, MergeKind.INNER, HeadKind.IDENTITY, {}, "Qp"),
+            (Variant.MF, MergeKind.INNER, HeadKind.IDENTITY, {}, "w"),
+            (Variant.MF, MergeKind.OUTER, HeadKind.MLP, {"mlp_layers": 1}, "mlp.2.b"),
+            (Variant.FISM, MergeKind.OUTER, HeadKind.CNN, {}, "foo"),
+        ],
+        ids=["mf-qp", "identity-w", "lone-mlp-bias", "foo"],
+    )
+    def test_stray_section(self, tmp_path, variant, mk, hk, kw, name):
+        """A section the variant's tables and the head do not own would
+        load unread; the loader names it instead."""
+        *_, path = self.roundtrip(tmp_path, variant, mk, hk, **kw)
+        add_section(path, name, np.zeros((7, 8)))
+        with pytest.raises(FormatError, match=rf"^unexpected section {re.escape(name)} for variant={variant.value}, head={hk.value}$"):
+            load_checkpoint(path)
+
+    def test_fism_file_with_p_is_rejected(self, tmp_path):
+        """FISM checkpoints once carried an unread P table, in the SVD++
+        layout (P, Q, Qp); such a file fails naming P."""
+        *_, path = self.roundtrip(tmp_path, Variant.SVDPP, MergeKind.INNER, HeadKind.IDENTITY)
+        blob = open(path, "rb").read()
+        open(path, "wb").write(blob.replace(b"variant=svdpp", b"variant=fism", 1))
+        with pytest.raises(FormatError, match="^unexpected section P for variant=fism, head=identity$"):
+            load_checkpoint(path)
+
     def test_garbled_directory_line(self, tmp_path):
         *_, path = self.roundtrip(tmp_path, Variant.MF, MergeKind.INNER, HeadKind.IDENTITY)
         blob = open(path, "rb").read()
         open(path, "wb").write(blob.replace(b"\nP 2 ", b"\nP two ", 1))
         with pytest.raises(FormatError, match="directory"):
             load_checkpoint(path)
+
+
+class TestVariantTables:
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_every_view_names_the_declared_tables(self, tmp_path, variant):
+        """Allocation, section_arrays, the checkpoint directory, param_count,
+        the Adagrad accumulators and the gradcheck report all list exactly
+        the tables ``Variant.tables`` declares, in its order; each table
+        holds the SVD++ table's values at the same seed."""
+        want = list(variant.tables)
+        t = init_tables(6, 9, 8, variant, derive_seed(13, "init"), scale=1.0)
+        full = init_tables(6, 9, 8, Variant.SVDPP, derive_seed(13, "init"), scale=1.0)
+        assert [name for name in ("P", "Q", "Qp") if getattr(t, name) is not None] == want
+        for name in want:
+            assert getattr(t, name).tobytes() == getattr(full, name).tobytes(), name
+        spec = spec_for(variant, MergeKind.OUTER, HeadKind.CNN)
+        heads = {name for name, _ in head_sections(spec.head)}
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(spec, t, str(path))
+        header = path.read_bytes().split(b"\n\n", 1)[0].decode().splitlines()
+        report = finite_diff_check(spec, t, (1, 2, 5), [0, 2, 4, 7], seed=3)
+        assert report.passed
+        views = {
+            "section_arrays": list(section_arrays(spec, t)),
+            "checkpoint": [line.split()[0] for line in header[1:]],
+            "param_count": [name for name, _ in param_count(spec, 6, 9).embedding_sections],
+            "gradcheck": [s.name for s in report.sections],
+            "adagrad": list(init_adagrad(spec, t)),  # packs the head: last
+        }
+        for view, names in views.items():
+            assert [name for name in names if name not in heads] == want, view
 
 
 class TestInit:

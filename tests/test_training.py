@@ -270,7 +270,7 @@ class TestTrainStep:
         g = compute_triple_gradients(spec, t, u, i, j, history)
         passes = []
         for target, d_y in zip((i, j), bpr_grad(g.y_pos, g.y_neg)):
-            fU = user_rows(t, variant, u, history_terms(history), (target,), spec.fism_norm)
+            fU = user_rows(spec, t, u, history_terms(history), (target,))
             merged = merge(mk, fU, t.Q[[target]])
             acts, _ = head_forward(spec, merged)
             passes.append(head_backward(spec, merged, acts, np.array([d_y]))[0])
@@ -288,7 +288,7 @@ class TestTrainStep:
         spec = ModelSpec(variant=Variant.MF, merge=mk, head=head, K=8)
         u, i, j = 1, 2, 5
         g = compute_triple_gradients(spec, t, u, i, j)
-        merged = merge(mk, user_rows(t, Variant.MF, u, targets=(i, j)), t.Q[[i, j]])
+        merged = merge(mk, user_rows(spec, t, u, targets=(i, j)), t.Q[[i, j]])
         _, y, grads, _ = mlp_loops(head, merged.reshape(2, -1), np.array(bpr_grad(g.y_pos, g.y_neg)))
         np.testing.assert_allclose([g.y_pos, g.y_neg], y, rtol=1e-12)
         assert sorted(g.head) == sorted(grads)
@@ -467,13 +467,14 @@ class TestTrainLoop:
             train(inner_spec(K=4), tables, splits, TrainConfig(epochs=2, seed=5))
 
     def test_nonfinite_parameter_names_epoch_and_section(self, tmp_path):
-        """FISM never reads P, so an infinite P entry leaves every loss
+        """Training never reads the history row of an item that is in no
+        user's train history, so an infinite entry there leaves every loss
         finite; the end-of-epoch sweep still names the section."""
-        splits = make_splits(tmp_path)
+        splits = make_splits(tmp_path, N=40)  # item27 is only ever a test item
         tables = init_tables(splits.train.M, splits.train.N, 4, Variant.FISM, 3, scale=0.1)
-        tables.P[0, 1] = np.inf
+        tables.Qp[splits.train.item_index["item27"], 1] = np.inf
         spec = ModelSpec(variant=Variant.FISM, merge=MergeKind.INNER, head=IdentityHead(), K=4)
-        with pytest.raises(NonFiniteError, match="^epoch 1: section P holds non-finite values$"):
+        with pytest.raises(NonFiniteError, match="^epoch 1: section Qp holds non-finite values$"):
             train(spec, tables, splits, TrainConfig(epochs=2, seed=8))
 
     def test_loss_decreases_on_learnable_fixture(self, tmp_path):
