@@ -135,16 +135,15 @@ def cmd_paramcount(cfg: RunConfig) -> int:
         fr, _ = _load_splits(cfg)
         M, N = fr.dataset.M, fr.dataset.N
     pc = param_count(spec, M, N)
-    width = max((len(name) for name, _ in pc.head_sections + pc.embedding_sections), default=10)
-    width = max(width, len("head total"))
-    for name, count in pc.head_sections:
-        print(f"{name:<{width}} {count:>14,}")
-    print(f"{'head total':<{width}} {pc.head_total:>14,}")
+    rows = pc.head_sections + [("head total", pc.head_total)]
     if pc.embedding_sections:
-        for name, count in pc.embedding_sections:
-            print(f"{name:<{width}} {count:>14,}")
-        print(f"{'embedding total':<{width}} {pc.embedding_total:>14,}")
-        print(f"{'total':<{width}} {pc.head_total + pc.embedding_total:>14,}")
+        rows += pc.embedding_sections + [
+            ("embedding total", pc.embedding_total),
+            ("total", pc.head_total + pc.embedding_total),
+        ]
+    width = max(len(name) for name, _ in rows)
+    for name, count in rows:
+        print(f"{name:<{width}} {count:>14,}")
     return 0
 
 

@@ -19,12 +19,15 @@ Every forward and backward pass works on a batch. User and item rows are
 ``(B, K)``, interaction maps ``(B, K, K)``, conv feature stacks ``(B, P, C)``
 with the P = s*s positions of an s x s map in quadtree order, and scores
 ``(B,)``. Training runs a triple's positive and negative as one batch of
-two, gradcheck runs that same forward, and ``predict_batch`` scores one user
-against many candidates in blocks of a few MiB, spread over every usable
-CPU, through the same ``head_forward``. Each row's result is bit-identical
-to that row scored alone, except with an MLP head: each of its layers is one
-matrix product over the whole batch, which reads the weight matrix once per
-batch and agrees with the row alone to rounding.
+two, gradcheck runs that same forward, and ``score_rows`` scores rows of
+(user row, item) pairs through the same ``head_forward`` in blocks of at
+most a few MiB and ``SCORE_BLOCK_ROWS`` rows, spread over every usable CPU:
+``predict_batch`` scores one user's candidates, and evaluation scores many
+users' candidates laid end to end, so at small K one block holds several
+users. Each row's result is bit-identical to that row scored alone, except
+with an MLP head: each of its layers is one matrix product over the whole
+batch, which reads the weight matrix once per batch and agrees with the row
+alone to rounding.
 
 Gradients for head parameters are summed over the batch and returned as a
 dict keyed by section name
@@ -38,16 +41,16 @@ from __future__ import annotations
 import io
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from typing import Iterable, Optional, Union
 
 import numpy as np
 
 from convncf.embeddings import EmbeddingTables, FISM_NORM_EXCLUDED, FISM_NORMS, Variant, history_terms, user_rows
-from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, to_quadtree
+from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, relu_backward, to_quadtree
 
 
 class MergeKind(Enum):
@@ -293,7 +296,7 @@ def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray):
     d_X = d_y[:, None] * head.w
     for l in range(len(head.layers), 0, -1):
         layer = head.layers[l - 1]
-        d_pre = np.where(acts[l] > 0, d_X, 0.0)
+        d_pre = relu_backward(acts[l], d_X)
         grads[f"mlp.{l}.W"] = d_pre.T @ acts[l - 1]
         grads[f"mlp.{l}.b"] = d_pre.sum(axis=0)
         d_X = d_pre @ layer.W
@@ -331,18 +334,28 @@ def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray):
 # scoring
 
 # Bytes of first-layer head activations per scoring block, which bound its
-# memory: 16 rows of the K=64 C=32 tower. Blocks run on one pool thread per
-# usable CPU (numpy's products release the GIL; no thread starts before a
-# call has two blocks). On a 2-CPU Xeon (2 MiB L2 per core, one BLAS thread)
-# flagship recommend took 18 ms, against 32 ms for 16 MiB blocks and 31 ms
-# for these on one CPU; 2 MiB blocks took 20 ms, 8 MiB 18 ms at +12 MB RSS,
-# and 1 MiB cut training ~590 -> ~350 triples/s (glibc mmap/trim thresholds).
+# memory: 16 rows of the K=64 C=32 tower (at small K the row cap below binds
+# first, and a block may hold several users' rows). Blocks run on the calling
+# thread and one pool thread per further usable CPU (numpy's products
+# release the GIL; no thread starts before a call has two blocks). On a
+# 2-CPU Xeon (2 MiB L2 per core, one BLAS thread) flagship recommend took
+# 18 ms, against 32 ms for 16 MiB blocks and 31 ms for these on one CPU;
+# 2 MiB blocks took 20 ms, 8 MiB 18 ms at +12 MB RSS, and 1 MiB cut
+# training ~590 -> ~350 triples/s (glibc mmap/trim thresholds).
 SCORE_BLOCK_BYTES = 4 * 2**20
+# Rows per scoring block at most, whatever the byte budget allows: at small K
+# a block then holds a few users' candidates, and evaluation's blocks keep
+# both CPUs busy. On the Xeon above, desk evaluation (K=4 C=8, ~280
+# candidates per user) took 6.9 ms per model state at +1.5 MB peak RSS with
+# 1,024-row blocks, 9.4 ms at +6.2 MB with 4,096, and 9.0 ms at +22 MB with
+# the byte budget's 16,384; one call per user took 13.1-13.4 ms at +0.5 MB.
+SCORE_BLOCK_ROWS = 1024
 SCORE_WORKERS = len(os.sched_getaffinity(0))
-_SCORE_POOL = ThreadPoolExecutor(max_workers=SCORE_WORKERS, thread_name_prefix="convncf-score")
+_SCORE_POOL = ThreadPoolExecutor(max_workers=max(1, SCORE_WORKERS - 1), thread_name_prefix="convncf-score")
 
 
-def _block_rows(spec: ModelSpec) -> int:
+def block_rows(spec: ModelSpec) -> int:
+    """Rows per scoring block: the byte budget's, capped at SCORE_BLOCK_ROWS."""
     head = spec.head
     if isinstance(head, ConvStack):
         width = (spec.K // 2) ** 2 * head.C
@@ -350,7 +363,86 @@ def _block_rows(spec: ModelSpec) -> int:
         width = head.layers[0].W.shape[0]
     else:
         width = spec.K
-    return max(1, SCORE_BLOCK_BYTES // (8 * width))
+    return max(1, min(SCORE_BLOCK_ROWS, SCORE_BLOCK_BYTES // (8 * width)))
+
+
+def scoring_row(spec: ModelSpec, tables: EmbeddingTables, u: int, history: Iterable[int] = ()) -> np.ndarray:
+    """User ``u``'s one ``(1, K)`` scoring row over ``history``, built with no
+    target exclusion: exact whenever no candidate sits in the history (the
+    ranking protocol guarantees that). Checks ``u`` (given a user table) and
+    the history items, since numpy would wrap a negative index."""
+    if tables.M is not None and not 0 <= u < tables.M:
+        raise IndexError(f"user index {u} out of range [0, {tables.M})")
+    terms = history_terms(history) if spec.variant.reads_history else None
+    if terms is not None and terms.size and (terms[0] < 0 or terms[-1] >= tables.N):
+        raise IndexError("history item index out of range")
+    return user_rows(spec, tables, u, terms)
+
+
+class CandidateIndexError(IndexError):
+    """A candidate item index outside [0, N), at ``position`` in its array."""
+
+    def __init__(self, item: int, N: int, position: int):
+        super().__init__(f"candidate item index {item} out of range [0, {N})")
+        self.position = position
+
+
+def check_items(items: np.ndarray, N: int) -> None:
+    """Raise CandidateIndexError for the first int64 item index outside [0, N)."""
+    if items.size and items.view(np.uint64).max() >= N:  # a negative index reads as >= 2**63
+        position = int(np.argmax(items.view(np.uint64) >= N))
+        raise CandidateIndexError(int(items[position]), N, position)
+
+
+def score_rows(spec: ModelSpec, FU: np.ndarray, Q: np.ndarray, items: np.ndarray, owner: Optional[np.ndarray] = None):
+    """Score row r, user row ``FU[owner[r]]`` (FU's one row when ``owner`` is
+    None) against item ``items[r]``, in consecutive blocks of ``block_rows``
+    rows; returns an iterator over the blocks' scores, in row order. Indices
+    are not checked here. Two or more blocks run on the calling thread and
+    the scoring pool (see ``_shared_map``). No call scores zero blocks:
+    empty ``items`` give one empty block."""
+    rows = block_rows(spec)
+
+    def block(start: int) -> np.ndarray:
+        stop = min(start + rows, items.shape[0])
+        fu = FU if owner is None else FU.take(owner[start:stop], axis=0)
+        return _score_block(spec, fu, Q, items[start:stop])
+
+    starts = range(0, max(1, items.shape[0]), rows)
+    return map(block, starts) if SCORE_WORKERS == 1 or len(starts) == 1 else _shared_map(block, starts)
+
+
+def _shared_map(fn, args):
+    """``fn`` over ``args`` on the calling thread and up to SCORE_WORKERS - 1
+    pool threads, each taking the next argument not yet taken; yields the
+    results in argument order and raises, at a call that failed, its
+    exception. The caller scores too: on a 2-CPU Xeon, after a training
+    epoch left one CPU idle, handing every block to the pool made desk
+    evaluation slower than scoring inline."""
+    results: list = [None] * len(args)
+    taken = iter(range(len(args)))
+    lock = threading.Lock()
+
+    def work() -> None:
+        while True:
+            with lock:
+                k = next(taken, None)
+            if k is None:
+                return
+            try:
+                results[k] = fn(args[k])
+            except Exception as exc:  # raised in argument order below
+                results[k] = exc
+
+    helpers = [_SCORE_POOL.submit(work) for _ in range(min(SCORE_WORKERS, len(args)) - 1)]
+    work()
+    for helper in helpers:
+        if not helper.cancel():  # a helper that never started has nothing left to take
+            helper.result()
+    for result in results:
+        if isinstance(result, Exception):
+            raise result
+        yield result
 
 
 def predict_batch(
@@ -362,35 +454,22 @@ def predict_batch(
 ) -> np.ndarray:
     """Score candidate items for one user, in blocks of rows.
 
-    The one public scoring entry, so it checks ``u`` (given a user table),
-    the candidate items and the history items (numpy would wrap a negative
-    index). The user row is built once with no target exclusion, exact
-    whenever no candidate sits in the history (the ranking protocol
-    guarantees that). Every score is
-    bit-identical to that candidate scored alone, except with an MLP head,
-    whose matrix products over a block agree with the candidate alone to
-    rounding.
+    The one public scoring entry for a single user, so it checks ``u``, the
+    history items (see ``scoring_row``) and the candidate items. Every score
+    is bit-identical to that candidate scored alone, except with an MLP
+    head, whose matrix products over a block agree with the candidate alone
+    to rounding.
     """
-    if tables.M is not None and not 0 <= u < tables.M:
-        raise IndexError(f"user index {u} out of range [0, {tables.M})")
-    terms = history_terms(history) if spec.variant.reads_history else None
-    if terms is not None and terms.size and (terms[0] < 0 or terms[-1] >= tables.N):
-        raise IndexError("history item index out of range")
+    fU = scoring_row(spec, tables, u, history)
     items = np.asarray(items, dtype=np.int64)
-    if items.size and items.view(np.uint64).max() >= tables.N:  # a negative index reads as >= 2**63
-        bad = items[(items < 0) | (items >= tables.N)][0]
-        raise IndexError(f"candidate item index {bad} out of range [0, {tables.N})")
-    fU = user_rows(spec, tables, u, terms)
-    score = partial(_score_block, spec, fU, tables.Q)
-    rows = _block_rows(spec)
-    if items.shape[0] <= rows:
-        return score(items)
-    blocks = [items[start : start + rows] for start in range(0, items.shape[0], rows)]
-    return np.concatenate(list((map if SCORE_WORKERS == 1 else _SCORE_POOL.map)(score, blocks)))
+    check_items(items, tables.N)
+    blocks = list(score_rows(spec, fU, tables.Q, items))
+    return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 
 def _score_block(spec: ModelSpec, FU: np.ndarray, Q: np.ndarray, items: np.ndarray) -> np.ndarray:
-    return head_forward(spec, merge(spec.merge, FU, Q[items]))[1]
+    # take copies the same rows as Q[items], ~6x faster for a block's 1-D index
+    return head_forward(spec, merge(spec.merge, FU, Q.take(items, axis=0)))[1]
 
 
 # ---------------------------------------------------------------------------

@@ -46,10 +46,19 @@ def dense_loops(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
+def relu_backward_loops(act: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Entry by entry: ``d`` where ``act > 0`` (a -0.0 stays -0.0), else +0.0."""
+    out = np.zeros(d.shape)
+    for idx in np.ndindex(d.shape):
+        if act[idx] > 0:
+            out[idx] = d[idx]
+    return out
+
+
 def dense_backward_loops(x: np.ndarray, W: np.ndarray, act: np.ndarray, d_act: np.ndarray):
     """Adjoint of one relu dense layer for one row, entry by entry: (d_x,
     d_W, d_b). A unit whose output is 0 passes no gradient."""
-    d_pre = np.array([d_act[r] if act[r] > 0 else 0.0 for r in range(W.shape[0])])
+    d_pre = relu_backward_loops(act, d_act)
     d_x = np.zeros(W.shape[1])
     d_W = np.zeros(W.shape)
     for r in range(W.shape[0]):

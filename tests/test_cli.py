@@ -9,7 +9,7 @@ from convncf import evaluation
 from convncf.cli import main
 from convncf.config import ConfigError, RunConfig, build_config, parse_value
 from convncf.data import derive_seed, load_interactions, split_leave_latest_out
-from convncf.model import load_checkpoint, predict_batch, save_checkpoint
+from convncf.model import load_checkpoint, predict_batch, save_checkpoint, scoring_row
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -27,14 +27,15 @@ def toy(tmp_path):
 
 
 def count_scoring(monkeypatch) -> list[int]:
-    """The user index of every predict_batch call evaluation makes, in order."""
+    """The user index of every scoring row evaluation builds, in order: one
+    per user per scoring pass."""
     calls: list[int] = []
 
-    def counting(spec, tables, u, items, history=()):
+    def counting(spec, tables, u, history=()):
         calls.append(u)
-        return predict_batch(spec, tables, u, items, history)
+        return scoring_row(spec, tables, u, history)
 
-    monkeypatch.setattr(evaluation, "predict_batch", counting)
+    monkeypatch.setattr(evaluation, "scoring_row", counting)
     return calls
 
 
@@ -207,6 +208,18 @@ class TestParamcount:
         assert got["Q"] == got["Qp"] == "160"  # 20 items x 8
         assert got["embedding total"] == "320"
         assert got["total"] == f"{int(got['head total'].replace(',', '')) + 320:,}"
+
+    @pytest.mark.parametrize("with_dataset", [False, True])
+    def test_count_column_lines_up(self, toy, tmp_path, capsys, with_dataset):
+        """Every count ends in the same column, the totals' included, with
+        and without a dataset's embedding rows."""
+        extra = [f"dataset={toy}", f"outdir={tmp_path}"] if with_dataset else []
+        rc, out, _ = run(capsys, "paramcount", "K=8", "C=4", "variant=svdpp", *extra)
+        lines = out.splitlines()
+        assert rc == 0 and any(l.startswith("head total") for l in lines)
+        assert any(l.startswith("embedding total") for l in lines) == with_dataset
+        assert len({len(l) for l in lines}) == 1
+        assert all(l[-1].isdigit() for l in lines)
 
 
 class TestGradcheckCommand:

@@ -17,7 +17,7 @@ from convncf.evaluation import (
     write_per_user_ranks,
 )
 from convncf import evaluation, model
-from convncf.model import HeadKind, IdentityHead, MergeKind, ModelSpec, new_head, predict_batch
+from convncf.model import HeadKind, IdentityHead, MergeKind, ModelSpec, new_head, predict_batch, scoring_row
 from convncf.training import TrainConfig, evaluate_state, train
 
 from _oracles import rank_by_sort
@@ -34,6 +34,18 @@ def splits_fixture(tmp_path, M=8, N=20, per_user=6):
     path = tmp_path / "evalfix.tsv"
     path.write_text("".join(lines), encoding="utf-8")
     return split_leave_latest_out(load_interactions(str(path)), derive_seed(31, "split"))
+
+
+def ragged_fixture(tmp_path, M=24, N=14):
+    """Users with 3 to 7 items of a small catalogue, so their negatives
+    number 7 to 11 and a few users' candidate rows fill one small block."""
+    lines = []
+    for u in range(M):
+        for k in range(3 + u % 5):
+            lines.append(f"u{u:02d}\ti{(2 * u + 5 * k) % N:02d}\t{k}\n")
+    path = tmp_path / "ragged.tsv"
+    path.write_text("".join(lines), encoding="utf-8")
+    return split_leave_latest_out(load_interactions(str(path)), derive_seed(32, "split"))
 
 
 class TestRank:
@@ -165,9 +177,10 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_pooled_block_failure_names_the_user(self, tmp_path, monkeypatch, shared):
-        """A block that fails inside a pool worker, the last of several
-        flagship-shaped blocks, fails the caller of either split, with or
-        without a shared store, and the pool keeps scoring afterwards."""
+        """A block that fails on the pool or the calling thread, the last of
+        several flagship-shaped blocks, fails the caller of either split,
+        with or without a shared store, and the pool keeps scoring
+        afterwards."""
         monkeypatch.setattr(model, "SCORE_WORKERS", 2)  # pooled even on one CPU
         splits = splits_fixture(tmp_path, M=60, N=200)
         ds = splits.train
@@ -176,7 +189,7 @@ class TestEvaluate:
         spec = ModelSpec(variant=Variant.MF, merge=MergeKind.OUTER, head=head, K=64)
         first = sorted(splits.test)[0]
         good = np.concatenate([[splits.test[first].item], splits.eval_negatives[first]])
-        assert len(good) > 3 * model._block_rows(spec)
+        assert len(good) > 3 * model.block_rows(spec)
         poison = ds.items_of(first)[0]  # a train item, so never one of the user's candidates
         score_block = model._score_block
 
@@ -236,6 +249,92 @@ class TestSharedPass:
             assert shared.hr == alone.hr and shared.ndcg == alone.ndcg
         assert len(store) == 2 * len(splits.test)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("mk,hk", HEADS)
+    @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM, Variant.SVDPP])
+    def test_blocks_straddle_users(self, tmp_path, monkeypatch, variant, mk, hk, workers):
+        """With a 7-row block cap and ragged negatives, blocks hold the rows
+        of two or more users, inline or on the pool. Every rank equals the
+        per-user oracle's; no block exceeds the cap; and, except with an MLP
+        head, every block's scores equal its rows scored one by one, bit for
+        bit."""
+        splits = ragged_fixture(tmp_path)
+        assert len({neg.shape[0] for neg in splits.eval_negatives.values()}) > 2
+        t = init_tables(splits.train.M, splits.train.N, 4, variant, derive_seed(9, "init"), scale=1.0)
+        head = new_head(hk, mk, 4, 3, 2, derive_seed(9, "init_head"))
+        spec = ModelSpec(variant=variant, merge=mk, head=head, K=4)
+        want = {which: per_split_ranks(spec, t, splits, which) for which in ("val", "test")}
+        blocks = []
+        score_block = model._score_block
+
+        def recording(spec, FU, Q, items):
+            scores = score_block(spec, FU, Q, items)
+            blocks.append((FU, items, scores))
+            return scores
+
+        monkeypatch.setattr(model, "SCORE_WORKERS", workers)
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", 7)
+        monkeypatch.setattr(model, "_score_block", recording)
+        record = evaluate_state(spec, t, splits, epoch=1)
+        assert record.val.ranks == want["val"] and record.test.ranks == want["test"]
+        assert max(len(items) for _, items, _ in blocks) == 7
+        assert sum((FU != FU[0]).any() for FU, _, _ in blocks) > len(blocks) // 3
+        if hk is HeadKind.MLP:
+            return
+        for FU, items, scores in blocks:
+            alone = [score_block(spec, FU[r : r + 1], t.Q, items[r : r + 1]) for r in range(len(items))]
+            assert scores.tobytes() == np.concatenate(alone).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_block_names_its_first_user(self, tmp_path, monkeypatch, workers):
+        """A block holding several users' rows that fails, inline or on the
+        pool, raises EvaluationError naming the first user it holds, with
+        the block's error as the cause."""
+        splits = ragged_fixture(tmp_path)
+        ds = splits.train
+        t = init_tables(ds.M, ds.N, 4, Variant.MF, derive_seed(9, "init"), scale=1.0)
+        spec = ModelSpec(variant=Variant.MF, merge=MergeKind.INNER, head=IdentityHead(), K=4)
+        failed = []  # the users of each failing block, in row order
+        score_block = model._score_block
+
+        def failing(spec, FU, Q, items):
+            users = [int(np.flatnonzero((t.P == row).all(axis=1))[0]) for row in FU]  # MF: FU rows are P rows
+            if users[0] < 5:
+                return score_block(spec, FU, Q, items)
+            failed.append(users)
+            raise ValueError("block cannot be scored")
+
+        monkeypatch.setattr(model, "SCORE_WORKERS", workers)
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", 16)
+        monkeypatch.setattr(model, "_score_block", failing)
+        with pytest.raises(EvaluationError) as info:
+            evaluate(spec, t, splits, which="val")
+        users = min(failed)  # blocks run in user order, so the first failing block holds u first
+        u = users[0]
+        assert users[-1] > u  # the block spans several users
+        widest = 2 + max(neg.shape[0] for neg in splits.eval_negatives.values())
+        assert 5 <= u < evaluation.GROUP_BLOCKS * 16 // widest  # inside the first group, not its first user
+        assert f"user {ds.user_ids[u]!r} (index {u})" in str(info.value)
+        assert isinstance(info.value.__cause__, ValueError)
+        assert str(info.value.__cause__) == "block cannot be scored"
+
+    def test_out_of_range_candidate_names_its_user(self, tmp_path):
+        """Tables one item short of the split: the first user whose
+        candidates hold the missing item is named, before any scoring."""
+        splits = ragged_fixture(tmp_path)
+        ds = splits.train
+        t = init_tables(ds.M, ds.N - 1, 4, Variant.MF, derive_seed(9, "init"), scale=1.0)
+        spec = ModelSpec(variant=Variant.MF, merge=MergeKind.INNER, head=IdentityHead(), K=4)
+        missing = ds.N - 1
+        u = next(
+            u for u in sorted(splits.test)
+            if missing in (splits.validation[u].item, splits.test[u].item)
+            or missing in splits.eval_negatives[u]
+        )
+        with pytest.raises(EvaluationError, match=rf"user {ds.user_ids[u]!r} \(index {u}\): candidate item index {missing}") as info:
+            evaluate(spec, t, splits)
+        assert isinstance(info.value.__cause__, IndexError)
+
     def test_itempop(self, tmp_path):
         splits = splits_fixture(tmp_path, M=30, N=200, per_user=8)
         spec, t = make_itempop(splits.train)
@@ -269,25 +368,35 @@ class TestSharedPass:
 
     @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM, Variant.SVDPP])
     def test_scoring_calls_per_user(self, tmp_path, monkeypatch, variant):
-        """Over two trained epochs a history-free model scores each user once
-        per epoch; FISM and SVD++ score twice, and only the test call's
-        history holds the validation item."""
+        """Over two trained epochs a history-free model builds each user's
+        scoring row once per epoch and scores each candidate row once; FISM
+        and SVD++ do both twice, and only the test call's history holds the
+        validation item."""
         splits = splits_fixture(tmp_path, M=12, N=40)
-        calls = []
+        calls, rows = [], []
 
-        def counting(spec, tables, u, items, history=()):
+        def counting(spec, tables, u, history=()):
             calls.append((u, list(history)))
-            return predict_batch(spec, tables, u, items, history)
+            return scoring_row(spec, tables, u, history)
 
-        monkeypatch.setattr(evaluation, "predict_batch", counting)
+        def block(spec, FU, Q, items):
+            rows.append(len(items))
+            return score_block(spec, FU, Q, items)
+
+        score_block = model._score_block
+        monkeypatch.setattr(evaluation, "scoring_row", counting)
+        monkeypatch.setattr(model, "_score_block", block)
         t = init_tables(splits.train.M, splits.train.N, 4, variant, derive_seed(2, "init"), scale=0.1)
         spec = ModelSpec(variant=variant, merge=MergeKind.INNER, head=IdentityHead(), K=4)
         train(spec, t, splits, TrainConfig(epochs=2, seed=4))
         users = sorted(splits.test)
+        negatives = sum(splits.eval_negatives[u].shape[0] for u in users)
         if variant is Variant.MF:
             assert [u for u, _ in calls] == users * 2
+            assert sum(rows) == 2 * (negatives + 2 * len(users))
             return
         assert [u for u, _ in calls] == users * 4
+        assert sum(rows) == 4 * (negatives + len(users))
         for epoch in range(2):
             val_calls = calls[2 * epoch * len(users) :][: len(users)]
             test_calls = calls[(2 * epoch + 1) * len(users) :][: len(users)]

@@ -291,8 +291,17 @@ class TestPredictBatch:
         t = init_tables(3, 600, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
         spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.MLP, K=64, mlp_layers=1)
         items = np.arange(600)
-        assert len(items) > 2 * model._block_rows(spec)
+        assert len(items) > 2 * model.block_rows(spec)
         assert_rows_score_alone(spec, t, 1, items)
+
+    def test_block_rows_cap(self):
+        """The byte budget gives the flagship tower 16-row blocks; at desk
+        size it would allow 16,384 rows, and the row cap binds instead."""
+        flagship = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
+        desk = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=4, C=8)
+        assert model.block_rows(flagship) == SCORE_BLOCK_BYTES // (8 * 32 * 32 * 32) == 16
+        assert SCORE_BLOCK_BYTES // (8 * 2 * 2 * 8) == 16384
+        assert model.block_rows(desk) == model.SCORE_BLOCK_ROWS == 1024
 
     def test_pooled_scores_equal_inline(self, monkeypatch):
         """Blocks scored on the pool equal the same blocks scored inline, bit
@@ -300,7 +309,7 @@ class TestPredictBatch:
         t = init_tables(3, 150, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
         spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
         items = np.arange(3, 150)
-        rows = model._block_rows(spec)
+        rows = model.block_rows(spec)
         assert len(items) > 2 * rows and len(items) % rows
         monkeypatch.setattr(model, "SCORE_WORKERS", 2)  # pooled even on one CPU
         pooled = predict_batch(spec, t, 1, items)

@@ -24,9 +24,17 @@ from convncf.model import (
     mlp_forward,
     new_head,
 )
-from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, quadtree_order, to_quadtree
+from convncf import model, tensor
+from convncf.tensor import (
+    conv2x2s2_backward,
+    conv2x2s2_forward,
+    from_quadtree,
+    quadtree_order,
+    relu_backward,
+    to_quadtree,
+)
 
-from _oracles import conv2x2s2_loops, dense_loops, mlp_loops, numeric_grad, outer_loops
+from _oracles import conv2x2s2_loops, dense_loops, mlp_loops, numeric_grad, outer_loops, relu_backward_loops
 
 
 def one_layer_mlp(W, b, w):
@@ -83,6 +91,57 @@ class TestRelu:
         act = conv2x2s2_forward(inp, self.PICK, 0.0)
         d_inp, _, _ = conv2x2s2_backward(inp, self.PICK, act, np.ones((1, 1, 3)))
         np.testing.assert_array_equal(from_quadtree(d_inp)[0, 0, 0], [0.0, 0.0, 1.0])
+
+
+    @pytest.mark.parametrize("shape", [(2, 4, 8), (2, 1024, 32)])  # a desk layer, a K=64 C=32 layer
+    @pytest.mark.parametrize("mask", ["random", "live", "dead"])
+    def test_mask_matches_loop_oracle_bit_for_bit(self, shape, mask):
+        """relu_backward equals the entry-by-entry oracle bit for bit on
+        random and uniform masks: a -0.0 or NaN entry of d keeps its bits
+        where the unit is live, and every dead entry, -0.0 act included, is
+        +0.0."""
+        rng = np.random.default_rng(89)
+        act = {
+            "random": np.maximum(rng.normal(size=shape), 0.0),
+            "live": np.abs(rng.normal(size=shape)) + 1.0,
+            "dead": np.zeros(shape),
+        }[mask]
+        if mask != "live":
+            act.flat[::13] = -0.0  # a dead unit whose relu output kept the sign of a -0.0 pre-activation
+        d = rng.normal(size=shape)
+        d.flat[::5] = -0.0
+        d.flat[1::11] = np.nan
+        got = relu_backward(act, d)
+        assert got.dtype == np.float64 and got.shape == shape
+        assert got.tobytes() == relu_backward_loops(act, d).tobytes()
+        assert got.tobytes() == np.where(act > 0, d, 0.0).tobytes()
+
+    def test_tower_backwards_match_the_oracle_mask(self, monkeypatch):
+        """A conv layer and a dense layer, each with a live mask and -0.0
+        entries in its output gradient, give the bits they give with the
+        loop oracle's mask."""
+        rng = np.random.default_rng(97)
+        inp = to_quadtree(rng.normal(size=(2, 32, 32, 32)))
+        kernel = rng.normal(size=(2, 2, 32, 32))
+        act = conv2x2s2_forward(inp, kernel, np.array(0.1))
+        head = init_mlp_head(1024, 1, 97)
+        head.layers[0].b = rng.normal(size=512)
+        acts, _ = mlp_forward(head, rng.normal(size=(8, 1024)))
+        d_act = rng.normal(size=act.shape)
+        d_act.flat[::3] = -0.0
+        d_y = rng.normal(size=8)
+        d_y[::3] = -0.0
+        assert 0.2 < (act > 0).mean() < 0.8 and 0.2 < (acts[1] > 0).mean() < 0.8
+
+        def run():
+            conv = conv2x2s2_backward(inp, kernel, act, d_act)
+            grads, d_X0 = mlp_backward(head, acts, d_y)
+            return [a.tobytes() for a in (*conv, *grads.values(), d_X0)]
+
+        fast = run()
+        for module in (tensor, model):
+            monkeypatch.setattr(module, "relu_backward", relu_backward_loops)
+        assert run() == fast
 
 
 def spatial_forward(inp, kernel, bias):

@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from convncf import training
+from convncf import model, training
 from convncf.data import derive_seed, load_interactions, split_leave_latest_out
 from convncf.embeddings import EmbeddingTables, Variant, history_terms, init_tables, user_rows
 from convncf.model import (
@@ -33,6 +33,7 @@ from convncf.training import (
     bpr_grad,
     bpr_loss,
     compute_triple_gradients,
+    evaluate_state,
     init_adagrad,
     pretrain,
     train,
@@ -410,43 +411,72 @@ class TestPackedHead:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
 
+def watch_evaluate(monkeypatch, name: str) -> tuple[list[str], list[bool]]:
+    """Wrap the module-level ``training.evaluate`` and the function ``name``
+    at every name convncf looks it up by. Returns the ``which`` of each
+    evaluate call and, per call of ``name`` (on any thread), whether it came
+    inside an evaluate call."""
+    inner = training.evaluate
+    splits_called, inside, scored = [], [], []
+
+    def evaluate(*args, **kwargs):
+        bound = inspect.signature(inner).bind(*args, **kwargs)
+        bound.apply_defaults()
+        splits_called.append(bound.arguments["which"])
+        inside.append(True)
+        try:
+            return inner(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    def guarded(fn):
+        def wrapper(*args, **kwargs):
+            scored.append(bool(inside))  # a pool thread's block runs while its caller is inside evaluate
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(training, "evaluate", evaluate)
+    for module_name, module in list(sys.modules.items()):
+        if module_name.startswith("convncf") and hasattr(module, name):
+            monkeypatch.setattr(module, name, guarded(getattr(module, name)))
+    return splits_called, scored
+
+
 class TestTrainLoop:
     @pytest.mark.parametrize("variant", [Variant.MF, Variant.SVDPP])
     def test_scoring_happens_only_in_two_evaluate_calls_per_epoch(self, tmp_path, monkeypatch, variant):
         """perfbench times everything between an epoch's evaluate calls as
         training: train must call training.evaluate exactly twice per epoch,
-        val then test, and score no candidate outside those calls."""
+        val then test, and score no candidate block outside those calls."""
         splits = make_splits(tmp_path)
-        inner = training.evaluate
-        splits_called, inside, scored = [], [], []
-
-        def evaluate(*args, **kwargs):
-            bound = inspect.signature(inner).bind(*args, **kwargs)
-            bound.apply_defaults()
-            splits_called.append(bound.arguments["which"])
-            inside.append(True)
-            try:
-                return inner(*args, **kwargs)
-            finally:
-                inside.pop()
-
-        def guarded(score):
-            def predict_batch(*args, **kwargs):
-                scored.append(bool(inside))
-                return score(*args, **kwargs)
-
-            return predict_batch
-
-        monkeypatch.setattr(training, "evaluate", evaluate)
-        for name, module in list(sys.modules.items()):
-            if name.startswith("convncf") and hasattr(module, "predict_batch"):
-                monkeypatch.setattr(module, "predict_batch", guarded(module.predict_batch))
+        splits_called, scored = watch_evaluate(monkeypatch, "_score_block")
         t = init_tables(splits.train.M, splits.train.N, 4, variant, 3, scale=0.1)
         head = new_head(HeadKind.CNN, MergeKind.OUTER, 4, 2, 2, derive_seed(3, "init_head"))
         spec = ModelSpec(variant=variant, merge=MergeKind.OUTER, head=head, K=4)
         train(spec, t, splits, TrainConfig(epochs=3, seed=5))
         assert splits_called == ["val", "test"] * 3
         assert scored and all(scored)
+
+    @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_evaluate_state_runs_every_forward_inside_its_two_evaluate_calls(
+        self, tmp_path, monkeypatch, variant, workers
+    ):
+        """perfbench times a model state's evaluation as the two calls to
+        the module-level training.evaluate: evaluate_state makes exactly
+        those calls, val then test, and runs every head forward pass inside
+        them, inline or on the scoring pool."""
+        monkeypatch.setattr(model, "SCORE_WORKERS", workers)
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", 64)  # several blocks per call
+        splits = make_splits(tmp_path)
+        splits_called, scored = watch_evaluate(monkeypatch, "head_forward")
+        t = init_tables(splits.train.M, splits.train.N, 4, variant, 3, scale=0.1)
+        head = new_head(HeadKind.CNN, MergeKind.OUTER, 4, 2, 2, derive_seed(3, "init_head"))
+        spec = ModelSpec(variant=variant, merge=MergeKind.OUTER, head=head, K=4)
+        evaluate_state(spec, t, splits, epoch=1)
+        assert splits_called == ["val", "test"]
+        assert len(scored) > 2 and all(scored)
 
     def test_first_epoch_ignores_lambdas(self, tmp_path):
         splits = make_splits(tmp_path)
