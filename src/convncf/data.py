@@ -11,6 +11,9 @@ A log is held as CSR (compressed sparse row) arrays: user u's rows are
 (timestamp, raw item id). ``keys`` is the sorted array of ``u * N + i`` over
 every row, the index that membership tests search.
 
+User u's segment of ``keys`` less ``u * N``, ascending and distinct, is the
+history FISM and SVD++ sum (``Dataset.terms_of``, ``SplitSet.history_rows``).
+
 Splitting holds out the latest interaction per user as test and one seeded
 uniform pick from the remainder as validation; users with fewer than three
 interactions stay train-only and are counted, not dropped. Each test user
@@ -31,6 +34,7 @@ from typing import Iterator
 import numpy as np
 
 EVAL_NEGATIVES = 999
+HISTORY_PAD = -1  # fills a row of history terms past its last term
 
 
 class ParseError(ValueError):
@@ -81,6 +85,10 @@ class Dataset:
 
     def items_of(self, u: int) -> list[int]:
         return self.items[self.indptr[u] : self.indptr[u + 1]].tolist()
+
+    def terms_of(self, u: int) -> np.ndarray:
+        """User u's history terms: their distinct items, ascending."""
+        return self.keys[self.indptr[u] : self.indptr[u + 1]] - u * self.N
 
     def has(self, u, i):
         """Whether user u interacted with item i, elementwise over index
@@ -210,12 +218,26 @@ class SplitSet:
     skipped_users: int
 
     def history_items(self, u: int, include_validation: bool) -> list[int]:
-        """Known-positive history for scoring: train items, optionally plus
-        the validation item (used when scoring the test split)."""
+        """A user's positives as a list: train items, then the validation item if asked."""
         items = self.train.items_of(u)
         if include_validation and u in self.validation:
             items.append(self.validation[u].item)
         return items
+
+    def history_rows(self, users: np.ndarray, include_validation: bool) -> np.ndarray:
+        """Row b: user ``users[b]``'s train terms, with their validation item
+        in its ascending place when ``include_validation`` (its key, deleted
+        by the split, searches to it), then ``HISTORY_PAD`` to the longest."""
+        train, users = self.train, np.asarray(users, dtype=np.int64)
+        lo, offset = train.indptr[users][:, None], users[:, None] * train.N
+        n = train.indptr[users + 1][:, None] - lo
+        at, val = n, HISTORY_PAD  # without a validation item, slot n is padding
+        if include_validation:
+            val = np.array([self.validation[u].item for u in users.tolist()], dtype=np.int64)[:, None]
+            at, n = train.keys.searchsorted(offset + val) - lo, n + 1
+        col = np.arange(n.max(initial=0))
+        terms = train.keys.take(lo + col - (col > at), mode="clip") - offset
+        return np.where(col < n, np.where(col == at, val, terms), HISTORY_PAD)
 
 
 def split_leave_latest_out(ds: Dataset, seed) -> SplitSet:

@@ -11,12 +11,14 @@ Three user representations share one target-item table ``Q``:
 ``Variant.tables`` is the one declaration of the tables each representation
 owns, in checkpoint order, and ``reads_history`` follows from it.
 
-``user_rows`` builds the representation for a batch of targets and
-``scatter_user_gradient`` is its adjoint; both read one keep/norm rule from
-the model spec. The FISM normalizer is ``1 / n**alpha``. By default ``n``
-counts the items actually summed (the history with the target removed,
-clamped to at least one so an empty sum stays well-defined);
-``fism_norm="full_set"`` instead uses the size of the full history set.
+A history enters as its terms, its distinct items ascending: the split's,
+or ``history_terms`` of a caller's own. ``user_rows`` builds rows of (user,
+padded history terms, optional target) and ``scatter_user_gradient`` is its
+adjoint for one user; both read one keep/norm rule from the model spec. The
+FISM normalizer is ``1 / n**alpha``. By default ``n`` counts the items
+actually summed (the history with the target removed, clamped to at least
+one so an empty sum stays well-defined); ``fism_norm="full_set"`` instead
+uses the size of the full history set.
 """
 
 from __future__ import annotations
@@ -26,6 +28,8 @@ from enum import Enum
 from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
+
+from convncf.data import HISTORY_PAD
 
 if TYPE_CHECKING:
     from convncf.model import ModelSpec
@@ -86,68 +90,68 @@ def init_tables(M: int, N: int, K: int, variant: Variant, seed: int, scale: floa
 
 
 def history_terms(history: Sequence[int]) -> np.ndarray:
-    """The distinct history items, ascending: the rows a history sum adds,
+    """The distinct history items, ascending: the terms a history sum adds,
     in the order it adds them."""
     return np.unique(np.asarray(history, dtype=np.int64))
 
 
 def _history_weights(spec: ModelSpec, terms: np.ndarray, targets: Optional[Sequence[int]]):
-    """The keep/norm rule of a batch of history sums, shared by the forward
-    and its adjoint: ``(keep, scales)``. ``keep[r, b]`` says whether target
-    b's sum adds history row ``terms[r]`` (one all-true column when
-    ``targets`` is None); ``scales[b]`` is ``max(1, n_b) ** spec.alpha``,
-    n_b the rows target b keeps, or every row when ``spec.fism_norm`` is
-    ``full_set``."""
-    keep = np.ones((terms.size, 1), bool) if targets is None else terms[:, None] != np.asarray(targets)[None, :]
-    counts = keep.sum(axis=0).tolist() if spec.fism_norm == FISM_NORM_EXCLUDED else [terms.size] * keep.shape[1]
-    return keep, np.array([float(max(1, n)) ** spec.alpha for n in counts])
+    """The keep/norm rule of rows of history sums, shared by the forward and
+    its adjoint: ``(keep, scales)``, for ``terms`` ``(B, h)`` or a shared
+    ``(1, h)``. ``keep[r, b]``: row b adds its term r, neither padding nor
+    ``targets[b]``. ``scales[b]`` is ``max(1, n_b) ** spec.alpha``, n_b the
+    terms row b keeps, or all its terms under ``full_set`` (one if shared)."""
+    held = terms != HISTORY_PAD
+    keep = held if targets is None else held & (terms != np.asarray(targets)[:, None])
+    counts = (keep if spec.fism_norm == FISM_NORM_EXCLUDED else held).sum(axis=1).tolist()
+    return keep.T, np.array([float(max(1, n)) ** spec.alpha for n in counts])
 
 
 def user_rows(
     spec: ModelSpec,
     tables: EmbeddingTables,
-    u: int,
+    users: Sequence[int],
     terms: Optional[np.ndarray] = None,
     targets: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
     """The user representation of ``spec.variant`` fed to the merge
-    function: ``(B, K)``, row b built for ``targets[b]``, or one row with
-    nothing excluded when ``targets`` is None. ``terms`` is the history's
-    ``history_terms`` (read only when the variant reads history); indices
-    are not checked here."""
+    function, ``(B, K)``: row b for user ``users[b]`` over ``terms[b]`` less
+    ``targets[b]`` (if given); indices are not checked here. The ``(h, B,
+    K)`` gather, summed over its first axis, adds each row's terms in order,
+    padding zeros last."""
     variant = spec.variant
+    own = tables.P.take(users, axis=0) if "P" in variant.tables else None
     if not variant.reads_history:
-        own = tables.P[u : u + 1]
-        return own.copy() if targets is None else own.repeat(len(targets), axis=0)
+        return own
     keep, scales = _history_weights(spec, terms, targets)
-    FU = np.where(keep[:, :, None], tables.Qp[terms][:, None, :], 0.0).sum(axis=0) / scales[:, None]
-    if "P" in variant.tables:
-        FU += tables.P[u]
+    FU = np.where(keep[:, :, None], tables.Qp[terms.T], 0.0).sum(axis=0) / scales[:, None]
+    if own is not None:
+        FU += own
     return FU
 
 
 def scatter_user_gradient(
     spec: ModelSpec,
     u: int,
+    terms: np.ndarray,
     targets: Sequence[int],
-    terms: Sequence[int],
     d_FU: np.ndarray,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
-    """Adjoint of user_rows over a batch of targets.
+    """Adjoint of user_rows over one user's batch of targets.
 
     Row b of ``d_FU`` is the gradient of the representation built for
-    ``targets[b]``; ``terms`` are the distinct history items, in any order.
-    Returns ``{section: (rows, grads)}`` for the variant's P and/or Qp,
-    every touched row listed once with its gradient summed over the batch.
-    The user row takes the sum of every row of d_FU; the history table
-    takes ``d_FU[b] / n_b**alpha`` on the history rows that target b keeps.
+    ``targets[b]``; ``terms`` are the user's distinct history items, a 1-D
+    array in any order. Returns ``{section: (rows, grads)}`` for the
+    variant's P and/or Qp, every touched row listed once with its gradient
+    summed over the batch. The user row takes the sum of every row of d_FU;
+    the history table takes ``d_FU[b] / n_b**alpha`` on the history rows
+    that target b keeps.
     """
     variant, out = spec.variant, {}
     if "P" in variant.tables:
         out["P"] = (np.array([u]), d_FU.sum(axis=0, keepdims=True))
     if variant.reads_history:
-        terms = np.asarray(terms, dtype=np.int64)
-        keep, scales = _history_weights(spec, terms, targets)
+        keep, scales = _history_weights(spec, terms[None], targets)
         scaled = d_FU / scales[:, None]
         touched = keep.any(axis=1)
         if not touched.all():

@@ -14,13 +14,13 @@ uses train plus validation. The test item never enters any history. A model
 whose user vector ignores history (MF, and so ItemPop) scores both targets
 and the negatives in one pass that serves both splits.
 
-Users are scored a group at a time. The group's candidate rows are laid end
-to end, each row paired with its user's scoring row, and scored through the
-model's one head in blocks of ``model.block_rows`` rows that may span users;
-two or more blocks run on the scoring pool. At K=4 C=8 a 1,024-row block
-holds about four users, where one user's ~280 candidates used to be a call
-of its own. A target's rank is then a count over its user's segment of the
-scores.
+Users are scored a group at a time. One ``user_rows`` call builds the
+group's user rows, FISM and SVD++ summing the split's padded history terms
+(``SplitSet.history_rows``). The group's candidate rows are laid end to
+end, each paired with its user's row, and scored through the model's one
+head in blocks of ``model.block_rows`` rows that may span users (at K=4 C=8
+about four users per block); two or more blocks run on the scoring pool. A
+target's rank is then a count over its user's segment of the scores.
 """
 
 from __future__ import annotations
@@ -32,17 +32,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from convncf.data import Dataset, SplitSet
-from convncf.embeddings import EmbeddingTables, Variant
-from convncf.model import (
-    CandidateIndexError,
-    IdentityHead,
-    MergeKind,
-    ModelSpec,
-    block_rows,
-    check_items,
-    score_rows,
-    scoring_row,
-)
+from convncf.embeddings import EmbeddingTables, Variant, user_rows
+from convncf.model import CandidateIndexError, IdentityHead, MergeKind, ModelSpec, block_rows, check_items, score_rows
 
 DEFAULT_KS = (5, 10, 20)
 # Scoring blocks' worth of candidate rows per group of users, which bounds
@@ -60,14 +51,6 @@ class EvalResult:
     ndcg: dict[int, float]
     users_evaluated: int
     ranks: dict[int, int] = field(default_factory=dict, repr=False)
-
-
-def rank_of_target(scores: np.ndarray, target_index: int) -> int:
-    """1 + the number of candidates scoring strictly above the target."""
-    scores = np.asarray(scores, dtype=np.float64)
-    if not 0 <= target_index < scores.shape[0]:
-        raise IndexError(f"target index {target_index} out of range [0, {scores.shape[0]})")
-    return 1 + int(np.sum(scores > scores[target_index]))
 
 
 def hr_at_k(rank: int, k: int) -> int:
@@ -107,8 +90,8 @@ def evaluate(
 
     Users are scored a group at a time, in blocks that may span users (see
     the module docstring); a failure raises EvaluationError naming the
-    first user of the failing block, or the user whose row or candidate
-    failed its check.
+    first user of the failing block or group, or the first user whose index,
+    history or candidates failed their check.
     """
     if which not in ("test", "val"):
         raise ValueError(f"unknown evaluation split {which!r}")
@@ -164,15 +147,14 @@ def _rank_group(
     items[is_negative] = np.concatenate(negatives)
     owner = np.repeat(np.arange(len(group)), width)
 
-    FU = []
-    for u in group:
-        history = ()
-        if spec.variant.reads_history:
-            history = splits.history_items(u, include_validation=served == ("test",))
-        try:
-            FU.append(scoring_row(spec, tables, u, history))
-        except Exception as exc:
-            raise _failed(splits, u, exc) from exc
+    users = np.array(group)
+    terms = splits.history_rows(users, include_validation=served == ("test",)) if spec.variant.reads_history else None
+    bad_user = np.zeros(len(group), dtype=bool) if tables.M is None else users >= tables.M
+    bad = bad_user if terms is None else bad_user | (terms >= tables.N).any(axis=1)
+    if bad.any():
+        k = int(bad.argmax())
+        exc = IndexError(f"user index {group[k]} out of range [0, {tables.M})" if bad_user[k] else "history item index out of range")
+        raise _failed(splits, group[k], exc) from exc
     try:
         check_items(items, tables.N)
     except CandidateIndexError as exc:
@@ -180,7 +162,8 @@ def _rank_group(
     scores = np.empty(items.shape[0])
     done = 0  # rows scored so far: a failing block starts at row `done`
     try:
-        for block in score_rows(spec, np.concatenate(FU), tables.Q, items, owner):
+        FU = user_rows(spec, tables, users, terms)  # a failure here names the group's first user
+        for block in score_rows(spec, FU, tables.Q, items, owner):
             scores[done : done + block.shape[0]] = block
             done += block.shape[0]
     except Exception as exc:

@@ -116,7 +116,7 @@ def _kink_risk(
     return False
 
 
-GradFn = Callable[[ModelSpec, EmbeddingTables, int, int, int, list], TripleGrads]
+GradFn = Callable[[ModelSpec, EmbeddingTables, int, int, int, np.ndarray], TripleGrads]
 
 
 def finite_diff_check(
@@ -136,15 +136,12 @@ def finite_diff_check(
     A coordinate passes when |analytic - numeric| <= abs_floor or the
     relative error against max(|analytic|, |numeric|) is <= tol. A non-finite
     loss at a perturbed point is reported as a failure at that coordinate.
-    ``grad_fn`` defaults to the real gradient computation; tests can inject a
-    corrupted one to prove the check has teeth.
+    ``grad_fn``, given the history's terms, defaults to the real gradient
+    computation; tests can inject a corrupted one to prove it has teeth.
     """
     u, i, j = triple
-    history = list(history)
-    if grad_fn is None:
-        grad_fn = compute_triple_gradients
-    grads = grad_fn(spec, tables, u, i, j, history)
-    terms = history_terms(history)
+    terms = history_terms(list(history))
+    grads = (grad_fn or compute_triple_gradients)(spec, tables, u, i, j, terms)
     _, base_acts = _loss_and_acts(spec, tables, u, i, j, terms)
     rng = np.random.default_rng(seed)
     threshold = 10.0 * step

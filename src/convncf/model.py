@@ -366,19 +366,6 @@ def block_rows(spec: ModelSpec) -> int:
     return max(1, min(SCORE_BLOCK_ROWS, SCORE_BLOCK_BYTES // (8 * width)))
 
 
-def scoring_row(spec: ModelSpec, tables: EmbeddingTables, u: int, history: Iterable[int] = ()) -> np.ndarray:
-    """User ``u``'s one ``(1, K)`` scoring row over ``history``, built with no
-    target exclusion: exact whenever no candidate sits in the history (the
-    ranking protocol guarantees that). Checks ``u`` (given a user table) and
-    the history items, since numpy would wrap a negative index."""
-    if tables.M is not None and not 0 <= u < tables.M:
-        raise IndexError(f"user index {u} out of range [0, {tables.M})")
-    terms = history_terms(history) if spec.variant.reads_history else None
-    if terms is not None and terms.size and (terms[0] < 0 or terms[-1] >= tables.N):
-        raise IndexError("history item index out of range")
-    return user_rows(spec, tables, u, terms)
-
-
 class CandidateIndexError(IndexError):
     """A candidate item index outside [0, N), at ``position`` in its array."""
 
@@ -454,16 +441,25 @@ def predict_batch(
 ) -> np.ndarray:
     """Score candidate items for one user, in blocks of rows.
 
-    The one public scoring entry for a single user, so it checks ``u``, the
-    history items (see ``scoring_row``) and the candidate items. Every score
-    is bit-identical to that candidate scored alone, except with an MLP
-    head, whose matrix products over a block agree with the candidate alone
-    to rounding.
+    The one public scoring entry for a single user, so it checks that
+    ``items`` and the ``history`` it reads are 1-D integer arrays and that
+    ``u`` (given a user table) and every index lie in their tables. The user row
+    excludes no target, exact when no candidate is in the history. Every
+    score is bit-identical to that candidate scored alone, except with an
+    MLP head, whose matrix products over a block agree to rounding.
     """
-    fU = scoring_row(spec, tables, u, history)
-    items = np.asarray(items, dtype=np.int64)
+    items, history = np.asarray(items), np.asarray(history if spec.variant.reads_history else ())
+    for name, arr in (("items", items), ("history", history)):
+        if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
+            raise IndexError(f"{name} must be a 1-D array of integer indices, got {arr.dtype} of shape {arr.shape}")
+    if tables.M is not None and not 0 <= u < tables.M:
+        raise IndexError(f"user index {u} out of range [0, {tables.M})")
+    terms = history_terms(history)[None] if spec.variant.reads_history else None
+    if terms is not None and terms.size and (terms[0, 0] < 0 or terms[0, -1] >= tables.N):
+        raise IndexError("history item index out of range")
+    items = items.astype(np.int64, copy=False)
     check_items(items, tables.N)
-    blocks = list(score_rows(spec, fU, tables.Q, items))
+    blocks = list(score_rows(spec, user_rows(spec, tables, (u,), terms), tables.Q, items))
     return blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
 
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from convncf.embeddings import (
     FISM_NORM_EXCLUDED,
     FISM_NORMS,
     Variant,
-    history_terms,
     init_tables,
     scatter_user_gradient,
     user_rows,
@@ -197,12 +196,12 @@ def triple_forward(
     u: int,
     i: int,
     j: int,
-    terms: np.ndarray,
+    terms: Optional[np.ndarray],
 ):
     """Embed, merge and score the positive and the negative of one triple
-    as a batch of two, given the user's ``history_terms``; returns (FU, FI,
-    merged, head activations, scores)."""
-    FU = user_rows(spec, tables, u, terms, (i, j))
+    as a batch of two, given the user's history terms (1-D, ascending, or
+    None); returns (FU, FI, merged, head activations, scores)."""
+    FU = user_rows(spec, tables, (u, u), None if terms is None else terms[None], (i, j))
     FI = tables.Q.take((i, j), axis=0)
     merged = merge(spec.merge, FU, FI)
     acts, y = head_forward(spec, merged)
@@ -215,17 +214,16 @@ def compute_triple_gradients(
     u: int,
     i: int,
     j: int,
-    history: Sequence[int] = (),
+    terms: Optional[np.ndarray] = None,
 ) -> TripleGrads:
     """Forward both branches of one triple and backpropagate the plain
     (regularization-free) pairwise loss through every shared parameter."""
-    terms = history_terms(history) if spec.variant.reads_history else None
     FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms)
     y_pos, y_neg = float(y[0]), float(y[1])
     loss = bpr_loss(y_pos, y_neg)
     head_grads, d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)))
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
-    table_grads = scatter_user_gradient(spec, u, (i, j), terms, d_FU)
+    table_grads = scatter_user_gradient(spec, u, terms, (i, j), d_FU)
     table_grads["Q"] = (np.array([i, j]), d_FI)
     return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=table_grads)
 
@@ -237,7 +235,7 @@ def train_step(
     config: TrainConfig,
     states: AdagradState,
     regularize: bool,
-    history: Sequence[int] = (),
+    terms: Optional[np.ndarray] = None,
 ) -> float:
     """One triple: gradients from both branches, touched-parameter L2,
     Adagrad application. Returns the pre-update pairwise loss.
@@ -249,7 +247,7 @@ def train_step(
     which are distinct because a sampled negative is never the positive.
     """
     u, i, j = triple
-    g = compute_triple_gradients(spec, tables, u, i, j, history)
+    g = compute_triple_gradients(spec, tables, u, i, j, terms)
 
     if states.head_names:
         grad = np.concatenate([g.head[name] for name in states.head_names], axis=None)
@@ -330,7 +328,6 @@ def _run_epochs(
     states = init_adagrad(spec, tables)
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".shuffle"))
     neg_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".negatives"))
-    bounds = train_ds.indptr.tolist()
     records: list[EpochRecord] = []
     for epoch in range(1, config.epochs + 1):
         regularize = epoch > 1
@@ -338,8 +335,8 @@ def _run_epochs(
         for us, its in minibatches(train_ds, config.batch_size, shuffle_rng):
             js = sample_negative(train_ds, us, neg_rng)
             for u, i, j in zip(us.tolist(), its.tolist(), js.tolist()):
-                history = train_ds.items[bounds[u] : bounds[u + 1]] if spec.variant.reads_history else ()
-                loss = train_step(spec, tables, (u, i, j), config, states, regularize, history)
+                terms = train_ds.terms_of(u) if spec.variant.reads_history else None
+                loss = train_step(spec, tables, (u, i, j), config, states, regularize, terms)
                 if not math.isfinite(loss):
                     raise NonFiniteError(f"epoch {epoch}: loss {loss} at triple (u, i, j) = ({u}, {i}, {j})")
                 total += loss

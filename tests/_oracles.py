@@ -92,6 +92,15 @@ def mlp_loops(head, X0: np.ndarray, d_y: np.ndarray):
     return acts, np.array(scores), grads, np.array(d_X0)
 
 
+def rank_of_target(scores: np.ndarray, target_index: int) -> int:
+    """1 + the number of candidates scoring strictly above the target: the
+    rank rule evaluation applies to one user's scores at a time."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if not 0 <= target_index < scores.shape[0]:
+        raise IndexError(f"target index {target_index} out of range [0, {scores.shape[0]})")
+    return 1 + int(np.sum(scores > scores[target_index]))
+
+
 def rank_by_sort(scores: np.ndarray, target_index: int) -> int:
     """Rank via a full stable sort: position of the target among descending
     scores, counting only strictly better candidates ahead of it."""

@@ -9,7 +9,8 @@ from convncf import evaluation
 from convncf.cli import main
 from convncf.config import ConfigError, RunConfig, build_config, parse_value
 from convncf.data import derive_seed, load_interactions, split_leave_latest_out
-from convncf.model import load_checkpoint, predict_batch, save_checkpoint, scoring_row
+from convncf.embeddings import user_rows
+from convncf.model import load_checkpoint, predict_batch, save_checkpoint
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -31,11 +32,11 @@ def count_scoring(monkeypatch) -> list[int]:
     per user per scoring pass."""
     calls: list[int] = []
 
-    def counting(spec, tables, u, history=()):
-        calls.append(u)
-        return scoring_row(spec, tables, u, history)
+    def counting(spec, tables, users, terms=None, targets=None):
+        calls.extend(users.tolist())
+        return user_rows(spec, tables, users, terms, targets)
 
-    monkeypatch.setattr(evaluation, "scoring_row", counting)
+    monkeypatch.setattr(evaluation, "user_rows", counting)
     return calls
 
 

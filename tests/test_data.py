@@ -5,7 +5,10 @@ import pytest
 
 from convncf.data import (
     EVAL_NEGATIVES,
+    HISTORY_PAD,
     Dataset,
+    Interaction,
+    SplitSet,
     ParseError,
     ProtocolError,
     SamplingError,
@@ -230,6 +233,73 @@ class TestSplit:
         assert splits.skipped_users == 1
         assert b not in splits.test and b not in splits.validation
         assert len(splits.train.items_of(b)) == 2
+
+
+def assert_terms_are_item_sets(ds):
+    """Every user's segment of ``keys``, less u * N, is ascending, distinct
+    and, as a set, the user's items: the history terms a sum adds."""
+    for u in range(ds.M):
+        terms = ds.terms_of(u)
+        assert terms.dtype == np.int64
+        assert (np.diff(terms) > 0).all(), u
+        assert set(terms.tolist()) == set(ds.items_of(u)), u
+
+
+# repeated (user, item) lines, out of time and item order
+REPEATED = (
+    "a\tx\t5\nb\ty\t1\na\tw\t3\na\tx\t1\nb\ty\t9\nc\tz\t2\na\tz\t8\nb\tw\t4\n"
+    "c\tx\t6\nc\tz\t7\nc\tv\t1\nb\tv\t3\na\tv\t2\nb\tx\t2\nc\tw\t9\na\tw\t1\n"
+)
+
+
+class TestHistoryTerms:
+    def test_after_load_with_repeated_lines(self, tmp_path):
+        ds = load_interactions(write(tmp_path, REPEATED))
+        assert ds.n_interactions == 12
+        assert_terms_are_item_sets(ds)
+
+    def test_after_filter(self, tmp_path):
+        out = filter_dataset(load_interactions(write(tmp_path, REPEATED)), 3, 3).dataset
+        assert out.item_ids == ["x", "w", "v"]  # y and z, held by fewer than three users, are gone
+        assert_terms_are_item_sets(out)
+
+    def test_after_split(self, tmp_path):
+        ds = load_interactions(write(tmp_path, REPEATED))
+        splits = split_leave_latest_out(ds, seed=4)
+        assert splits.train.n_interactions == ds.n_interactions - 2 * len(splits.test)
+        assert_terms_are_item_sets(splits.train)
+
+    def test_rows_of_a_real_split(self, tmp_path):
+        """Each row holds the user's sorted train items, plus the validation
+        item for the test split, then padding to the longest row."""
+        splits = split_leave_latest_out(three_by_five(tmp_path), seed=5)
+        users = sorted(splits.test)
+        for include_validation in (False, True):
+            rows = splits.history_rows(users, include_validation)
+            for u, row in zip(users, rows):
+                want = sorted(splits.history_items(u, include_validation))
+                assert row[: len(want)].tolist() == want
+                assert (row[len(want) :] == HISTORY_PAD).all()
+
+    def test_validation_item_takes_its_ascending_place(self, tmp_path):
+        """Validation items that sort first, in the middle and last, in a
+        group of ragged train histories."""
+        text = "".join(f"z\ti{i}\t{i}\n" for i in range(10))  # dense item i is i{i}
+        text += "a\ti3\t1\na\ti5\t2\na\ti8\t3\nb\ti2\t1\nb\ti6\t2\nc\ti1\t1\nc\ti4\t2\nc\ti7\t3\n"
+        train = load_interactions(write(tmp_path, text))
+        a, b, c = (train.user_index[name] for name in "abc")
+        validation = {a: 0, b: 4, c: 9}  # first, middle, last
+        splits = SplitSet(
+            train=train,
+            validation={u: Interaction(u, item, 0) for u, item in validation.items()},
+            test={u: Interaction(u, 0, 0) for u in validation},
+            eval_negatives={},
+            skipped_users=0,
+        )
+        rows = splits.history_rows(np.array([a, b, c]), include_validation=True)
+        assert rows.tolist() == [[0, 3, 5, 8], [2, 4, 6, HISTORY_PAD], [1, 4, 7, 9]]
+        rows = splits.history_rows(np.array([b, c]), include_validation=False)
+        assert rows.tolist() == [[2, 6, HISTORY_PAD], [1, 4, 7]]
 
 
 class TestMinibatches:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from _oracles import scatter_user_gradient_loops, user_rows_loops
-from convncf.data import derive_seed
+from convncf.data import HISTORY_PAD, derive_seed
 from convncf.embeddings import (
     FISM_NORM_EXCLUDED,
     FISM_NORM_FULL,
@@ -28,7 +28,7 @@ def side(variant, norm=FISM_NORM_EXCLUDED, alpha=0.5):
 def user_row(tables, variant, u, target, history, norm=FISM_NORM_EXCLUDED):
     """The one row ``user_rows`` builds for ``target`` (None: nothing excluded)."""
     targets = None if target is None else (target,)
-    return user_rows(side(variant, norm), tables, u, history_terms(history), targets)[0]
+    return user_rows(side(variant, norm), tables, [u], history_terms(history)[None], targets)[0]
 
 
 class TestInit:
@@ -63,8 +63,8 @@ class TestInit:
 class TestUserEmbedding:
     def test_mf_is_user_row(self):
         t = unit_tables(variant=Variant.MF)
-        np.testing.assert_array_equal(user_rows(side(Variant.MF), t, 3), t.P[3][None])
-        np.testing.assert_array_equal(user_rows(side(Variant.MF), t, 3, None, (0, 4)), t.P[[3, 3]])
+        np.testing.assert_array_equal(user_rows(side(Variant.MF), t, [3]), t.P[3][None])
+        np.testing.assert_array_equal(user_rows(side(Variant.MF), t, [3, 3], None, (0, 4)), t.P[[3, 3]])
 
     def test_fism_excludes_target(self):
         t = unit_tables()
@@ -123,7 +123,7 @@ class TestUserEmbedding:
 class TestScatterGradient:
     def test_mf_routes_to_user_row(self):
         d = np.array([1.0, -2.0, 0.5])
-        g = scatter_user_gradient(side(Variant.MF), 4, (0,), [1, 2], d[None])
+        g = scatter_user_gradient(side(Variant.MF), 4, history_terms([1, 2]), (0,), d[None])
         rows, grads = g["P"]
         assert rows.tolist() == [4]
         np.testing.assert_array_equal(grads[0], d)
@@ -131,7 +131,7 @@ class TestScatterGradient:
 
     def test_fism_spreads_scaled_gradient(self):
         d = np.array([2.0, 4.0])
-        g = scatter_user_gradient(side(Variant.FISM), 0, (4,), [1, 4, 7], d[None])
+        g = scatter_user_gradient(side(Variant.FISM), 0, history_terms([1, 4, 7]), (4,), d[None])
         rows, grads = g["Qp"]
         assert rows.tolist() == [1, 7]
         for grad in grads:
@@ -140,7 +140,7 @@ class TestScatterGradient:
 
     def test_svdpp_routes_both(self):
         d = np.array([1.0, 1.0])
-        g = scatter_user_gradient(side(Variant.SVDPP), 3, (5,), [0, 2], d[None])
+        g = scatter_user_gradient(side(Variant.SVDPP), 3, history_terms([0, 2]), (5,), d[None])
         rows, grads = g["P"]
         assert rows.tolist() == [3]
         np.testing.assert_array_equal(grads[0], d)
@@ -148,7 +148,7 @@ class TestScatterGradient:
 
     def test_accumulates_across_calls(self):
         """The targets of one batch accumulate on the shared user row."""
-        g = scatter_user_gradient(side(Variant.MF), 1, (0, 3), [], np.array([[1.0], [2.5]]))
+        g = scatter_user_gradient(side(Variant.MF), 1, history_terms([]), (0, 3), np.array([[1.0], [2.5]]))
         rows, grads = g["P"]
         assert rows.tolist() == [1]
         np.testing.assert_array_equal(grads, [[3.5]])
@@ -159,7 +159,7 @@ class TestScatterGradient:
         with the perturbation rows, summed over the batch of targets."""
         rng = np.random.default_rng(42)
         t = unit_tables(seed=3)
-        history = [1, 3, 5, 8]
+        terms = history_terms([1, 3, 5, 8])
         targets = (5, 0)
         d = rng.normal(size=(len(targets), t.K))
         for var, norm in [
@@ -168,13 +168,12 @@ class TestScatterGradient:
             (Variant.FISM, FISM_NORM_FULL),
             (Variant.SVDPP, FISM_NORM_EXCLUDED),
         ]:
-            g = scatter_user_gradient(side(var, norm), 2, targets, history, d)
+            g = scatter_user_gradient(side(var, norm), 2, terms, targets, d)
             dP = rng.normal(size=t.P.shape)
             dQp = rng.normal(size=t.Qp.shape)
             bumped = EmbeddingTables(P=t.P + dP, Q=t.Q, Qp=t.Qp + dQp)
-            terms = history_terms(history)
-            before = sum(d[b] @ row for b, row in enumerate(user_rows(side(var, norm), t, 2, terms, targets)))
-            after = sum(d[b] @ row for b, row in enumerate(user_rows(side(var, norm), bumped, 2, terms, targets)))
+            before = sum(d[b] @ row for b, row in enumerate(user_rows(side(var, norm), t, [2, 2], terms[None], targets)))
+            after = sum(d[b] @ row for b, row in enumerate(user_rows(side(var, norm), bumped, [2, 2], terms[None], targets)))
             bumps = {"P": dP, "Qp": dQp}
             via_grads = sum(vec @ bumps[name][r] for name, (rows, grads) in g.items() for r, vec in zip(rows, grads))
             assert after - before == pytest.approx(via_grads, abs=1e-10)
@@ -191,7 +190,7 @@ class TestScatterGradient:
 
 class TestScatterMatchesLoopOracle:
     """The array scatter equals, bit for bit, the per-row dict accumulation
-    of one pass per target."""
+    of one pass per target, whatever the order of the distinct terms."""
 
     CASES = {
         "positive_in_history": ([1, 4, 7, 2], (4, 5)),
@@ -206,7 +205,8 @@ class TestScatterMatchesLoopOracle:
     def test_bit_identical(self, variant, norm, case):
         history, targets = self.CASES[case]
         d = np.random.default_rng(5).normal(size=(len(targets), 4))
-        got = scatter_user_gradient(side(variant, norm, alpha=0.75), 3, targets, history, d)
+        terms = np.array(history, dtype=np.int64)
+        got = scatter_user_gradient(side(variant, norm, alpha=0.75), 3, terms, targets, d)
         want = scatter_user_gradient_loops(variant, 3, targets, history, d, alpha=0.75, norm=norm)
         assert set(got) == set(want)
         for name, (rows, grads) in got.items():
@@ -228,7 +228,42 @@ class TestUserRowsMatchLoopOracle:
         t = unit_tables(seed=4)
         terms = history_terms(history)
         for batch in (targets, None):
-            got = user_rows(side(variant, norm, alpha=0.75), t, 3, terms, batch)
+            users = [3] * (1 if batch is None else len(batch))
+            got = user_rows(side(variant, norm, alpha=0.75), t, users, terms[None], batch)
             want = user_rows_loops(t, variant, 3, (None,) if batch is None else batch, history, norm, alpha=0.75)
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+
+def pad_rows(histories):
+    """The histories' terms as one padded array, as the split lays out a
+    group of users' histories."""
+    rows = np.full((len(histories), max(map(len, histories))), HISTORY_PAD)
+    for b, history in enumerate(histories):
+        terms = history_terms(history)
+        rows[b, : terms.size] = terms
+    return rows
+
+
+class TestGroupedUserRows:
+    """Rows of (user, padded history terms, optional target) over a ragged
+    group equal, bit for bit, the loop oracle and one-user calls."""
+
+    USERS = [3, 0, 4, 1, 2]
+    HISTORIES = [[1, 4, 7, 2], [5], [], [0, 2, 3, 6, 7, 8], [4, 8]]
+    TARGETS = [4, 5, 0, 1, 8]  # in the history, its only term, none, absent, last
+
+    @pytest.mark.parametrize("with_targets", [False, True])
+    @pytest.mark.parametrize("norm", [FISM_NORM_EXCLUDED, FISM_NORM_FULL])
+    @pytest.mark.parametrize("variant", [Variant.FISM, Variant.SVDPP])
+    def test_group_matches_oracle_and_one_user_calls(self, variant, norm, with_targets):
+        t = unit_tables(seed=6)
+        spec = side(variant, norm, alpha=0.75)
+        targets = self.TARGETS if with_targets else None
+        got = user_rows(spec, t, self.USERS, pad_rows(self.HISTORIES), targets)
+        assert got.shape == (len(self.USERS), t.K)
+        for b, (u, history) in enumerate(zip(self.USERS, self.HISTORIES)):
+            target = None if targets is None else (targets[b],)
+            want = user_rows_loops(t, variant, u, target or (None,), history, norm, alpha=0.75)
+            alone = user_rows(spec, t, [u], history_terms(history)[None], target)
+            assert got[b].tobytes() == want[0].tobytes() == alone[0].tobytes(), b

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from convncf.data import derive_seed, load_interactions, split_leave_latest_out
+from convncf.data import HISTORY_PAD, derive_seed, load_interactions, split_leave_latest_out
 from convncf.embeddings import EmbeddingTables, Variant, init_tables
 from convncf.evaluation import (
     DEFAULT_KS,
@@ -12,15 +12,14 @@ from convncf.evaluation import (
     itempop_scores,
     make_itempop,
     ndcg_at_k,
-    rank_of_target,
     rolling_last10,
     write_per_user_ranks,
 )
 from convncf import evaluation, model
-from convncf.model import HeadKind, IdentityHead, MergeKind, ModelSpec, new_head, predict_batch, scoring_row
+from convncf.model import HeadKind, IdentityHead, MergeKind, ModelSpec, new_head, predict_batch
 from convncf.training import TrainConfig, evaluate_state, train
 
-from _oracles import rank_by_sort
+from _oracles import rank_by_sort, rank_of_target
 
 # frozen: 1/log2(3), the gain of landing at rank 2
 NDCG_RANK2 = 0.6309297535714574
@@ -174,6 +173,31 @@ class TestEvaluate:
         first = sorted(splits.test)[0]
         with pytest.raises(EvaluationError, match=splits.train.user_ids[first]):
             evaluate(spec, t, splits)
+
+    @pytest.mark.parametrize("which", ["val", "test"])
+    @pytest.mark.parametrize("passing", [0, 3])
+    @pytest.mark.parametrize("check", ["user", "history"])
+    def test_group_check_names_the_first_failing_user(self, tmp_path, check, passing, which):
+        """One check covers a group's user indices and history terms and, as
+        a check per user would, names the first user that fails it: the
+        group's first user, or a later one when the first three pass."""
+        splits = splits_fixture(tmp_path)
+        users = sorted(splits.test)
+        ds = splits.train
+        t = init_tables(ds.M, ds.N, 4, Variant.SVDPP, 5)
+        if check == "user":
+            t = EmbeddingTables(P=t.P[: users[passing]], Q=t.Q, Qp=t.Qp)
+            named, message = users[passing], rf"user index {users[passing]} out of range \[0, {users[passing]}\)"
+        else:
+            top = [max(splits.history_items(u, include_validation=which == "test")) for u in users]
+            limit = max(top[:passing]) + 1 if passing else top[0]
+            t = EmbeddingTables(P=t.P, Q=t.Q[:limit], Qp=t.Qp[:limit])
+            named, message = next(u for u, item in zip(users, top) if item >= limit), "history item index out of range"
+            assert users.index(named) >= passing
+        spec = ModelSpec(variant=Variant.SVDPP, merge=MergeKind.INNER, head=IdentityHead(), K=4)
+        with pytest.raises(EvaluationError, match=rf"user {ds.user_ids[named]!r} \(index {named}\): {message}") as info:
+            evaluate(spec, t, splits, which=which)
+        assert isinstance(info.value.__cause__, IndexError)
 
     @pytest.mark.parametrize("shared", [False, True])
     def test_pooled_block_failure_names_the_user(self, tmp_path, monkeypatch, shared):
@@ -370,21 +394,23 @@ class TestSharedPass:
     def test_scoring_calls_per_user(self, tmp_path, monkeypatch, variant):
         """Over two trained epochs a history-free model builds each user's
         scoring row once per epoch and scores each candidate row once; FISM
-        and SVD++ do both twice, and only the test call's history holds the
-        validation item."""
+        and SVD++ do both twice. Their rows sum the user's train terms,
+        ascending, and only the test call's terms hold the validation item,
+        in its ascending place."""
         splits = splits_fixture(tmp_path, M=12, N=40)
         calls, rows = [], []
 
-        def counting(spec, tables, u, history=()):
-            calls.append((u, list(history)))
-            return scoring_row(spec, tables, u, history)
+        def counting(spec, tables, users, terms=None, targets=None):
+            for b, u in enumerate(users.tolist()):
+                calls.append((u, [] if terms is None else terms[b][terms[b] != HISTORY_PAD].tolist()))
+            return build_rows(spec, tables, users, terms, targets)
 
         def block(spec, FU, Q, items):
             rows.append(len(items))
             return score_block(spec, FU, Q, items)
 
-        score_block = model._score_block
-        monkeypatch.setattr(evaluation, "scoring_row", counting)
+        build_rows, score_block = evaluation.user_rows, model._score_block
+        monkeypatch.setattr(evaluation, "user_rows", counting)
         monkeypatch.setattr(model, "_score_block", block)
         t = init_tables(splits.train.M, splits.train.N, 4, variant, derive_seed(2, "init"), scale=0.1)
         spec = ModelSpec(variant=variant, merge=MergeKind.INNER, head=IdentityHead(), K=4)
@@ -401,8 +427,8 @@ class TestSharedPass:
             val_calls = calls[2 * epoch * len(users) :][: len(users)]
             test_calls = calls[(2 * epoch + 1) * len(users) :][: len(users)]
             for (u, val_history), (_, test_history) in zip(val_calls, test_calls):
-                assert splits.validation[u].item not in val_history
-                assert test_history == val_history + [splits.validation[u].item]
+                assert val_history == sorted(splits.train.items_of(u))
+                assert test_history == sorted(val_history + [splits.validation[u].item])
 
 
 class TestItemPop:

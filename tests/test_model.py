@@ -219,7 +219,7 @@ def assert_rows_score_alone(spec, tables, u, items, history=()):
     single = []
     terms = history_terms(history)
     for i in items:
-        fU = user_rows(spec, tables, u, terms, (int(i),))
+        fU = user_rows(spec, tables, [u], terms[None], (int(i),))
         _, y = head_forward(spec, merge(spec.merge, fU, tables.Q[[i]]))
         single.append(y)
     single = np.concatenate(single)
@@ -274,6 +274,31 @@ class TestPredictBatch:
         spec = spec_for(variant, MergeKind.OUTER, HeadKind.CNN)
         with pytest.raises(IndexError, match=rf"candidate item index {named} out of range \[0, 5\)"):
             predict_batch(spec, t, 0, np.array(items), [1])
+
+    @pytest.mark.parametrize(
+        "items,history,named",
+        [
+            ([1.7, 2.2], [0], "items"),
+            ([True, False], [0], "items"),
+            (np.array([[1, 2]]), [0], "items"),
+            ([1, 2], [2.9, 1.2], "history"),
+            ([1, 2], [[1, 2]], "history"),
+        ],
+        ids=["float_items", "bool_items", "2d_items", "float_history", "2d_history"],
+    )
+    def test_rejects_non_integer_or_non_1d_indices(self, items, history, named):
+        """Floats would be truncated, booleans read as 0 and 1, a 2-D
+        candidate array would fail deep in the merge and a 2-D history would
+        be flattened; each is refused naming its argument."""
+        t = init_tables(3, 5, 8, Variant.FISM, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.FISM, MergeKind.OUTER, HeadKind.CNN)
+        with pytest.raises(IndexError, match=rf"^{named} must be a 1-D array of integer indices"):
+            predict_batch(spec, t, 0, items, history)
+
+    def test_empty_list_of_candidates(self):
+        t = init_tables(3, 5, 8, Variant.FISM, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.FISM, MergeKind.OUTER, HeadKind.CNN)
+        assert predict_batch(spec, t, 0, [], []).shape == (0,)
 
     def test_empty_candidates(self):
         t = init_tables(3, 5, 8, Variant.MF, derive_seed(7, "init"), scale=1.0)

@@ -9,7 +9,7 @@ import pytest
 
 from convncf import model, training
 from convncf.data import derive_seed, load_interactions, split_leave_latest_out
-from convncf.embeddings import EmbeddingTables, Variant, history_terms, init_tables, user_rows
+from convncf.embeddings import EmbeddingTables, Variant, init_tables, user_rows
 from convncf.model import (
     HeadKind,
     IdentityHead,
@@ -241,14 +241,14 @@ class TestTrainStep:
         for acc in states.values():
             acc += 0.5
         want_t, want_s = copy.deepcopy(t), copy.deepcopy(states)
-        history = [0, 2, 4, 7]
-        g = compute_triple_gradients(spec, t, 1, 2, 5, history)
+        terms = np.array([0, 2, 4, 7])
+        g = compute_triple_gradients(spec, t, 1, 2, 5, terms)
         for name, (rows, grads) in g.tables.items():
             table = getattr(want_t, name)
             lam = cfg.lambda2 if name == "Q" else cfg.lambda1
             for r, grad in zip(rows.tolist(), grads):
                 adagrad_step(table[r], grad + 2.0 * lam * table[r], want_s[name][r], cfg.lr_embed, cfg.adagrad_epsilon)
-        train_step(spec, t, (1, 2, 5), cfg, states, regularize=True, history=history)
+        train_step(spec, t, (1, 2, 5), cfg, states, regularize=True, terms=terms)
         for name in states:
             assert getattr(t, name).tobytes() == getattr(want_t, name).tobytes(), name
             assert states[name].tobytes() == want_s[name].tobytes(), name
@@ -267,11 +267,11 @@ class TestTrainStep:
         t = init_tables(4, 9, 8, variant, derive_seed(3, "init"), scale=1.0)
         head = new_head(hk, mk, 8, 4, 2, derive_seed(3, "init_head"))
         spec = ModelSpec(variant=variant, merge=mk, head=head, K=8)
-        u, i, j, history = 1, 2, 5, [0, 2, 4, 7]
-        g = compute_triple_gradients(spec, t, u, i, j, history)
+        u, i, j, terms = 1, 2, 5, np.array([0, 2, 4, 7])
+        g = compute_triple_gradients(spec, t, u, i, j, terms)
         passes = []
         for target, d_y in zip((i, j), bpr_grad(g.y_pos, g.y_neg)):
-            fU = user_rows(spec, t, u, history_terms(history), (target,))
+            fU = user_rows(spec, t, [u], terms[None], (target,))
             merged = merge(mk, fU, t.Q[[target]])
             acts, _ = head_forward(spec, merged)
             passes.append(head_backward(spec, merged, acts, np.array([d_y]))[0])
@@ -289,7 +289,7 @@ class TestTrainStep:
         spec = ModelSpec(variant=Variant.MF, merge=mk, head=head, K=8)
         u, i, j = 1, 2, 5
         g = compute_triple_gradients(spec, t, u, i, j)
-        merged = merge(mk, user_rows(spec, t, u, targets=(i, j)), t.Q[[i, j]])
+        merged = merge(mk, user_rows(spec, t, [u, u], targets=(i, j)), t.Q[[i, j]])
         _, y, grads, _ = mlp_loops(head, merged.reshape(2, -1), np.array(bpr_grad(g.y_pos, g.y_neg)))
         np.testing.assert_allclose([g.y_pos, g.y_neg], y, rtol=1e-12)
         assert sorted(g.head) == sorted(grads)
@@ -340,9 +340,9 @@ class TestPackedHead:
         want_spec, want_t = copy.deepcopy((spec, t))
         states = init_adagrad(spec, t)
         want_s = {name: np.zeros_like(arr) for name, arr in section_arrays(want_spec, want_t).items()}
-        history = [0, 2, 4, 7]
+        terms = np.array([0, 2, 4, 7])
         for triple in ((1, 2, 5), (3, 0, 8), (1, 4, 6)):
-            g = compute_triple_gradients(want_spec, want_t, *triple, history)
+            g = compute_triple_gradients(want_spec, want_t, *triple, terms)
             for name, arr in head_sections(want_spec.head):
                 grad, lam = g.head[name], cfg.lambda4 if name == "w" else cfg.lambda3
                 if regularize and lam:
@@ -354,7 +354,7 @@ class TestPackedHead:
                     if regularize and lam:
                         grad = grad + 2.0 * lam * table[r]
                     adagrad_step(table[r], grad, want_s[name][r], cfg.lr_embed, cfg.adagrad_epsilon)
-            train_step(spec, t, triple, cfg, states, regularize, history)
+            train_step(spec, t, triple, cfg, states, regularize, terms)
         got, want = section_arrays(spec, t), section_arrays(want_spec, want_t)
         assert list(got) == list(want)
         for name in got:
@@ -457,6 +457,27 @@ class TestTrainLoop:
         train(spec, t, splits, TrainConfig(epochs=3, seed=5))
         assert splits_called == ["val", "test"] * 3
         assert scored and all(scored)
+
+    @pytest.mark.parametrize("variant", [Variant.FISM, Variant.SVDPP])
+    def test_history_sums_read_the_split_terms_as_they_are(self, tmp_path, monkeypatch, variant):
+        """Training and evaluation sum the split's history terms, already
+        distinct and ascending: neither calls history_terms or np.unique,
+        per triple or per evaluated user."""
+        splits = make_splits(tmp_path)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("history terms recomputed")
+
+        for module_name, module in list(sys.modules.items()):
+            if module_name.startswith("convncf") and hasattr(module, "history_terms"):
+                monkeypatch.setattr(module, "history_terms", refuse)
+        monkeypatch.setattr(np, "unique", refuse)
+        t = init_tables(splits.train.M, splits.train.N, 4, variant, 3, scale=0.1)
+        head = new_head(HeadKind.CNN, MergeKind.OUTER, 4, 2, 2, derive_seed(3, "init_head"))
+        spec = ModelSpec(variant=variant, merge=MergeKind.OUTER, head=head, K=4)
+        result = train(spec, t, splits, TrainConfig(epochs=2, seed=5))
+        record = evaluate_state(spec, result.tables, splits, epoch=3)
+        assert record.test.users_evaluated == len(splits.test) > 0
 
     @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM])
     @pytest.mark.parametrize("workers", [1, 2])
