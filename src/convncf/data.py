@@ -26,15 +26,17 @@ comparable. Training negatives are drawn a minibatch at a time:
 from __future__ import annotations
 
 import os
+import re
 import zlib
-from array import array
 from dataclasses import dataclass, field, replace
+from itertools import count
 from typing import Iterator
 
 import numpy as np
 
 EVAL_NEGATIVES = 999
 HISTORY_PAD = -1  # fills a row of history terms past its last term
+LOAD_BLOCK_CHARS = 1 << 21  # text split into fields at once by load_interactions
 
 
 class ParseError(ValueError):
@@ -132,41 +134,73 @@ def _assemble(
     )
 
 
+# A line that is neither a comment nor user<TAB>item<TAB>timestamp (the
+# timestamp an optional sign, then ASCII digits; int() also takes '1_000',
+# ' 7' and '١٢'). Searched in "\n" + text: a match is the newline before it.
+_BAD_LINE = re.compile(r"\n(?!\Z|#|[^\t\n#][^\t\n]*\t[^\t\n]+\t[+-]?[0-9]+(?:\n|\Z))")
+_COMMENT = re.compile(r"^#.*\n?", re.MULTILINE)
+
+
+def _first_bad_line(text: str) -> ParseError:
+    """The error for the first line of ``text`` that breaks a rule of the
+    format; ``text`` must hold one."""
+    lines = text.split("\n")
+    if text.endswith("\n"):
+        lines.pop()  # the empty piece after the last newline is no line
+    for lineno, line in enumerate(lines, start=1):
+        if line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            return ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
+        raw_u, raw_i, ts_text = parts
+        if not raw_u or not raw_i:
+            return ParseError(f"line {lineno}: empty user or item id")
+        if not ((ts_text.isdigit() or ts_text[:1] in ("+", "-") and ts_text[1:].isdigit()) and ts_text.isascii()):
+            return ParseError(f"line {lineno}: timestamp {ts_text!r} is not a base-10 integer")
+        if not -(2**63) <= int(ts_text) < 2**63:
+            return ParseError(f"line {lineno}: timestamp {ts_text!r} is outside the int64 range")
+
+
+def _dense(raw: list[str], index: dict[str, int]) -> np.ndarray:
+    """The index of each raw id, as int64; ids new to ``index`` join it in
+    order of first appearance."""
+    index.update(zip([r for r in dict.fromkeys(raw) if r not in index], count(len(index))))
+    return np.fromiter(map(index.__getitem__, raw), dtype=np.int64, count=len(raw))
+
+
 def load_interactions(path: str) -> Dataset:
-    """Parse an interaction file; see the module docstring for the format."""
-    user_ids: list[str] = []
-    item_ids: list[str] = []
-    seen_user: dict[str, int] = {}
-    seen_item: dict[str, int] = {}
-    users, items, stamps = array("q"), array("q"), array("q")
+    """Parse an interaction file; see the module docstring for the format.
+
+    The whole text is checked against the format at once, then split into
+    fields in blocks of whole lines of about ``LOAD_BLOCK_CHARS``, so that
+    one block's field strings are held at a time. Only a malformed text is
+    walked line by line, to name its first bad line."""
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
-            raw_u, raw_i, ts_text = parts
-            if not raw_u or not raw_i:
-                raise ParseError(f"line {lineno}: empty user or item id")
-            # an optional sign, then ASCII digits: int() also takes '1_000', ' 7' and '١٢'
-            if not ((ts_text.isdigit() or ts_text[:1] in ("+", "-") and ts_text[1:].isdigit()) and ts_text.isascii()):
-                raise ParseError(f"line {lineno}: timestamp {ts_text!r} is not a base-10 integer")
-            try:
-                stamps.append(int(ts_text))
-            except OverflowError:
-                raise ParseError(f"line {lineno}: timestamp {ts_text!r} is outside the int64 range") from None
-            if raw_u not in seen_user:
-                seen_user[raw_u] = len(user_ids)
-                user_ids.append(raw_u)
-            if raw_i not in seen_item:
-                seen_item[raw_i] = len(item_ids)
-                item_ids.append(raw_i)
-            users.append(seen_user[raw_u])
-            items.append(seen_item[raw_i])
-    users, items, stamps = (np.frombuffer(rows, dtype=np.int64) for rows in (users, items, stamps))
-    return _assemble(users, items, stamps, user_ids, item_ids)
+        text = fh.read()
+    if _BAD_LINE.search("\n" + text):
+        raise _first_bad_line(text)
+    body = _COMMENT.sub("", text) if "#" in text else text
+    user_index: dict[str, int] = {}
+    item_index: dict[str, int] = {}
+    columns: tuple[list[np.ndarray], ...] = ([], [], [])
+    start = 0
+    while start < len(body):
+        # through the first newline at least LOAD_BLOCK_CHARS on, or to the end
+        end = body.find("\n", start + LOAD_BLOCK_CHARS) + 1 or len(body)
+        fields = body[start:end].replace("\n", "\t").split("\t")
+        if not fields[-1]:
+            fields.pop()  # after the block's last newline
+        users, items = fields[0::3], fields[1::3]
+        try:
+            stamps = np.fromiter(map(int, fields[2::3]), dtype=np.int64, count=len(users))
+        except OverflowError:
+            raise _first_bad_line(text) from None
+        for column, rows in zip(columns, (_dense(users, user_index), _dense(items, item_index), stamps)):
+            column.append(rows)
+        start = end
+    users, items, stamps = (np.concatenate([np.zeros(0, dtype=np.int64), *column]) for column in columns)
+    return _assemble(users, items, stamps, list(user_index), list(item_index))
 
 
 def satisfies_thresholds(ds: Dataset, min_item: int, min_user: int) -> bool:
@@ -243,25 +277,22 @@ class SplitSet:
 def split_leave_latest_out(ds: Dataset, seed) -> SplitSet:
     """Deterministic leave-latest-out split; see the module docstring."""
     rng = np.random.default_rng(seed)
-    held = np.zeros(ds.n_interactions, dtype=bool)
-    validation: dict[int, Interaction] = {}
-    test: dict[int, Interaction] = {}
     eval_negatives: dict[int, np.ndarray] = {}
-    skipped = 0
+    tested: list[int] = []  # the users with held-out rows, ascending
+    val_rows: list[int] = []
     bounds = ds.indptr.tolist()
+    unseen = np.ones(ds.N, dtype=bool)  # cleared at one user's items, then restored
     for u in range(ds.M):
         lo, hi = bounds[u], bounds[u + 1]
         if hi - lo < 3:
-            skipped += 1
             continue
-        val = lo + int(rng.integers(hi - lo - 1))
-        test[u] = Interaction(u, int(ds.items[hi - 1]), int(ds.stamps[hi - 1]))
-        validation[u] = Interaction(u, int(ds.items[val]), int(ds.stamps[val]))
-        held[[val, hi - 1]] = True
+        tested.append(u)
+        val_rows.append(lo + int(rng.integers(hi - lo - 1)))
 
-        mask = np.ones(ds.N, dtype=bool)
-        mask[ds.items[lo:hi]] = False
-        complement = np.flatnonzero(mask)
+        seen = ds.items[lo:hi]
+        unseen[seen] = False
+        complement = np.flatnonzero(unseen)
+        unseen[seen] = True
         if complement.size == 0:
             raise ProtocolError(
                 f"user {ds.user_ids[u]!r} (index {u}) interacted with every item; no negatives exist"
@@ -269,6 +300,13 @@ def split_leave_latest_out(ds: Dataset, seed) -> SplitSet:
         n_neg = min(EVAL_NEGATIVES, complement.size)
         eval_negatives[u] = rng.choice(complement, size=n_neg, replace=False)
 
+    val_rows, test_rows = np.array(val_rows, dtype=np.int64), ds.indptr[1:][tested] - 1
+    validation, test = (
+        dict(zip(tested, map(Interaction, tested, ds.items[rows].tolist(), ds.stamps[rows].tolist())))
+        for rows in (val_rows, test_rows)
+    )
+    held = np.zeros(ds.n_interactions, dtype=bool)
+    held[val_rows] = held[test_rows] = True
     users, items = ds.pairs()
     kept = ~held
     indptr = np.zeros_like(ds.indptr)
@@ -285,7 +323,7 @@ def split_leave_latest_out(ds: Dataset, seed) -> SplitSet:
         validation=validation,
         test=test,
         eval_negatives=eval_negatives,
-        skipped_users=skipped,
+        skipped_users=ds.M - len(tested),
     )
 
 
@@ -337,13 +375,14 @@ def write_manifest(split: SplitSet, path: str) -> None:
     grouped per user in dense order."""
     ds = split.train
     bounds, items, stamps = ds.indptr.tolist(), ds.items.tolist(), ds.stamps.tolist()
+    lines: list[str] = []
+    for u in range(ds.M):
+        user, rows = ds.user_ids[u], range(bounds[u], bounds[u + 1])
+        lines += (f"{user}\t{ds.item_ids[items[row]]}\t{stamps[row]}\ttrain\n" for row in rows)
+        if u in split.validation:
+            for x, tag in ((split.validation[u], "val"), (split.test[u], "test")):
+                lines.append(f"{user}\t{ds.item_ids[x.item]}\t{x.timestamp}\t{tag}\n")
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8") as fh:
-        for u in range(ds.M):
-            user = ds.user_ids[u]
-            for row in range(bounds[u], bounds[u + 1]):
-                fh.write(f"{user}\t{ds.item_ids[items[row]]}\t{stamps[row]}\ttrain\n")
-            if u in split.validation:
-                for x, tag in ((split.validation[u], "val"), (split.test[u], "test")):
-                    fh.write(f"{user}\t{ds.item_ids[x.item]}\t{x.timestamp}\t{tag}\n")
+        fh.write("".join(lines))
     os.replace(tmp, path)

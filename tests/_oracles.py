@@ -7,7 +7,11 @@ agree with them, not the other way around.
 
 from __future__ import annotations
 
+from array import array
+
 import numpy as np
+
+from convncf.data import ParseError, _assemble
 
 
 def outer_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -199,3 +203,65 @@ def scatter_user_gradient_loops(variant, u, targets, history, d_FU, alpha, norm)
         out["Qp"] = Qp
     return out
 
+
+def planted_interactions_loops(
+    M: int = 200,
+    N: int = 300,
+    rank: int = 8,
+    per_user: int = 20,
+    noise: float = 0.5,
+    seed: int = 0,
+) -> list[tuple[str, str, int]]:
+    """The dense generator: the whole M x N affinity matrix, one full
+    argsort per user, each id formatted per record."""
+    rng = np.random.default_rng(seed)
+    U = rng.normal(size=(M, rank))
+    V = rng.normal(size=(N, rank))
+    S = (U @ V.T) / np.sqrt(rank)
+    S = (S - S.mean(axis=0)) / (S.std(axis=0) + 1e-12)
+    triples = []
+    for u in range(M):
+        noisy = S[u] + rng.gumbel(0.0, noise, size=N)
+        chosen = np.argsort(-noisy)[:per_user]
+        stamps = rng.integers(100_000, 200_000, size=per_user)
+        for i, ts in zip(chosen.tolist(), stamps.tolist()):
+            triples.append((f"u{u:03d}", f"i{i:03d}", int(ts)))
+    return triples
+
+
+def load_interactions_loops(path: str):
+    """The line-by-line parser: each rule checked per line as it is read,
+    ids numbered on first appearance, rows assembled as the loader does."""
+    user_ids: list[str] = []
+    item_ids: list[str] = []
+    seen_user: dict[str, int] = {}
+    seen_item: dict[str, int] = {}
+    users, items, stamps = array("q"), array("q"), array("q")
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.rstrip("\n").rstrip("\r")
+            if line.startswith("#"):
+                continue
+            parts = line.split("\t")
+            if len(parts) != 3:
+                raise ParseError(f"line {lineno}: expected 3 tab-separated fields, got {len(parts)}")
+            raw_u, raw_i, ts_text = parts
+            if not raw_u or not raw_i:
+                raise ParseError(f"line {lineno}: empty user or item id")
+            # an optional sign, then ASCII digits: int() also takes '1_000', ' 7' and '١٢'
+            if not ((ts_text.isdigit() or ts_text[:1] in ("+", "-") and ts_text[1:].isdigit()) and ts_text.isascii()):
+                raise ParseError(f"line {lineno}: timestamp {ts_text!r} is not a base-10 integer")
+            try:
+                stamps.append(int(ts_text))
+            except OverflowError:
+                raise ParseError(f"line {lineno}: timestamp {ts_text!r} is outside the int64 range") from None
+            if raw_u not in seen_user:
+                seen_user[raw_u] = len(user_ids)
+                user_ids.append(raw_u)
+            if raw_i not in seen_item:
+                seen_item[raw_i] = len(item_ids)
+                item_ids.append(raw_i)
+            users.append(seen_user[raw_u])
+            items.append(seen_item[raw_i])
+    users, items, stamps = (np.frombuffer(rows, dtype=np.int64) for rows in (users, items, stamps))
+    return _assemble(users, items, stamps, user_ids, item_ids)

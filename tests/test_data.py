@@ -3,6 +3,7 @@ import re
 import numpy as np
 import pytest
 
+from convncf import data
 from convncf.data import (
     EVAL_NEGATIVES,
     HISTORY_PAD,
@@ -22,12 +23,13 @@ from convncf.data import (
     write_manifest,
 )
 
-from _oracles import sample_negative_set
+from _oracles import load_interactions_loops, sample_negative_set
 
 
 def write(tmp_path, text, name="data.tsv"):
+    """Write ``text`` with its line endings as given."""
     path = tmp_path / name
-    path.write_text(text, encoding="utf-8")
+    path.write_text(text, encoding="utf-8", newline="")
     return str(path)
 
 
@@ -99,6 +101,108 @@ class TestLoadInteractions:
             text = f"a\tx\t1\nb\tx\t{ts}\n"
             with pytest.raises(ParseError, match=f"^line 2: timestamp '{ts}' is outside the int64 range$"):
                 load_interactions(write(tmp_path, text))
+
+
+def random_log_lines(rng, n):
+    """Valid lines: comments, repeated pairs, signed, zero-padded and int64
+    extreme stamps, and ids holding characters that str.splitlines breaks on."""
+    users = ["alice", "u\x1c1", "b\u2028ob", "x#y", "\u00fc"]
+    items = ["book", "i\x1c2", "film\u2029", "#tag", "7", "z z", "\x85"]
+    lines = []
+    for _ in range(n):
+        if rng.random() < 0.15:
+            lines.append("# comment\twith\ttabs" if rng.random() < 0.5 else "#")
+        value = int(rng.choice([rng.integers(-50, 50), 2**63 - 1, -(2**63)]))
+        digits = str(abs(value)).zfill(int(rng.integers(1, 6)))
+        sign = "-" if value < 0 else str(rng.choice(["", "+"]))
+        lines.append(f"{rng.choice(users)}\t{rng.choice(items)}\t{sign}{digits}")
+    return lines
+
+
+def assert_same_dataset(a, b):
+    assert (a.M, a.N, a.user_ids, a.item_ids) == (b.M, b.N, b.user_ids, b.item_ids)
+    assert (a.user_index, a.item_index) == (b.user_index, b.item_index)
+    for name in ("indptr", "items", "stamps", "keys"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype == np.int64, name
+        np.testing.assert_array_equal(x, y, err_msg=name)
+
+
+BAD_LINES = {
+    "two fields": "a\tx",
+    "four fields": "a\tx\t1\t2",
+    "empty line": "",
+    "empty user": "\tx\t1",
+    "empty item": "a\t\t1",
+    "underscore stamp": "a\tx\t1_000",
+    "double sign": "a\tx\t+-5",
+    "empty stamp": "a\tx\t",
+    "non-ASCII digits": "a\tx\t\u0661\u0662",
+    "above int64": f"a\tx\t{2**63}",
+    "below int64": f"a\tx\t{-(2**63) - 1}",
+}
+
+
+@pytest.fixture(params=["one block", "13-char blocks"])
+def load_blocks(request, monkeypatch):
+    if request.param != "one block":
+        monkeypatch.setattr(data, "LOAD_BLOCK_CHARS", 13)  # about a line: ids continue across blocks
+
+
+@pytest.mark.usefixtures("load_blocks")
+class TestLoaderOracle:
+    """The bulk loader against the line-by-line one in _oracles."""
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"])
+    @pytest.mark.parametrize("final_newline", [True, False])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_valid_logs(self, tmp_path, seed, newline, final_newline):
+        lines = random_log_lines(np.random.default_rng(seed), 60)
+        path = write(tmp_path, newline.join(lines) + (newline if final_newline else ""))
+        assert_same_dataset(load_interactions(path), load_interactions_loops(path))
+
+    @pytest.mark.parametrize("text", ["", "\n", "#only\n", "#only", "a\tx\t1", "a\tx\t1\n#tail"])
+    def test_edge_texts(self, tmp_path, text):
+        path = write(tmp_path, text)
+        try:
+            expected = load_interactions_loops(path)
+        except ParseError as err:
+            with pytest.raises(ParseError, match=f"^{re.escape(str(err))}$"):
+                load_interactions(path)
+        else:
+            assert_same_dataset(load_interactions(path), expected)
+
+    @pytest.mark.parametrize("rule", BAD_LINES)
+    @pytest.mark.parametrize("where", ["first", "middle", "last", "last, no final newline", "after comments"])
+    def test_parse_error_matches_oracle(self, tmp_path, rule, where):
+        good = ["a\tx\t1", "b\ty\t-2", "a\ty\t+3", "c\tz\t004"]
+        lines = {
+            "first": [BAD_LINES[rule]] + good,
+            "middle": good[:2] + [BAD_LINES[rule]] + good[2:],
+            "last": good + [BAD_LINES[rule]],
+            "last, no final newline": good + [BAD_LINES[rule]],
+            "after comments": ["# one", "#\ttwo", BAD_LINES[rule]] + good,
+        }[where]
+        text = "\n".join(lines) + ("" if where == "last, no final newline" else "\n")
+        if where == "last, no final newline" and rule == "empty line":
+            text += "\n"  # an empty last line is only a line when a newline ends it
+        path = write(tmp_path, text)
+        with pytest.raises(ParseError) as expected:
+            load_interactions_loops(path)
+        assert str(expected.value).startswith(f"line {lines.index(BAD_LINES[rule]) + 1}: ")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(expected.value))}$"):
+            load_interactions(path)
+
+    @pytest.mark.parametrize(
+        "first, later", [("a\tx\t1_0", "a\tx"), (f"a\tx\t{2**63}", "a\tx"), ("a\tx", f"a\tx\t{2**63}")]
+    )
+    def test_first_bad_line_wins_across_rules(self, tmp_path, first, later):
+        path = write(tmp_path, f"b\ty\t1\n{first}\nb\tz\t2\n{later}\n")
+        with pytest.raises(ParseError) as expected:
+            load_interactions_loops(path)
+        assert str(expected.value).startswith("line 2: ")
+        with pytest.raises(ParseError, match=f"^{re.escape(str(expected.value))}$"):
+            load_interactions(path)
 
 
 class TestItemCounts:
