@@ -136,6 +136,7 @@ def scatter_user_gradient(
     terms: np.ndarray,
     targets: Sequence[int],
     d_FU: np.ndarray,
+    out: Optional[dict[str, np.ndarray]] = None,
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
     """Adjoint of user_rows over one user's batch of targets.
 
@@ -145,16 +146,17 @@ def scatter_user_gradient(
     variant's P and/or Qp, every touched row listed once with its gradient
     summed over the batch. The user row takes the sum of every row of d_FU;
     the history table takes ``d_FU[b] / n_b**alpha`` on the history rows
-    that target b keeps.
+    that target b keeps. Grads go to the leading rows of ``out[section]``.
     """
-    variant, out = spec.variant, {}
+    variant, out, grads = spec.variant, out or {}, {}
     if "P" in variant.tables:
-        out["P"] = (np.array([u]), d_FU.sum(axis=0, keepdims=True))
+        grads["P"] = (np.array([u]), np.add.reduce(d_FU, axis=0, keepdims=True, out=out.get("P")))
     if variant.reads_history:
         keep, scales = _history_weights(spec, terms[None], targets)
         scaled = d_FU / scales[:, None]
         touched = keep.any(axis=1)
         if not touched.all():
             terms, keep = terms[touched], keep[touched]
-        out["Qp"] = (terms, np.where(keep[:, :, None], scaled[None], 0.0).sum(axis=1))
-    return out
+        rows = out["Qp"][: len(terms)] if "Qp" in out else None
+        grads["Qp"] = (terms, np.add.reduce(np.where(keep[:, :, None], scaled[None], 0.0), axis=1, out=rows))
+    return grads

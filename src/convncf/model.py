@@ -29,11 +29,10 @@ with an MLP head: each of its layers is one matrix product over the whole
 batch, which reads the weight matrix once per batch and agrees with the row
 alone to rounding.
 
-Gradients for head parameters are summed over the batch and returned as a
-dict keyed by section name
-(``conv.<l>.kernel``, ``conv.<l>.bias``, ``mlp.<l>.W``, ``mlp.<l>.b``,
-``w``); the same names address parameters in checkpoints and in the
-finite-difference report.
+Gradients for head parameters are summed over the batch into views of a
+gradient vector keyed by section name (``head_views``: ``conv.<l>.kernel``,
+``conv.<l>.bias``, ``mlp.<l>.W``, ``mlp.<l>.b``, ``w``); the same names
+address parameters in checkpoints and in the finite-difference report.
 """
 
 from __future__ import annotations
@@ -265,17 +264,18 @@ def convncf_forward(stack: ConvStack, E: np.ndarray):
     return acts, np.vecdot(acts[-1].reshape(E.shape[0], stack.C), stack.w)
 
 
-def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray):
+def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray, out=None):
     """Adjoint of convncf_forward; returns (head grads by section, d_E)."""
+    out = head_views(stack) if out is None else out
     g = acts[-1].reshape(d_y.shape[0], stack.C)
-    grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * g).sum(axis=0)}
+    np.add.reduce(d_y[:, None] * g, axis=0, out=out["w"])
     d_act = (d_y[:, None] * stack.w)[:, None, :]
     for l in range(stack.depth, 0, -1):
         layer = stack.layers[l - 1]
         d_act, d_kernel, d_bias = conv2x2s2_backward(acts[l - 1], layer.kernel, acts[l], d_act)
-        grads[f"conv.{l}.kernel"] = d_kernel.sum(axis=0)
-        grads[f"conv.{l}.bias"] = d_bias.sum(axis=0)
-    return grads, from_quadtree(d_act)[..., 0]
+        np.add.reduce(d_kernel, axis=0, out=out[f"conv.{l}.kernel"])
+        np.add.reduce(d_bias, axis=0, out=out[f"conv.{l}.bias"])
+    return out, from_quadtree(d_act)[..., 0]
 
 
 def mlp_forward(head: MlpHead, X0: np.ndarray):
@@ -289,18 +289,19 @@ def mlp_forward(head: MlpHead, X0: np.ndarray):
     return acts, np.vecdot(acts[-1], head.w)
 
 
-def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray):
+def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray, out=None):
     """Adjoint of mlp_forward, two matrix products per layer over the whole
     batch; returns (head grads by section, d_X0)."""
-    grads: dict[str, np.ndarray] = {"w": (d_y[:, None] * acts[-1]).sum(axis=0)}
+    out = head_views(head) if out is None else out
+    np.add.reduce(d_y[:, None] * acts[-1], axis=0, out=out["w"])
     d_X = d_y[:, None] * head.w
     for l in range(len(head.layers), 0, -1):
         layer = head.layers[l - 1]
         d_pre = relu_backward(acts[l], d_X)
-        grads[f"mlp.{l}.W"] = d_pre.T @ acts[l - 1]
-        grads[f"mlp.{l}.b"] = d_pre.sum(axis=0)
+        np.matmul(d_pre.T, acts[l - 1], out=out[f"mlp.{l}.W"])
+        np.add.reduce(d_pre, axis=0, out=out[f"mlp.{l}.b"])
         d_X = d_pre @ layer.W
-    return grads, d_X
+    return out, d_X
 
 
 def head_forward(spec: ModelSpec, merged):
@@ -316,18 +317,20 @@ def head_forward(spec: ModelSpec, merged):
     return None, merged
 
 
-def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray):
+def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray, out=None):
     """Adjoint of head_forward; returns (head grads by section summed over
-    the batch, per-row d_merged)."""
+    the batch, written into ``out`` if given, per-row d_merged)."""
     head = spec.head
     if isinstance(head, ConvStack):
-        return convncf_backward(head, acts, d_y)
+        return convncf_backward(head, acts, d_y, out)
     if isinstance(head, MlpHead):
-        grads, d_X0 = mlp_backward(head, acts, d_y)
+        grads, d_X0 = mlp_backward(head, acts, d_y, out)
         return grads, d_X0.reshape(merged.shape)
+    out = head_views(head) if out is None else out
     if isinstance(head, LinearHead):
-        return {"w": (d_y[:, None] * merged).sum(axis=0)}, d_y[:, None] * head.w
-    return {}, d_y
+        np.add.reduce(d_y[:, None] * merged, axis=0, out=out["w"])
+        return out, d_y[:, None] * head.w
+    return out, d_y
 
 
 # ---------------------------------------------------------------------------
@@ -547,20 +550,25 @@ def head_sections(head: Head) -> list[tuple[str, np.ndarray]]:
     return [(name, getattr(owner, attr)) for name, owner, attr in _section_slots(head)]
 
 
-def pack_head(head: Head) -> np.ndarray:
-    """Copy the head's sections, in head_sections order, into one float64
-    vector and rebind each section to its view of it; returns the vector, so
-    one elementwise update of it updates every section."""
-    slots = _section_slots(head)
-    flat = np.empty(sum(getattr(owner, attr).size for _, owner, attr in slots))
-    start = 0
-    for _, owner, attr in slots:
-        arr = getattr(owner, attr)
-        view = flat[start : start + arr.size].reshape(arr.shape)
-        view[...] = arr
-        setattr(owner, attr, view)
+def head_views(head: Head, flat: Optional[np.ndarray] = None) -> dict[str, np.ndarray]:
+    """Views of ``flat``'s leading entries (of a fresh vector without it)
+    shaped as the head's sections, by name, in head_sections order."""
+    sections = head_sections(head)
+    flat = np.empty(sum(arr.size for _, arr in sections)) if flat is None else flat
+    views, start = {}, 0
+    for name, arr in sections:
+        views[name] = flat[start : start + arr.size].reshape(arr.shape)
         start += arr.size
-    return flat
+    return views
+
+
+def pack_head(head: Head, flat: np.ndarray) -> None:
+    """Copy the head's sections into their ``head_views`` of the float64
+    vector ``flat`` and rebind each section to its view, so one elementwise
+    update of ``flat`` updates every section."""
+    for (_, owner, attr), view in zip(_section_slots(head), head_views(head, flat).values()):
+        view[...] = getattr(owner, attr)
+        setattr(owner, attr, view)
 
 
 def section_arrays(spec: ModelSpec, tables: EmbeddingTables) -> dict[str, np.ndarray]:

@@ -44,7 +44,7 @@ def quadtree_order(s: int) -> np.ndarray:
 def to_quadtree(x: np.ndarray) -> np.ndarray:
     """Row-major ``(n, s, s, C)`` stack -> ``(n, s*s, C)`` in quadtree order."""
     n, s, _, c = x.shape
-    return np.take(x.reshape(n, s * s, c), quadtree_order(s), axis=1)
+    return x.reshape(n, s * s, c).take(quadtree_order(s), axis=1)
 
 
 @cache
@@ -60,7 +60,7 @@ def from_quadtree(x: np.ndarray) -> np.ndarray:
     """Inverse of to_quadtree."""
     n, p, c = x.shape
     s = math.isqrt(p)
-    return np.take(x, _row_major_order(s), axis=1).reshape(n, s, s, c)
+    return x.take(_row_major_order(s), axis=1).reshape(n, s, s, c)
 
 
 def conv2x2s2_forward(inp, kernel, bias):

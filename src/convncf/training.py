@@ -9,10 +9,10 @@ hidden tower (convolution kernels and biases, or MLP layers), lambda4 on
 the output projection w. Embedding tables step with lr_embed, the tower and
 w with lr_net, all under Adagrad with accumulators starting at zero.
 
-L2 gradients are added per step for the parameters that step touches (the
-triple's embedding rows; every tower parameter), not as a global penalty
-sweep. The first epoch of any run disables regularization entirely so the
-model fits the data before shrinkage kicks in.
+L2 gradients cover what a step touches (the triple's embedding rows, every
+head parameter), not a global sweep; one elementwise pass over one vector
+(``AdagradState``) adds them and steps. The first epoch of any run disables
+regularization so the model fits the data before shrinkage kicks in.
 """
 
 from __future__ import annotations
@@ -41,6 +41,7 @@ from convncf.model import (
     head_backward,
     head_forward,
     head_sections,
+    head_views,
     merge,
     merge_backward,
     pack_head,
@@ -48,10 +49,9 @@ from convncf.model import (
 )
 
 LN2 = math.log(2.0)
-# Entries per part of the packed head's update: 128 KiB per operand, so a
-# part's operations run in cache. On a 2-CPU Xeon one K=64 MLP-over-OUTER
-# step (8.4M head entries) takes ~120 ms this way, ~170-200 ms in whole
-# passes.
+# Entries per part of a step's pass: 128 KiB per operand, so a part's
+# operations run in cache. On a 2-CPU Xeon one K=64 MLP-over-OUTER step
+# (8.4M head entries) takes ~105 ms this way, ~190 ms in whole passes.
 HEAD_STEP_ENTRIES = 1 << 14
 
 
@@ -124,30 +124,60 @@ def _sigmoid(x: float) -> float:
 
 
 class AdagradState(dict):
-    """Adagrad accumulators, all starting at zero: one per embedding table,
-    by section name, and ``head_acc`` for the packed head (``pack_head``).
-    ``head`` is the head's one parameter vector, whose sections, named
-    ``head_names``, are views of it; ``head[:tower]`` is the hidden tower
-    and ``head[tower:]`` the output projection w. The head steps in
-    ``parts``, (start, stop, tower entries among them) runs of at most
-    ``HEAD_STEP_ENTRIES``, with ``scratch`` as one part's work buffer."""
+    """Adagrad state, every accumulator starting at zero: one per table the
+    variant owns, by name, and ``acc``, laid out as ``params`` and ``grad``
+    are: the packed head (its sections view ``head``; ``tower`` entries of
+    hidden tower, then w), then a slot per table row a step touches, in
+    table order: P[u], Q[i] and Q[j], and ``history_rows`` rows of Qp.
+    ``head_grads`` and ``grad_rows`` are the head's sections and each
+    table's ``(rows, K)`` slot in ``grad``; ``slots`` holds each slot's
+    start and its views of ``params`` and ``acc``."""
 
-    def __init__(self, accs: dict[str, np.ndarray], spec: ModelSpec):
-        super().__init__(accs)
-        self.head = pack_head(spec.head)
-        self.head_acc = np.zeros_like(self.head)
-        self.head_names = [name for name, _ in head_sections(spec.head)]
-        self.tower = self.head.size - (spec.head.w.size if self.head_names else 0)
-        size, step = self.head.size, HEAD_STEP_ENTRIES
-        self.parts = [(lo, min(lo + step, size), min(max(self.tower - lo, 0), step)) for lo in range(0, size, step)]
-        self.scratch = np.empty(min(size, step))
+    def __init__(self, spec: ModelSpec, tables: EmbeddingTables, history_rows: int):
+        super().__init__({name: np.zeros_like(getattr(tables, name)) for name in spec.variant.tables})
+        size = sum(arr.size for _, arr in head_sections(spec.head))
+        self.tower = size - (spec.head.w.size if size else 0)
+        counts = {name: {"P": 1, "Q": 2, "Qp": history_rows}[name] for name in self}
+        length = size + tables.K * sum(counts.values())
+        self.params, self.acc, self.grad = np.empty(length), np.zeros(length), np.empty(length)
+        pack_head(spec.head, self.params)
+        self.head, self.head_acc, self.head_grads = self.params[:size], self.acc[:size], head_views(spec.head, self.grad)
+        self.head_names = list(self.head_grads)
+        # (start, stop, lambda, learning rate) of each stretch, as TrainConfig keys
+        self.stretches = [(0, self.tower, "lambda3", "lr_net"), (self.tower, size, "lambda4", "lr_net")]
+        self.grad_rows, self.slots, start = {}, {}, size
+        for name, n in counts.items():
+            stop = start + n * tables.K
+            self.grad_rows[name], *views = (v[start:stop].reshape(n, -1) for v in (self.grad, self.params, self.acc))
+            self.slots[name] = (start, *views)
+            self.stretches.append((start, stop, "lambda2" if name == "Q" else "lambda1", "lr_embed"))
+            start = stop
+        self.scratch, self.plan_key, self._plan = np.empty(min(length, HEAD_STEP_ENTRIES)), None, []
+
+    def plan(self, config: TrainConfig, regularize: bool) -> list:
+        """The vector's parts of at most ``HEAD_STEP_ENTRIES`` entries, built
+        when the hyper-parameters change: (start, stop, lr, runs), a run a
+        (start, stop, 2 * lambda) span of non-zero L2 in the part (a zero
+        lambda adds nothing, not even +0.0 to a -0.0 gradient). lr and 2 *
+        lambda hold one entry where constant, else one per entry."""
+        c, one = config, lambda v: v[:1].copy() if (v == v[0]).all() else v
+        key = (regularize, c.lambda1, c.lambda2, c.lambda3, c.lambda4, c.lr_net, c.lr_embed)
+        if key != self.plan_key:
+            self.plan_key, self._plan, size = key, [], self.params.size
+            for lo in range(0, size, HEAD_STEP_ENTRIES):
+                hi = min(lo + HEAD_STEP_ENTRIES, size)
+                cut = [(min(b, hi) - max(a, lo), lam, lr) for a, b, lam, lr in self.stretches if max(a, lo) < min(b, hi)]
+                l2 = np.concatenate([np.full(n, 2.0 * getattr(c, lam) * regularize) for n, lam, _ in cut])
+                lrs = np.concatenate([np.full(n, getattr(c, lr)) for n, _, lr in cut])
+                edges = np.flatnonzero(np.diff(np.r_[0, l2 != 0, 0])).reshape(-1, 2).tolist()
+                self._plan.append((lo, hi, one(lrs), [(a, b, one(l2[a:b])) for a, b in edges]))
+        return self._plan
 
 
-def init_adagrad(spec: ModelSpec, tables: EmbeddingTables) -> AdagradState:
-    """Zero accumulators for the tables the variant owns; packs the head,
-    which rebinds its sections, so take any reference to them after this
-    call."""
-    return AdagradState({name: np.zeros_like(getattr(tables, name)) for name in spec.variant.tables}, spec)
+def init_adagrad(spec: ModelSpec, tables: EmbeddingTables, history_rows: Optional[int] = None) -> AdagradState:
+    """Qp slots for ``history_rows`` rows (every item without it). Packs the
+    head, which rebinds its sections: take references to them after this."""
+    return AdagradState(spec, tables, tables.N if history_rows is None else min(history_rows, tables.N))
 
 
 def adagrad_step(
@@ -158,16 +188,15 @@ def adagrad_step(
     epsilon: float,
     out: np.ndarray | None = None,
 ) -> None:
-    """In-place: state += grad^2; param -= lr * grad / (sqrt(state) + epsilon).
+    """In-place: state += grad^2; param -= lr * grad / (sqrt(state) + epsilon),
+    ``lr`` a float or an array broadcast against ``grad``.
 
-    Works on whole arrays, row views and gathered row blocks alike, so sparse
-    table updates touch only the rows whose gradients exist. ``out``, an
-    array shaped like ``grad`` (a fresh one without it), holds grad^2 and
-    then the denominator; ``lr * grad`` is the only other temporary. The
-    formula's operations run in its order, so the bytes are the formula's.
-    Each is a ufunc call with its output passed by position: on rows of a
-    few entries numpy's in-place operators and the ``out=`` keyword cost
-    about twice as much.
+    ``out``, an array shaped like ``grad`` (a fresh one without it), holds
+    grad^2 and then the denominator; ``lr * grad`` is the only other
+    temporary. The formula's operations run in its order, so the bytes are
+    the formula's. Each is a ufunc call with its output passed by position:
+    on a few entries numpy's in-place operators and the ``out=`` keyword
+    cost about twice as much.
     """
     out = np.multiply(grad, grad, np.empty_like(grad) if out is None else out)
     np.add(state, out, state)
@@ -215,16 +244,20 @@ def compute_triple_gradients(
     i: int,
     j: int,
     terms: Optional[np.ndarray] = None,
+    states: Optional[AdagradState] = None,
 ) -> TripleGrads:
     """Forward both branches of one triple and backpropagate the plain
-    (regularization-free) pairwise loss through every shared parameter."""
+    (regularization-free) pairwise loss through every shared parameter,
+    into ``states.head_grads`` and ``states.grad_rows`` if given."""
     FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms)
     y_pos, y_neg = float(y[0]), float(y[1])
     loss = bpr_loss(y_pos, y_neg)
-    head_grads, d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)))
+    head_out, rows_out = (None, {"Q": np.empty_like(FI)}) if states is None else (states.head_grads, states.grad_rows)
+    head_grads, d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), head_out)
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
-    table_grads = scatter_user_gradient(spec, u, terms, (i, j), d_FU)
-    table_grads["Q"] = (np.array([i, j]), d_FI)
+    table_grads = scatter_user_gradient(spec, u, terms, (i, j), d_FU, rows_out)
+    np.copyto(rows_out["Q"], d_FI)
+    table_grads["Q"] = (np.array([i, j]), rows_out["Q"])
     return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=table_grads)
 
 
@@ -237,41 +270,47 @@ def train_step(
     regularize: bool,
     terms: Optional[np.ndarray] = None,
 ) -> float:
-    """One triple: gradients from both branches, touched-parameter L2,
-    Adagrad application. Returns the pre-update pairwise loss.
-
-    The packed head steps in its ``parts``, each one elementwise pass per
-    operation while it sits in cache, so the packed gradient is its only
-    head-sized temporary. The user row P[u] steps through its row view; Q
-    and Qp step once over their touched rows (gather, step, write back),
-    which are distinct because a sampled negative is never the positive.
-    """
+    """One triple: its gradients into ``states.grad``, then one
+    ``adagrad_pass``. Returns the pre-update pairwise loss."""
     u, i, j = triple
-    g = compute_triple_gradients(spec, tables, u, i, j, terms)
-
-    if states.head_names:
-        grad = np.concatenate([g.head[name] for name in states.head_names], axis=None)
-        g.head.clear()  # the packed copy is all the step needs
-        for lo, hi, t in states.parts:
-            g_part, head, s = grad[lo:hi], states.head[lo:hi], states.scratch[: hi - lo]
-            if regularize and config.lambda3:
-                g_part[:t] += np.multiply(head[:t], 2.0 * config.lambda3, s[:t])
-            if regularize and config.lambda4:
-                g_part[t:] += np.multiply(head[t:], 2.0 * config.lambda4, s[t:])
-            adagrad_step(head, g_part, states.head_acc[lo:hi], config.lr_net, config.adagrad_epsilon, s)
-
-    for name, (rows, grad) in g.tables.items():
-        table, acc = getattr(tables, name), states[name]
-        lam = config.lambda2 if name == "Q" else config.lambda1
-        if name == "P":
-            rows, grad = u, grad[0]
-        block, block_acc = table[rows], acc[rows]
-        if regularize and lam:
-            grad = grad + 2.0 * lam * block
-        adagrad_step(block, grad, block_acc, config.lr_embed, config.adagrad_epsilon)
-        if name != "P":
-            table[rows], acc[rows] = block, block_acc
+    g = compute_triple_gradients(spec, tables, u, i, j, terms, states)
+    adagrad_pass(tables, states, g.tables, config, regularize)
     return g.loss
+
+
+def adagrad_pass(
+    tables: EmbeddingTables,
+    states: AdagradState,
+    rows: dict[str, tuple[np.ndarray, np.ndarray]],
+    config: TrainConfig,
+    regularize: bool,
+) -> None:
+    """Step the head and the table rows of ``rows``, (index, grads) by table
+    as in TripleGrads, each row once (a negative is never the positive,
+    history terms are distinct), on ``states.grad``: gather the rows and
+    accumulators into their slots, run L2 + Adagrad up to the last slot in
+    use in ``states.plan``'s parts, each operation one elementwise pass
+    over a part in cache, and write the rows back."""
+    end = states.head.size
+    for name, (index, _) in rows.items():
+        start, param, acc = states.slots[name]
+        getattr(tables, name).take(index, axis=0, out=param[: len(index)])
+        states[name].take(index, axis=0, out=acc[: len(index)])
+        end = max(end, start + param[: len(index)].size)
+    for lo, hi, lr, runs in states.plan(config, regularize):
+        if lo >= end:
+            break
+        n = min(hi, end) - lo
+        grad, param, s = states.grad[lo : lo + n], states.params[lo : lo + n], states.scratch[:n]
+        for a, b, l2 in runs:
+            b = min(b, n)
+            if a < b:
+                np.add(grad[a:b], np.multiply(param[a:b], l2[: b - a], s[a:b]), grad[a:b])
+        adagrad_step(param, grad, states.acc[lo : lo + n], lr[:n], config.adagrad_epsilon, s)
+    for name, (index, _) in rows.items():
+        _, param, acc = states.slots[name]
+        at = index[0] if len(index) == 1 else index  # basic indexing writes one row ~5x faster
+        getattr(tables, name)[at], states[name][at] = param[: len(index)], acc[: len(index)]
 
 
 # ---------------------------------------------------------------------------
@@ -325,7 +364,7 @@ def _run_epochs(
     NonFiniteError naming the epoch, and the triple when it is the loss that
     went non-finite."""
     train_ds = splits.train
-    states = init_adagrad(spec, tables)
+    states = init_adagrad(spec, tables, int(np.diff(train_ds.indptr).max()))
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".shuffle"))
     neg_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".negatives"))
     records: list[EpochRecord] = []

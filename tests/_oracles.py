@@ -11,7 +11,11 @@ from array import array
 
 import numpy as np
 
+from convncf import training
 from convncf.data import ParseError, _assemble
+from convncf.embeddings import scatter_user_gradient
+from convncf.model import head_backward, head_sections, merge_backward, pack_head
+from convncf.training import TripleGrads, adagrad_step, bpr_grad, bpr_loss, triple_forward
 
 
 def outer_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -265,3 +269,67 @@ def load_interactions_loops(path: str):
             items.append(seen_item[raw_i])
     users, items, stamps = (np.frombuffer(rows, dtype=np.int64) for rows in (users, items, stamps))
     return _assemble(users, items, stamps, user_ids, item_ids)
+
+
+class AdagradStateLoops(dict):
+    """State of the section-by-section step: table accumulators by section
+    name, the head packed into ``head`` with its accumulator ``head_acc``,
+    stepped in ``parts`` of (start, stop, tower entries among them)."""
+
+    def __init__(self, spec, tables):
+        super().__init__({name: np.zeros_like(getattr(tables, name)) for name in spec.variant.tables})
+        self.head = np.empty(sum(arr.size for _, arr in head_sections(spec.head)))
+        pack_head(spec.head, self.head)
+        self.head_acc = np.zeros_like(self.head)
+        self.head_names = [name for name, _ in head_sections(spec.head)]
+        self.tower = self.head.size - (spec.head.w.size if self.head_names else 0)
+        size, step = self.head.size, training.HEAD_STEP_ENTRIES
+        self.parts = [(lo, min(lo + step, size), min(max(self.tower - lo, 0), step)) for lo in range(0, size, step)]
+        self.scratch = np.empty(min(size, step))
+
+
+def compute_triple_gradients_loops(spec, tables, u, i, j, terms=None):
+    """The per-triple gradients as separate arrays: head grads by section,
+    table grads as (rows, grads) by section."""
+    FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms)
+    y_pos, y_neg = float(y[0]), float(y[1])
+    loss = bpr_loss(y_pos, y_neg)
+    head_grads, d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)))
+    d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
+    table_grads = scatter_user_gradient(spec, u, terms, (i, j), d_FU)
+    table_grads["Q"] = (np.array([i, j]), d_FI)
+    return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=table_grads)
+
+
+def train_step_loops(spec, tables, triple, config, states, regularize, terms=None):
+    """One triple stepped section by section: the packed head's gradient
+    concatenated and stepped in its parts with lambda3 on the tower and
+    lambda4 on w, the user row P[u] through its row view, and Q and Qp over
+    their gathered rows, each with its own L2 (skipped for a zero lambda)
+    and Adagrad step. ``states`` is an ``AdagradStateLoops``."""
+    u, i, j = triple
+    g = compute_triple_gradients_loops(spec, tables, u, i, j, terms)
+
+    if states.head_names:
+        grad = np.concatenate([g.head[name] for name in states.head_names], axis=None)
+        g.head.clear()  # the packed copy is all the step needs
+        for lo, hi, t in states.parts:
+            g_part, head, s = grad[lo:hi], states.head[lo:hi], states.scratch[: hi - lo]
+            if regularize and config.lambda3:
+                g_part[:t] += np.multiply(head[:t], 2.0 * config.lambda3, s[:t])
+            if regularize and config.lambda4:
+                g_part[t:] += np.multiply(head[t:], 2.0 * config.lambda4, s[t:])
+            adagrad_step(head, g_part, states.head_acc[lo:hi], config.lr_net, config.adagrad_epsilon, s)
+
+    for name, (rows, grad) in g.tables.items():
+        table, acc = getattr(tables, name), states[name]
+        lam = config.lambda2 if name == "Q" else config.lambda1
+        if name == "P":
+            rows, grad = u, grad[0]
+        block, block_acc = table[rows], acc[rows]
+        if regularize and lam:
+            grad = grad + 2.0 * lam * block
+        adagrad_step(block, grad, block_acc, config.lr_embed, config.adagrad_epsilon)
+        if name != "P":
+            table[rows], acc[rows] = block, block_acc
+    return g.loss

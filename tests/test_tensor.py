@@ -338,7 +338,7 @@ class TestDense:
         for l, (got, want) in enumerate(zip(acts, want_acts)):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12, err_msg=f"layer {l}")
         np.testing.assert_allclose(y, want_y, rtol=0, atol=1e-12)
-        assert list(grads) == ["w", "mlp.3.W", "mlp.3.b", "mlp.2.W", "mlp.2.b", "mlp.1.W", "mlp.1.b"]
+        assert list(grads) == ["mlp.1.W", "mlp.1.b", "mlp.2.W", "mlp.2.b", "mlp.3.W", "mlp.3.b", "w"]
         for name, grad in grads.items():
             np.testing.assert_allclose(grad, want_grads[name], rtol=0, atol=1e-12, err_msg=name)
         np.testing.assert_allclose(d_X0, want_d_X0, rtol=0, atol=1e-12)

@@ -3,12 +3,14 @@ import inspect
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from convncf import model, training
-from convncf.data import derive_seed, load_interactions, split_leave_latest_out
+import _oracles
+from convncf import embeddings, model, tensor, training
+from convncf.data import derive_seed, load_interactions, minibatches, sample_negative, split_leave_latest_out
 from convncf.embeddings import EmbeddingTables, Variant, init_tables, user_rows
 from convncf.model import (
     HeadKind,
@@ -28,7 +30,9 @@ from convncf.training import (
     METRICS_HEADER,
     NonFiniteError,
     TrainConfig,
+    TripleGrads,
     _run_epochs,
+    adagrad_pass,
     adagrad_step,
     bpr_grad,
     bpr_loss,
@@ -41,7 +45,8 @@ from convncf.training import (
     write_metrics_csv,
 )
 
-from _oracles import mlp_loops
+from _oracles import AdagradStateLoops, mlp_loops, train_step_loops
+from test_model import ALL_COMBOS
 
 # frozen reference values, computed once with mpmath at 50 digits
 SOFTPLUS_NEG20 = 2.061153620314381e-09
@@ -409,6 +414,183 @@ class TestPackedHead:
             got, want = section_arrays(copy_spec, copy_tables), section_arrays(spec, tables)
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), name
+
+
+def planted_splits(tmp_path, M=30, N=40, per_user=8):
+    from convncf.synthetic import planted_interactions, write_interactions
+
+    path = str(tmp_path / "planted.tsv")
+    write_interactions(planted_interactions(M=M, N=N, per_user=per_user, seed=4), path)
+    return split_leave_latest_out(load_interactions(path), derive_seed(4, "split"))
+
+
+def triples_of(train_ds, count, seed=5):
+    """``count`` training triples in epoch order, negatives drawn per batch."""
+    rng, neg_rng, out = np.random.default_rng(seed), np.random.default_rng(seed + 1), []
+    while len(out) < count:
+        for us, its in minibatches(train_ds, 64, rng):
+            out += zip(us.tolist(), its.tolist(), sample_negative(train_ds, us, neg_rng).tolist())
+    return out[:count]
+
+
+class TestOneVectorStep:
+    """The one-vector step against the section-by-section step it replaced
+    (``_oracles.train_step_loops``)."""
+
+    @pytest.mark.parametrize("part", [None, 7])
+    @pytest.mark.parametrize("regularize", [True, False])
+    @pytest.mark.parametrize("variant,mk,hk", ALL_COMBOS)
+    def test_matches_loop_oracle(self, tmp_path, monkeypatch, variant, mk, hk, regularize, part):
+        """300 triples leave every table, head section and accumulator
+        byte-identical to the loop oracle's, also when the vector steps in
+        parts of 7 entries."""
+        if part:
+            monkeypatch.setattr(training, "HEAD_STEP_ENTRIES", part)
+        splits = planted_splits(tmp_path)
+        train_ds = splits.train
+        t = init_tables(train_ds.M, train_ds.N, 4, variant, derive_seed(6, "init"), scale=0.5)
+        head = new_head(hk, mk, 4, 3, 2, derive_seed(6, "init_head"))
+        spec = ModelSpec(variant=variant, merge=mk, head=head, K=4)
+        cfg = TrainConfig(lambda1=0.2, lambda2=0.1, lambda3=0.3, lambda4=0.05)
+        want_spec, want_t = copy.deepcopy((spec, t))
+        states = init_adagrad(spec, t, int(np.diff(train_ds.indptr).max()))
+        want_s = AdagradStateLoops(want_spec, want_t)
+        for u, i, j in triples_of(train_ds, 300):
+            terms = train_ds.terms_of(u) if variant.reads_history else None
+            loss = train_step(spec, t, (u, i, j), cfg, states, regularize, terms)
+            assert loss == train_step_loops(want_spec, want_t, (u, i, j), cfg, want_s, regularize, terms)
+        got, want = section_arrays(spec, t), section_arrays(want_spec, want_t)
+        assert list(got) == list(want)
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert states.head_acc.tobytes() == want_s.head_acc.tobytes()
+        assert list(states) == list(want_s) == list(variant.tables)
+        for name in states:
+            assert states[name].tobytes() == want_s[name].tobytes(), name
+
+    @pytest.mark.parametrize("part", [None, 7])
+    def test_one_state_follows_changing_hyper_parameters(self, tmp_path, monkeypatch, part):
+        """One state stepped under changing regularize, lambdas and learning
+        rates (the pass's parts are rebuilt when they change) matches the
+        oracle stepping under the same sequence."""
+        if part:
+            monkeypatch.setattr(training, "HEAD_STEP_ENTRIES", part)
+        splits = planted_splits(tmp_path)
+        train_ds = splits.train
+        t = init_tables(train_ds.M, train_ds.N, 4, Variant.SVDPP, derive_seed(6, "init"), scale=0.5)
+        head = new_head(HeadKind.CNN, MergeKind.OUTER, 4, 3, 2, derive_seed(6, "init_head"))
+        spec = ModelSpec(variant=Variant.SVDPP, merge=MergeKind.OUTER, head=head, K=4)
+        want_spec, want_t = copy.deepcopy((spec, t))
+        states = init_adagrad(spec, t, int(np.diff(train_ds.indptr).max()))
+        want_s = AdagradStateLoops(want_spec, want_t)
+        cfg = TrainConfig(lambda1=0.2, lambda2=0.1, lambda3=0.3, lambda4=0.05)
+        configs = [(cfg, False), (cfg, True)]
+        changes = {"lr_net": 0.02, "lr_embed": 0.01, "lambda1": 0.0, "lambda2": 0.3, "lambda3": 0.5, "lambda4": 0.0}
+        for key, value in changes.items():
+            cfg = replace(cfg, **{key: value})  # one change at a time
+            configs.append((cfg, True))
+        for k, (u, i, j) in enumerate(triples_of(train_ds, 25 * len(configs))):
+            cfg, regularize = configs[k // 25]
+            terms = train_ds.terms_of(u)
+            train_step(spec, t, (u, i, j), cfg, states, regularize, terms)
+            train_step_loops(want_spec, want_t, (u, i, j), cfg, want_s, regularize, terms)
+        got, want = section_arrays(spec, t), section_arrays(want_spec, want_t)
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert states.head_acc.tobytes() == want_s.head_acc.tobytes()
+
+    @pytest.mark.parametrize("lambdas", [(0.3, 0.0, 0.2, 0.1), (0.0, 0.0, 0.0, 0.0)])
+    def test_zero_lambda_stretches_keep_their_bits(self, monkeypatch, lambdas):
+        """With lambda4 = 0 (and lambda3 > 0), or every lambda 0, under
+        regularize=True, one pass over a crafted gradient with -0.0 entries
+        equals the oracle's step on the same gradients, bit for bit. For a
+        finite parameter an L2 add of x * 0.0 keeps the step's bits (x * 0.0
+        carries x's sign), so the zero-lambda stretches also hold infinite
+        parameters, whose x * 0.0 is NaN: a pass that added L2 there would
+        differ, and warn."""
+        lam3, lam4, lam1, lam2 = lambdas
+        t = init_tables(4, 9, 4, Variant.SVDPP, derive_seed(6, "init"), scale=1.0)
+        head = new_head(HeadKind.CNN, MergeKind.OUTER, 4, 3, 2, derive_seed(6, "init_head"))
+        spec = ModelSpec(variant=Variant.SVDPP, merge=MergeKind.OUTER, head=head, K=4)
+        cfg = TrainConfig(lambda1=lam1, lambda2=lam2, lambda3=lam3, lambda4=lam4)
+        rows = {"P": np.array([1]), "Q": np.array([2, 5]), "Qp": np.array([0, 4, 7])}
+        rng = np.random.default_rng(8)
+
+        def crafted(shape, zero_lambda):
+            x = rng.normal(size=shape)
+            flat = x.reshape(-1)
+            flat[::3], flat[1::5] = -0.0, 0.0
+            if zero_lambda:
+                flat[2::7] = np.inf
+            return x
+
+        head_grads = {name: crafted(arr.shape, False) for name, arr in head_sections(spec.head)}
+        table_grads = {name: (r, crafted((len(r), 4), False)) for name, r in rows.items()}
+        for name, arr in head_sections(spec.head):
+            arr[...] = crafted(arr.shape, lam4 == 0 if name == "w" else lam3 == 0)
+        for name, r in rows.items():
+            getattr(t, name)[r] = crafted((len(r), 4), (lam2 if name == "Q" else lam1) == 0)
+        want_spec, want_t = copy.deepcopy((spec, t))
+        states, want_s = init_adagrad(spec, t), AdagradStateLoops(want_spec, want_t)
+        for acc in [*states.values(), states.head_acc, *want_s.values(), want_s.head_acc]:
+            acc += 0.25
+
+        for name, view in states.head_grads.items():
+            view[...] = head_grads[name]
+        for name, (r, grad) in table_grads.items():
+            states.grad_rows[name][: len(r)] = grad
+        adagrad_pass(t, states, {name: (r, None) for name, r in rows.items()}, cfg, regularize=True)
+
+        monkeypatch.setattr(
+            _oracles,
+            "compute_triple_gradients_loops",
+            lambda *args: TripleGrads(0.0, 0.0, 0.0, copy.deepcopy(head_grads), copy.deepcopy(table_grads)),
+        )
+        train_step_loops(want_spec, want_t, (1, 2, 5), cfg, want_s, True, np.array([0, 4, 7]))
+        got, want = section_arrays(spec, t), section_arrays(want_spec, want_t)
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+        assert states.head_acc.tobytes() == want_s.head_acc.tobytes()
+        for name in states:
+            assert states[name].tobytes() == want_s[name].tobytes(), name
+
+    def test_one_epoch_calls_the_traced_functions(self, tmp_path, monkeypatch):
+        """perfbench attributes training time by wrapping functions at every
+        convncf module attribute that names them: one epoch still calls
+        train_step once per triple, and the backward functions, the user
+        gradient scatter and each conv layer's backward once per triple
+        through those attributes; adagrad_step runs once per part."""
+        splits = make_splits(tmp_path)
+        calls: dict[str, int] = {}
+        for owner, name in (
+            (training, "train_step"),
+            (training, "adagrad_step"),
+            (model, "head_backward"),
+            (model, "merge_backward"),
+            (embeddings, "scatter_user_gradient"),
+            (tensor, "conv2x2s2_backward"),
+        ):
+            fn = getattr(owner, name)
+
+            def counted(*args, _fn=fn, _name=name, **kwargs):
+                calls[_name] = calls.get(_name, 0) + 1
+                return _fn(*args, **kwargs)
+
+            for module_name, module in list(sys.modules.items()):
+                if module_name.startswith("convncf") and getattr(module, name, None) is fn:
+                    monkeypatch.setattr(module, name, counted)
+        t = init_tables(splits.train.M, splits.train.N, 4, Variant.MF, 3, scale=0.1)
+        spec = cnn_spec(K=4, C=2, seed=4)
+        _run_epochs(spec, t, splits, TrainConfig(epochs=1, seed=9), seed_namespace="train")
+        n = splits.train.n_interactions
+        assert calls == {
+            "train_step": n,
+            "adagrad_step": n,  # the head and the three table rows fit one part
+            "head_backward": n,
+            "merge_backward": n,
+            "scatter_user_gradient": n,
+            "conv2x2s2_backward": 2 * n,
+        }
 
 
 def watch_evaluate(monkeypatch, name: str) -> tuple[list[str], list[bool]]:
