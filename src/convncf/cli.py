@@ -73,6 +73,14 @@ def _load_splits(cfg: RunConfig) -> tuple[FilterResult, SplitSet]:
     return fr, splits
 
 
+def _sized(cfg: RunConfig, splits: SplitSet) -> SplitSet:
+    """The splits that embedding tables are sized from, refused when empty."""
+    if splits.train.M == 0:
+        empty = f"dataset {cfg.dataset} is empty after ingest (min_item={cfg.min_item}, min_user={cfg.min_user})"
+        raise ProtocolError(f"{empty}: no embedding tables to train")
+    return splits
+
+
 def _variant(cfg: RunConfig) -> Variant:
     if cfg.variant == "itempop":
         raise ConfigError("key variant: itempop has no trainable parameters for this command")
@@ -171,7 +179,7 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 def cmd_pretrain(cfg: RunConfig) -> int:
     variant = _variant(cfg)
     fr, splits = _load_splits(cfg)
-    result = pretrain(variant, splits, cfg, cfg.K, cfg.alpha)
+    result = pretrain(variant, _sized(cfg, splits), cfg, cfg.K, cfg.alpha, cfg.fism_norm)
     ckpt = _outpath(cfg, "pretrain.ckpt")
     save_checkpoint(result.spec, result.tables, ckpt)
     if result.history:
@@ -183,7 +191,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
 
 def _initial_tables(cfg: RunConfig, variant: Variant, splits: SplitSet) -> EmbeddingTables:
-    ds = splits.train
+    ds = _sized(cfg, splits).train
     if cfg.pretrain_checkpoint:
         loaded_spec, tables = load_checkpoint(cfg.pretrain_checkpoint)
         for key, held in (("K", loaded_spec.K), ("alpha", loaded_spec.alpha), ("fism_norm", loaded_spec.fism_norm)):
@@ -198,7 +206,7 @@ def _initial_tables(cfg: RunConfig, variant: Variant, splits: SplitSet) -> Embed
         _check_tables_match(tables, splits, "pretrain checkpoint")
         return tables
     if cfg.merge != "inner":
-        return pretrain(variant, splits, cfg, cfg.K, cfg.alpha).tables
+        return pretrain(variant, splits, cfg, cfg.K, cfg.alpha, cfg.fism_norm).tables
     return init_tables(ds.M, ds.N, cfg.K, variant, derive_seed(cfg.seed, "init"))
 
 

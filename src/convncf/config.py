@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Optional
 
-from convncf.embeddings import Variant
+from convncf.embeddings import FISM_NORM_EXCLUDED, FISM_NORMS, Variant
 from convncf.model import HeadKind, MergeKind
 from convncf.training import TrainConfig, check_bound
 
@@ -45,6 +45,7 @@ class RunConfig(TrainConfig):
     C: int = 32
     mlp_layers: int = 3
     alpha: float = 0.5
+    fism_norm: str = FISM_NORM_EXCLUDED  # or full_set
     # command extras
     user: str = ""  # recommend: raw user id
     topk: int = 10  # recommend: list length
@@ -57,6 +58,7 @@ _CHOICES = {
     "variant": [v.value for v in Variant] + ["itempop"],
     "merge": [m.value for m in MergeKind],
     "head": [h.value for h in HeadKind],
+    "fism_norm": list(FISM_NORMS),
 }
 
 

@@ -14,11 +14,11 @@ owns, in checkpoint order, and ``reads_history`` follows from it.
 A history enters as its terms, its distinct items ascending: the split's,
 or ``history_terms`` of a caller's own. ``user_rows`` builds rows of (user,
 padded history terms, optional target) and ``scatter_user_gradient`` is its
-adjoint for one user; both read one keep/norm rule from the model spec. The
-FISM normalizer is ``1 / n**alpha``. By default ``n`` counts the items
-actually summed (the history with the target removed, clamped to at least
-one so an empty sum stays well-defined); ``fism_norm="full_set"`` instead
-uses the size of the full history set.
+adjoint for one user, into the caller's buffers; both read one keep/norm
+rule from the model spec. The FISM normalizer is ``1 / n**alpha``. By
+default ``n`` counts the items actually summed (the history with the target
+removed, clamped to at least one so an empty sum stays well-defined);
+``fism_norm="full_set"`` instead uses the size of the full history set.
 """
 
 from __future__ import annotations
@@ -136,27 +136,28 @@ def scatter_user_gradient(
     terms: np.ndarray,
     targets: Sequence[int],
     d_FU: np.ndarray,
-    out: Optional[dict[str, np.ndarray]] = None,
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    out: dict[str, np.ndarray],
+) -> dict[str, np.ndarray]:
     """Adjoint of user_rows over one user's batch of targets.
 
     Row b of ``d_FU`` is the gradient of the representation built for
     ``targets[b]``; ``terms`` are the user's distinct history items, a 1-D
-    array in any order. Returns ``{section: (rows, grads)}`` for the
-    variant's P and/or Qp, every touched row listed once with its gradient
-    summed over the batch. The user row takes the sum of every row of d_FU;
-    the history table takes ``d_FU[b] / n_b**alpha`` on the history rows
-    that target b keeps. Grads go to the leading rows of ``out[section]``.
+    array in any order. Returns ``{table: rows}`` for the variant's P and/or
+    Qp, every touched row listed once, and writes each row's gradient,
+    summed over the batch, to its place in the leading rows of ``out[table]``.
+    The user row takes the sum of every row of d_FU; the history table takes
+    ``d_FU[b] / n_b**alpha`` on the history rows that target b keeps.
     """
-    variant, out, grads = spec.variant, out or {}, {}
+    variant, rows = spec.variant, {}
     if "P" in variant.tables:
-        grads["P"] = (np.array([u]), np.add.reduce(d_FU, axis=0, keepdims=True, out=out.get("P")))
+        np.add.reduce(d_FU, axis=0, keepdims=True, out=out["P"][:1])
+        rows["P"] = np.array([u])
     if variant.reads_history:
         keep, scales = _history_weights(spec, terms[None], targets)
         scaled = d_FU / scales[:, None]
         touched = keep.any(axis=1)
         if not touched.all():
             terms, keep = terms[touched], keep[touched]
-        rows = out["Qp"][: len(terms)] if "Qp" in out else None
-        grads["Qp"] = (terms, np.add.reduce(np.where(keep[:, :, None], scaled[None], 0.0), axis=1, out=rows))
-    return grads
+        np.add.reduce(np.where(keep[:, :, None], scaled[None], 0.0), axis=1, out=out["Qp"][: len(terms)])
+        rows["Qp"] = terms
+    return rows

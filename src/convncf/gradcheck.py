@@ -24,8 +24,8 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from convncf.embeddings import EmbeddingTables, history_terms
-from convncf.model import ModelSpec, section_arrays
-from convncf.training import TripleGrads, bpr_loss, compute_triple_gradients, triple_forward
+from convncf.model import ModelSpec, head_views, section_arrays
+from convncf.training import bpr_loss, compute_triple_gradients, triple_forward
 
 
 @dataclass
@@ -93,12 +93,11 @@ def _candidate_indices(name: str, arr: np.ndarray, u: int, i: int, j: int, terms
     return (np.asarray(rows, dtype=np.int64)[:, None] * K + np.arange(K)).ravel()
 
 
-def _analytic_entry(grads: TripleGrads, name: str, flat: int, arr: np.ndarray) -> float:
-    if name in grads.head:
-        return float(grads.head[name].flat[flat])
-    rows, rows_grad = grads.tables[name]
+def _analytic_entry(grads: dict, rows: dict, name: str, flat: int, arr: np.ndarray) -> float:
+    if name not in rows:
+        return float(grads[name].flat[flat])
     r, k = divmod(flat, arr.shape[1])
-    return float(rows_grad[rows == r, k].sum())
+    return float(grads[name][: len(rows[name])][rows[name] == r, k].sum())
 
 
 def _kink_risk(
@@ -116,7 +115,15 @@ def _kink_risk(
     return False
 
 
-GradFn = Callable[[ModelSpec, EmbeddingTables, int, int, int, np.ndarray], TripleGrads]
+GradFn = Callable[[ModelSpec, EmbeddingTables, int, int, int, np.ndarray], tuple[dict, dict]]
+
+
+def triple_gradients(spec: ModelSpec, tables: EmbeddingTables, u: int, i: int, j: int, terms) -> tuple[dict, dict]:
+    """``compute_triple_gradients`` into fresh buffers, head views and rows
+    for each owned table (P 1, Q 2, Qp ``len(terms)``): (buffers, rows)."""
+    counts = {"P": 1, "Q": 2, "Qp": 0 if terms is None else len(terms)}
+    grads = head_views(spec.head) | {name: np.empty((counts[name], tables.K)) for name in spec.variant.tables}
+    return grads, compute_triple_gradients(spec, tables, u, i, j, terms, grads)[1]
 
 
 def finite_diff_check(
@@ -136,12 +143,12 @@ def finite_diff_check(
     A coordinate passes when |analytic - numeric| <= abs_floor or the
     relative error against max(|analytic|, |numeric|) is <= tol. A non-finite
     loss at a perturbed point is reported as a failure at that coordinate.
-    ``grad_fn``, given the history's terms, defaults to the real gradient
-    computation; tests can inject a corrupted one to prove it has teeth.
+    ``grad_fn``, given the history's terms, returns (buffers, touched rows)
+    as ``triple_gradients``, its default, does; tests inject a corrupted one.
     """
     u, i, j = triple
     terms = history_terms(list(history))
-    grads = (grad_fn or compute_triple_gradients)(spec, tables, u, i, j, terms)
+    grads, rows = (grad_fn or triple_gradients)(spec, tables, u, i, j, terms)
     _, base_acts = _loss_and_acts(spec, tables, u, i, j, terms)
     rng = np.random.default_rng(seed)
     threshold = 10.0 * step
@@ -163,13 +170,13 @@ def finite_diff_check(
             loss_m, acts_m = _loss_and_acts(spec, tables, u, i, j, terms)
             arr.flat[flat] = orig
             if not (math.isfinite(loss_p) and math.isfinite(loss_m)):
-                failures.append((flat, _analytic_entry(grads, name, flat, arr), float("nan")))
+                failures.append((flat, _analytic_entry(grads, rows, name, flat, arr), float("nan")))
                 continue
             if _kink_risk(base_acts, acts_p, acts_m, threshold):
                 skipped += 1
                 continue
             numeric = (loss_p - loss_m) / (2.0 * step)
-            analytic = _analytic_entry(grads, name, flat, arr)
+            analytic = _analytic_entry(grads, rows, name, flat, arr)
             abs_err = abs(analytic - numeric)
             denom = max(abs(analytic), abs(numeric))
             rel_err = abs_err / denom if denom > 0 else 0.0

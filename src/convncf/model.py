@@ -29,10 +29,10 @@ with an MLP head: each of its layers is one matrix product over the whole
 batch, which reads the weight matrix once per batch and agrees with the row
 alone to rounding.
 
-Gradients for head parameters are summed over the batch into views of a
-gradient vector keyed by section name (``head_views``: ``conv.<l>.kernel``,
-``conv.<l>.bias``, ``mlp.<l>.W``, ``mlp.<l>.b``, ``w``); the same names
-address parameters in checkpoints and in the finite-difference report.
+A head's backward pass sums its gradients over the batch into the caller's
+views keyed by section name (``head_views``: ``conv.<l>.kernel``,
+``conv.<l>.bias``, ``mlp.<l>.W``, ``mlp.<l>.b``, ``w``) and returns its
+input's cotangent; the names also address checkpoints and gradcheck reports.
 """
 
 from __future__ import annotations
@@ -248,11 +248,11 @@ def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged):
 # head input and acts[l] is layer l's relu output, which is also layer
 # l + 1's input. Backward passes mask on acts[l] > 0, the same mask as the
 # pre-activation's sign, so no pre-activation is kept. They take one score
-# cotangent per row; they return the head gradients summed over the batch
-# and the per-row cotangents of the merged values. The conv and linear heads
-# form gradients per row, then sum, so a batch of two gives exactly the sum
-# of two single-row passes; the MLP head sums inside one matrix product per
-# layer, which equals that sum to rounding.
+# cotangent per row, write the head gradients summed over the batch into the
+# caller's section views and return the per-row cotangents of their input.
+# The conv and linear heads form gradients per row, then sum, so a batch of
+# two gives exactly the sum of two single-row passes; the MLP head sums
+# inside one matrix product per layer, which equals that sum to rounding.
 
 
 def convncf_forward(stack: ConvStack, E: np.ndarray):
@@ -264,9 +264,8 @@ def convncf_forward(stack: ConvStack, E: np.ndarray):
     return acts, np.vecdot(acts[-1].reshape(E.shape[0], stack.C), stack.w)
 
 
-def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray, out=None):
-    """Adjoint of convncf_forward; returns (head grads by section, d_E)."""
-    out = head_views(stack) if out is None else out
+def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray, out: dict[str, np.ndarray]):
+    """Adjoint of convncf_forward: head grads into ``out``; returns d_E."""
     g = acts[-1].reshape(d_y.shape[0], stack.C)
     np.add.reduce(d_y[:, None] * g, axis=0, out=out["w"])
     d_act = (d_y[:, None] * stack.w)[:, None, :]
@@ -275,7 +274,7 @@ def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray, 
         d_act, d_kernel, d_bias = conv2x2s2_backward(acts[l - 1], layer.kernel, acts[l], d_act)
         np.add.reduce(d_kernel, axis=0, out=out[f"conv.{l}.kernel"])
         np.add.reduce(d_bias, axis=0, out=out[f"conv.{l}.bias"])
-    return out, from_quadtree(d_act)[..., 0]
+    return from_quadtree(d_act)[..., 0]
 
 
 def mlp_forward(head: MlpHead, X0: np.ndarray):
@@ -289,10 +288,9 @@ def mlp_forward(head: MlpHead, X0: np.ndarray):
     return acts, np.vecdot(acts[-1], head.w)
 
 
-def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray, out=None):
+def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray, out: dict[str, np.ndarray]):
     """Adjoint of mlp_forward, two matrix products per layer over the whole
-    batch; returns (head grads by section, d_X0)."""
-    out = head_views(head) if out is None else out
+    batch: head grads into ``out``; returns d_X0."""
     np.add.reduce(d_y[:, None] * acts[-1], axis=0, out=out["w"])
     d_X = d_y[:, None] * head.w
     for l in range(len(head.layers), 0, -1):
@@ -301,7 +299,7 @@ def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray, out=Non
         np.matmul(d_pre.T, acts[l - 1], out=out[f"mlp.{l}.W"])
         np.add.reduce(d_pre, axis=0, out=out[f"mlp.{l}.b"])
         d_X = d_pre @ layer.W
-    return out, d_X
+    return d_X
 
 
 def head_forward(spec: ModelSpec, merged):
@@ -317,20 +315,18 @@ def head_forward(spec: ModelSpec, merged):
     return None, merged
 
 
-def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray, out=None):
-    """Adjoint of head_forward; returns (head grads by section summed over
-    the batch, written into ``out`` if given, per-row d_merged)."""
+def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray, out: dict[str, np.ndarray]):
+    """Adjoint of head_forward: the head grads, summed over the batch, into
+    ``out``'s section views; returns the per-row d_merged."""
     head = spec.head
     if isinstance(head, ConvStack):
         return convncf_backward(head, acts, d_y, out)
     if isinstance(head, MlpHead):
-        grads, d_X0 = mlp_backward(head, acts, d_y, out)
-        return grads, d_X0.reshape(merged.shape)
-    out = head_views(head) if out is None else out
+        return mlp_backward(head, acts, d_y, out).reshape(merged.shape)
     if isinstance(head, LinearHead):
         np.add.reduce(d_y[:, None] * merged, axis=0, out=out["w"])
-        return out, d_y[:, None] * head.w
-    return out, d_y
+        return d_y[:, None] * head.w
+    return d_y
 
 
 # ---------------------------------------------------------------------------
@@ -445,16 +441,19 @@ def predict_batch(
     """Score candidate items for one user, in blocks of rows.
 
     The one public scoring entry for a single user, so it checks that
-    ``items`` and the ``history`` it reads are 1-D integer arrays and that
-    ``u`` (given a user table) and every index lie in their tables. The user row
-    excludes no target, exact when no candidate is in the history. Every
-    score is bit-identical to that candidate scored alone, except with an
-    MLP head, whose matrix products over a block agree to rounding.
+    ``items`` and the ``history`` it reads are 1-D integer arrays, that ``u``
+    is an integer and not a bool, and that ``u`` (given a user table) and
+    every index lie in their tables. The user row excludes no target, exact
+    when no candidate is in the history. Every score is bit-identical to
+    that candidate scored alone, except with an MLP head, whose matrix
+    products over a block agree to rounding.
     """
     items, history = np.asarray(items), np.asarray(history if spec.variant.reads_history else ())
     for name, arr in (("items", items), ("history", history)):
         if arr.ndim != 1 or (arr.size and arr.dtype.kind not in "iu"):
             raise IndexError(f"{name} must be a 1-D array of integer indices, got {arr.dtype} of shape {arr.shape}")
+    if isinstance(u, bool) or not isinstance(u, (int, np.integer)):
+        raise IndexError(f"user index must be an integer, got {type(u).__name__} {u!r}")
     if tables.M is not None and not 0 <= u < tables.M:
         raise IndexError(f"user index {u} out of range [0, {tables.M})")
     terms = history_terms(history)[None] if spec.variant.reads_history else None

@@ -27,7 +27,6 @@ from convncf.data import SplitSet, derive_seed, minibatches, sample_negative
 from convncf.embeddings import (
     EmbeddingTables,
     FISM_NORM_EXCLUDED,
-    FISM_NORMS,
     Variant,
     init_tables,
     scatter_user_gradient,
@@ -70,7 +69,6 @@ class TrainConfig:
     batch_size: int = 512
     epochs: int = 30
     seed: int = 42
-    fism_norm: str = FISM_NORM_EXCLUDED  # or full_set
     adagrad_epsilon: float = 1e-6
     epochs_pretrain: int = 20
     lambda_pretrain: float = 1e-6
@@ -83,8 +81,6 @@ class TrainConfig:
             check_bound(self, key, 0)
         for key in ("batch_size", "epochs"):
             check_bound(self, key, 1)
-        if self.fism_norm not in FISM_NORMS:
-            raise ValueError(f"key fism_norm: unknown value {self.fism_norm!r}")
 
 
 def check_bound(cfg, key: str, bound: float, strict: bool = False) -> None:
@@ -126,29 +122,29 @@ def _sigmoid(x: float) -> float:
 class AdagradState(dict):
     """Adagrad state, every accumulator starting at zero: one per table the
     variant owns, by name, and ``acc``, laid out as ``params`` and ``grad``
-    are: the packed head (its sections view ``head``; ``tower`` entries of
-    hidden tower, then w), then a slot per table row a step touches, in
-    table order: P[u], Q[i] and Q[j], and ``history_rows`` rows of Qp.
-    ``head_grads`` and ``grad_rows`` are the head's sections and each
-    table's ``(rows, K)`` slot in ``grad``; ``slots`` holds each slot's
-    start and its views of ``params`` and ``acc``."""
+    are: the packed head (``size`` entries, ``tower`` of hidden tower, then
+    w), then a slot per table row a step touches: P[u], Q[i] and Q[j], and
+    ``history_rows`` rows of Qp (default every item). ``grads`` holds the
+    views of ``grad`` by section name: the head's and each table's ``(rows,
+    K)`` slot; ``slots`` each slot's start and views of ``params`` and
+    ``acc``. Packs the head, rebinding its sections: take them after this."""
 
-    def __init__(self, spec: ModelSpec, tables: EmbeddingTables, history_rows: int):
+    def __init__(self, spec: ModelSpec, tables: EmbeddingTables, history_rows: Optional[int] = None):
         super().__init__({name: np.zeros_like(getattr(tables, name)) for name in spec.variant.tables})
-        size = sum(arr.size for _, arr in head_sections(spec.head))
+        self.size = size = sum(arr.size for _, arr in head_sections(spec.head))
         self.tower = size - (spec.head.w.size if size else 0)
+        history_rows = tables.N if history_rows is None else min(history_rows, tables.N)
         counts = {name: {"P": 1, "Q": 2, "Qp": history_rows}[name] for name in self}
         length = size + tables.K * sum(counts.values())
         self.params, self.acc, self.grad = np.empty(length), np.zeros(length), np.empty(length)
         pack_head(spec.head, self.params)
-        self.head, self.head_acc, self.head_grads = self.params[:size], self.acc[:size], head_views(spec.head, self.grad)
-        self.head_names = list(self.head_grads)
+        self.grads = head_views(spec.head, self.grad)
         # (start, stop, lambda, learning rate) of each stretch, as TrainConfig keys
         self.stretches = [(0, self.tower, "lambda3", "lr_net"), (self.tower, size, "lambda4", "lr_net")]
-        self.grad_rows, self.slots, start = {}, {}, size
+        self.slots, start = {}, size
         for name, n in counts.items():
             stop = start + n * tables.K
-            self.grad_rows[name], *views = (v[start:stop].reshape(n, -1) for v in (self.grad, self.params, self.acc))
+            self.grads[name], *views = (v[start:stop].reshape(n, -1) for v in (self.grad, self.params, self.acc))
             self.slots[name] = (start, *views)
             self.stretches.append((start, stop, "lambda2" if name == "Q" else "lambda1", "lr_embed"))
             start = stop
@@ -174,31 +170,24 @@ class AdagradState(dict):
         return self._plan
 
 
-def init_adagrad(spec: ModelSpec, tables: EmbeddingTables, history_rows: Optional[int] = None) -> AdagradState:
-    """Qp slots for ``history_rows`` rows (every item without it). Packs the
-    head, which rebinds its sections: take references to them after this."""
-    return AdagradState(spec, tables, tables.N if history_rows is None else min(history_rows, tables.N))
-
-
 def adagrad_step(
     param: np.ndarray,
     grad: np.ndarray,
     state: np.ndarray,
     lr: float,
     epsilon: float,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> None:
     """In-place: state += grad^2; param -= lr * grad / (sqrt(state) + epsilon),
     ``lr`` a float or an array broadcast against ``grad``.
 
-    ``out``, an array shaped like ``grad`` (a fresh one without it), holds
-    grad^2 and then the denominator; ``lr * grad`` is the only other
-    temporary. The formula's operations run in its order, so the bytes are
-    the formula's. Each is a ufunc call with its output passed by position:
-    on a few entries numpy's in-place operators and the ``out=`` keyword
-    cost about twice as much.
+    ``out``, an array shaped like ``grad``, holds grad^2 and then the
+    denominator; ``lr * grad`` is the only temporary. The formula's
+    operations run in its order, so the bytes are the formula's. Each is a
+    ufunc call with its output passed by position: on a few entries numpy's
+    in-place operators and the ``out=`` keyword cost about twice as much.
     """
-    out = np.multiply(grad, grad, np.empty_like(grad) if out is None else out)
+    np.multiply(grad, grad, out)
     np.add(state, out, state)
     np.sqrt(state, out)
     np.add(out, epsilon, out)
@@ -208,15 +197,6 @@ def adagrad_step(
 
 # ---------------------------------------------------------------------------
 # per-triple gradients
-
-
-@dataclass
-class TripleGrads:
-    loss: float
-    y_pos: float
-    y_neg: float
-    head: dict[str, np.ndarray]
-    tables: dict[str, tuple[np.ndarray, np.ndarray]]  # section -> (rows, grads)
 
 
 def triple_forward(
@@ -243,22 +223,21 @@ def compute_triple_gradients(
     u: int,
     i: int,
     j: int,
-    terms: Optional[np.ndarray] = None,
-    states: Optional[AdagradState] = None,
-) -> TripleGrads:
+    terms: Optional[np.ndarray],
+    grads: dict[str, np.ndarray],
+) -> tuple[float, dict[str, np.ndarray]]:
     """Forward both branches of one triple and backpropagate the plain
-    (regularization-free) pairwise loss through every shared parameter,
-    into ``states.head_grads`` and ``states.grad_rows`` if given."""
+    (regularization-free) pairwise loss through every shared parameter into
+    ``grads``, keyed as ``AdagradState.grads``, each table's touched rows
+    into its buffer's leading rows. Returns (loss, ``{table: rows}``)."""
     FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms)
     y_pos, y_neg = float(y[0]), float(y[1])
-    loss = bpr_loss(y_pos, y_neg)
-    head_out, rows_out = (None, {"Q": np.empty_like(FI)}) if states is None else (states.head_grads, states.grad_rows)
-    head_grads, d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), head_out)
+    d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), grads)
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
-    table_grads = scatter_user_gradient(spec, u, terms, (i, j), d_FU, rows_out)
-    np.copyto(rows_out["Q"], d_FI)
-    table_grads["Q"] = (np.array([i, j]), rows_out["Q"])
-    return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=table_grads)
+    rows = scatter_user_gradient(spec, u, terms, (i, j), d_FU, grads)
+    np.copyto(grads["Q"][:2], d_FI)
+    rows["Q"] = np.array([i, j])
+    return bpr_loss(y_pos, y_neg), rows
 
 
 def train_step(
@@ -270,29 +249,29 @@ def train_step(
     regularize: bool,
     terms: Optional[np.ndarray] = None,
 ) -> float:
-    """One triple: its gradients into ``states.grad``, then one
+    """One triple: its gradients into ``states.grads``, then one
     ``adagrad_pass``. Returns the pre-update pairwise loss."""
     u, i, j = triple
-    g = compute_triple_gradients(spec, tables, u, i, j, terms, states)
-    adagrad_pass(tables, states, g.tables, config, regularize)
-    return g.loss
+    loss, rows = compute_triple_gradients(spec, tables, u, i, j, terms, states.grads)
+    adagrad_pass(tables, states, rows, config, regularize)
+    return loss
 
 
 def adagrad_pass(
     tables: EmbeddingTables,
     states: AdagradState,
-    rows: dict[str, tuple[np.ndarray, np.ndarray]],
+    rows: dict[str, np.ndarray],
     config: TrainConfig,
     regularize: bool,
 ) -> None:
-    """Step the head and the table rows of ``rows``, (index, grads) by table
-    as in TripleGrads, each row once (a negative is never the positive,
-    history terms are distinct), on ``states.grad``: gather the rows and
+    """Step the head and the table rows of ``rows``, by table in the order
+    of their gradients in ``states.grads``, each row once (a negative is
+    never the positive, history terms are distinct): gather the rows and
     accumulators into their slots, run L2 + Adagrad up to the last slot in
     use in ``states.plan``'s parts, each operation one elementwise pass
     over a part in cache, and write the rows back."""
-    end = states.head.size
-    for name, (index, _) in rows.items():
+    end = states.size
+    for name, index in rows.items():
         start, param, acc = states.slots[name]
         getattr(tables, name).take(index, axis=0, out=param[: len(index)])
         states[name].take(index, axis=0, out=acc[: len(index)])
@@ -307,7 +286,7 @@ def adagrad_pass(
             if a < b:
                 np.add(grad[a:b], np.multiply(param[a:b], l2[: b - a], s[a:b]), grad[a:b])
         adagrad_step(param, grad, states.acc[lo : lo + n], lr[:n], config.adagrad_epsilon, s)
-    for name, (index, _) in rows.items():
+    for name, index in rows.items():
         _, param, acc = states.slots[name]
         at = index[0] if len(index) == 1 else index  # basic indexing writes one row ~5x faster
         getattr(tables, name)[at], states[name][at] = param[: len(index)], acc[: len(index)]
@@ -364,7 +343,7 @@ def _run_epochs(
     NonFiniteError naming the epoch, and the triple when it is the loss that
     went non-finite."""
     train_ds = splits.train
-    states = init_adagrad(spec, tables, int(np.diff(train_ds.indptr).max()))
+    states = AdagradState(spec, tables, int(np.diff(train_ds.indptr).max()))
     shuffle_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".shuffle"))
     neg_rng = np.random.default_rng(derive_seed(config.seed, seed_namespace + ".negatives"))
     records: list[EpochRecord] = []
@@ -406,6 +385,7 @@ def pretrain(
     config: TrainConfig,
     K: int,
     alpha: float = 0.5,
+    fism_norm: str = FISM_NORM_EXCLUDED,
 ) -> TrainResult:
     """Train the shallow (inner-product) counterpart of a variant; its
     tables warm-start the deep model."""
@@ -416,7 +396,7 @@ def pretrain(
         merge=MergeKind.INNER,
         head=IdentityHead(),
         K=K,
-        fism_norm=config.fism_norm,
+        fism_norm=fism_norm,
         alpha=alpha,
     )
     if config.epochs_pretrain == 0:

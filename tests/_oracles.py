@@ -8,14 +8,15 @@ agree with them, not the other way around.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 
 import numpy as np
 
 from convncf import training
 from convncf.data import ParseError, _assemble
 from convncf.embeddings import scatter_user_gradient
-from convncf.model import head_backward, head_sections, merge_backward, pack_head
-from convncf.training import TripleGrads, adagrad_step, bpr_grad, bpr_loss, triple_forward
+from convncf.model import head_backward, head_sections, head_views, merge_backward, pack_head
+from convncf.training import adagrad_step, bpr_grad, bpr_loss, triple_forward
 
 
 def outer_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -288,17 +289,27 @@ class AdagradStateLoops(dict):
         self.scratch = np.empty(min(size, step))
 
 
+@dataclass
+class LoopGrads:
+    loss: float
+    head: dict  # section -> grads
+    tables: dict  # section -> (rows, grads)
+
+
 def compute_triple_gradients_loops(spec, tables, u, i, j, terms=None):
-    """The per-triple gradients as separate arrays: head grads by section,
+    """The per-triple gradients in fresh arrays: head grads by section,
     table grads as (rows, grads) by section."""
     FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms)
     y_pos, y_neg = float(y[0]), float(y[1])
     loss = bpr_loss(y_pos, y_neg)
-    head_grads, d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)))
+    head_grads = head_views(spec.head)
+    d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), head_grads)
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
-    table_grads = scatter_user_gradient(spec, u, terms, (i, j), d_FU)
+    user = {"P": np.empty((1, spec.K)), "Qp": np.empty((0 if terms is None else len(terms), spec.K))}
+    rows = scatter_user_gradient(spec, u, terms, (i, j), d_FU, user)
+    table_grads = {name: (index, user[name][: len(index)]) for name, index in rows.items()}
     table_grads["Q"] = (np.array([i, j]), d_FI)
-    return TripleGrads(loss=loss, y_pos=y_pos, y_neg=y_neg, head=head_grads, tables=table_grads)
+    return LoopGrads(loss=loss, head=head_grads, tables=table_grads)
 
 
 def train_step_loops(spec, tables, triple, config, states, regularize, terms=None):
@@ -329,7 +340,7 @@ def train_step_loops(spec, tables, triple, config, states, regularize, terms=Non
         block, block_acc = table[rows], acc[rows]
         if regularize and lam:
             grad = grad + 2.0 * lam * block
-        adagrad_step(block, grad, block_acc, config.lr_embed, config.adagrad_epsilon)
+        adagrad_step(block, grad, block_acc, config.lr_embed, config.adagrad_epsilon, np.empty_like(grad))
         if name != "P":
             table[rows], acc[rows] = block, block_acc
     return g.loss

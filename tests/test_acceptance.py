@@ -69,6 +69,7 @@ from convncf.model import (
     ModelSpec,
     convncf_backward,
     convncf_forward,
+    head_views,
     init_conv_stack,
     merge,
     new_head,
@@ -318,7 +319,7 @@ def test_criterion_4_receptive_field_totality():
     stack.w[...] = np.abs(stack.w) + 0.05
     E = np.abs(merge(MergeKind.OUTER, rng.normal(size=(1, 64)), rng.normal(size=(1, 64)))) + 0.1
     acts, _ = convncf_forward(stack, E)
-    _, d_E = convncf_backward(stack, acts, np.ones(1))
+    d_E = convncf_backward(stack, acts, np.ones(1), head_views(stack))
     n_pos = int(np.sum(d_E > 0))
     dt = time.time() - t0
     ok = d_E.shape == (1, 64, 64) and n_pos == 64 * 64 and dt < 5

@@ -121,6 +121,10 @@ class TestConfig:
         with pytest.raises(ConfigError, match="variant"):
             build_config(None, ["variant=ncf"])
 
+    def test_validation_rejects_bad_fism_norm(self):
+        with pytest.raises(ConfigError, match="^key fism_norm: "):
+            build_config(None, ["fism_norm=bogus_set"])
+
     @pytest.mark.parametrize(
         "key,text",
         [
@@ -221,6 +225,35 @@ class TestParamcount:
         assert any(l.startswith("embedding total") for l in lines) == with_dataset
         assert len({len(l) for l in lines}) == 1
         assert all(l[-1].isdigit() for l in lines)
+
+
+class TestEmptyLog:
+    """A log with no interaction left after ingest sizes no embedding table:
+    the commands that train one refuse it with an error, the rest accept it."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [("train",), ("pretrain",), ("train", "merge=inner", "head=identity")],
+        ids=["train", "pretrain", "train_inner"],
+    )
+    @pytest.mark.parametrize("log", ["comments", "min_item"])
+    def test_training_commands_refuse_it(self, toy, tmp_path, capsys, args, log):
+        if log == "comments":
+            dataset = tmp_path / "empty.tsv"
+            dataset.write_text("# no interactions\n", encoding="utf-8")
+            extra = []
+        else:
+            dataset, extra = toy, ["min_item=100"]
+        rc, out, err = run(capsys, *args, f"dataset={dataset}", f"outdir={tmp_path}", "K=4", "C=2", *extra)
+        assert rc == 1 and out == ""
+        assert err.startswith(f"error: dataset {dataset} is empty after ingest") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [("ingest",), ("paramcount", "K=4", "C=2"), ("train", "variant=itempop")])
+    def test_other_commands_accept_it(self, tmp_path, capsys, args):
+        dataset = tmp_path / "empty.tsv"
+        dataset.write_text("# no interactions\n", encoding="utf-8")
+        rc, _, err = run(capsys, *args, f"dataset={dataset}", f"outdir={tmp_path}")
+        assert rc == 0 and err == ""
 
 
 class TestGradcheckCommand:

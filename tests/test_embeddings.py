@@ -25,6 +25,14 @@ def side(variant, norm=FISM_NORM_EXCLUDED, alpha=0.5):
     return ModelSpec(variant=variant, merge=MergeKind.INNER, head=IdentityHead(), K=4, fism_norm=norm, alpha=alpha)
 
 
+def scatter(spec, u, terms, targets, d_FU):
+    """``scatter_user_gradient`` into fresh row buffers, as ``{table: (rows,
+    grads)}``."""
+    out = {"P": np.empty((1, d_FU.shape[1])), "Qp": np.empty((len(terms), d_FU.shape[1]))}
+    rows = scatter_user_gradient(spec, u, terms, targets, d_FU, out)
+    return {name: (index, out[name][: len(index)]) for name, index in rows.items()}
+
+
 def user_row(tables, variant, u, target, history, norm=FISM_NORM_EXCLUDED):
     """The one row ``user_rows`` builds for ``target`` (None: nothing excluded)."""
     targets = None if target is None else (target,)
@@ -123,7 +131,7 @@ class TestUserEmbedding:
 class TestScatterGradient:
     def test_mf_routes_to_user_row(self):
         d = np.array([1.0, -2.0, 0.5])
-        g = scatter_user_gradient(side(Variant.MF), 4, history_terms([1, 2]), (0,), d[None])
+        g = scatter(side(Variant.MF), 4, history_terms([1, 2]), (0,), d[None])
         rows, grads = g["P"]
         assert rows.tolist() == [4]
         np.testing.assert_array_equal(grads[0], d)
@@ -131,7 +139,7 @@ class TestScatterGradient:
 
     def test_fism_spreads_scaled_gradient(self):
         d = np.array([2.0, 4.0])
-        g = scatter_user_gradient(side(Variant.FISM), 0, history_terms([1, 4, 7]), (4,), d[None])
+        g = scatter(side(Variant.FISM), 0, history_terms([1, 4, 7]), (4,), d[None])
         rows, grads = g["Qp"]
         assert rows.tolist() == [1, 7]
         for grad in grads:
@@ -140,7 +148,7 @@ class TestScatterGradient:
 
     def test_svdpp_routes_both(self):
         d = np.array([1.0, 1.0])
-        g = scatter_user_gradient(side(Variant.SVDPP), 3, history_terms([0, 2]), (5,), d[None])
+        g = scatter(side(Variant.SVDPP), 3, history_terms([0, 2]), (5,), d[None])
         rows, grads = g["P"]
         assert rows.tolist() == [3]
         np.testing.assert_array_equal(grads[0], d)
@@ -148,7 +156,7 @@ class TestScatterGradient:
 
     def test_accumulates_across_calls(self):
         """The targets of one batch accumulate on the shared user row."""
-        g = scatter_user_gradient(side(Variant.MF), 1, history_terms([]), (0, 3), np.array([[1.0], [2.5]]))
+        g = scatter(side(Variant.MF), 1, history_terms([]), (0, 3), np.array([[1.0], [2.5]]))
         rows, grads = g["P"]
         assert rows.tolist() == [1]
         np.testing.assert_array_equal(grads, [[3.5]])
@@ -168,7 +176,7 @@ class TestScatterGradient:
             (Variant.FISM, FISM_NORM_FULL),
             (Variant.SVDPP, FISM_NORM_EXCLUDED),
         ]:
-            g = scatter_user_gradient(side(var, norm), 2, terms, targets, d)
+            g = scatter(side(var, norm), 2, terms, targets, d)
             dP = rng.normal(size=t.P.shape)
             dQp = rng.normal(size=t.Qp.shape)
             bumped = EmbeddingTables(P=t.P + dP, Q=t.Q, Qp=t.Qp + dQp)
@@ -206,7 +214,7 @@ class TestScatterMatchesLoopOracle:
         history, targets = self.CASES[case]
         d = np.random.default_rng(5).normal(size=(len(targets), 4))
         terms = np.array(history, dtype=np.int64)
-        got = scatter_user_gradient(side(variant, norm, alpha=0.75), 3, terms, targets, d)
+        got = scatter(side(variant, norm, alpha=0.75), 3, terms, targets, d)
         want = scatter_user_gradient_loops(variant, 3, targets, history, d, alpha=0.75, norm=norm)
         assert set(got) == set(want)
         for name, (rows, grads) in got.items():

@@ -3,9 +3,8 @@ import pytest
 
 from convncf.data import derive_seed
 from convncf.embeddings import Variant, init_tables
-from convncf.gradcheck import finite_diff_check, format_report
+from convncf.gradcheck import finite_diff_check, format_report, triple_gradients
 from convncf.model import HeadKind, IdentityHead, MergeKind, ModelSpec, new_head
-from convncf.training import compute_triple_gradients
 
 TRIPLE = (1, 2, 5)
 HISTORY = [0, 2, 4, 7]
@@ -78,11 +77,11 @@ class TestHasTeeth:
         spec, tables = fixture()
 
         def corrupted(spec_, tables_, u, i, j, history):
-            g = compute_triple_gradients(spec_, tables_, u, i, j, history)
-            for name in g.head:
+            grads, rows = triple_gradients(spec_, tables_, u, i, j, history)
+            for name in grads:
                 if name.startswith("conv.") and name.endswith(".kernel"):
-                    g.head[name] = -g.head[name]
-            return g
+                    grads[name] = -grads[name]
+            return grads, rows
 
         report = finite_diff_check(spec, tables, TRIPLE, HISTORY, seed=7, grad_fn=corrupted)
         assert not report.passed
@@ -93,15 +92,39 @@ class TestHasTeeth:
         spec, tables = fixture(Variant.SVDPP)
 
         def corrupted(spec_, tables_, u, i, j, history):
-            g = compute_triple_gradients(spec_, tables_, u, i, j, history)
-            rows, grads = g.tables["P"]
-            g.tables["P"] = (rows, 1.5 * grads)
-            return g
+            grads, rows = triple_gradients(spec_, tables_, u, i, j, history)
+            grads["P"] = 1.5 * grads["P"]
+            return grads, rows
 
         report = finite_diff_check(spec, tables, TRIPLE, HISTORY, seed=7, grad_fn=corrupted)
         by_name = {s.name: s for s in report.sections}
         assert not by_name["P"].passed
         assert by_name["Q"].passed
+
+    @pytest.mark.parametrize("variant", [Variant.FISM, Variant.SVDPP])
+    def test_dropped_history_row_is_caught(self, variant):
+        """A scatter rule that loses the last history row fails Qp, and only
+        Qp: the row is a candidate whatever the analytic side lists."""
+        spec, tables = fixture(variant)
+
+        def corrupted(spec_, tables_, u, i, j, history):
+            grads, rows = triple_gradients(spec_, tables_, u, i, j, history)
+            rows["Qp"] = rows["Qp"][:-1]
+            return grads, rows
+
+        report = finite_diff_check(spec, tables, TRIPLE, HISTORY, seed=7, grad_fn=corrupted)
+        assert {s.name for s in report.sections if not s.passed} == {"Qp"}
+
+    def test_scaled_mlp_weight_gradient_is_caught(self):
+        spec, tables = fixture(merge=MergeKind.OUTER, head_kind=HeadKind.MLP)
+
+        def corrupted(spec_, tables_, u, i, j, history):
+            grads, rows = triple_gradients(spec_, tables_, u, i, j, history)
+            grads["mlp.1.W"] = 1.5 * grads["mlp.1.W"]
+            return grads, rows
+
+        report = finite_diff_check(spec, tables, TRIPLE, HISTORY, seed=7, grad_fn=corrupted)
+        assert {s.name for s in report.sections if not s.passed} == {"mlp.1.W"}
 
     def test_nonfinite_parameter_is_reported_not_crashed(self):
         spec, tables = fixture(merge=MergeKind.INNER, head_kind=HeadKind.IDENTITY)
@@ -138,10 +161,9 @@ class TestFormatReport:
         spec, tables = fixture(merge=MergeKind.INNER, head_kind=HeadKind.IDENTITY)
 
         def corrupted(spec_, tables_, u, i, j, history):
-            g = compute_triple_gradients(spec_, tables_, u, i, j, history)
-            rows, grads = g.tables["Q"]
-            g.tables["Q"] = (rows, grads + 7.0)
-            return g
+            grads, rows = triple_gradients(spec_, tables_, u, i, j, history)
+            grads["Q"] = grads["Q"] + 7.0
+            return grads, rows
 
         report = finite_diff_check(spec, tables, TRIPLE, seed=3, grad_fn=corrupted)
         text = format_report(report)

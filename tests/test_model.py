@@ -24,6 +24,7 @@ from convncf.model import (
     convncf_forward,
     head_forward,
     head_sections,
+    head_views,
     init_conv_stack,
     init_mlp_head,
     load_checkpoint,
@@ -37,7 +38,7 @@ from convncf.model import (
     section_arrays,
 )
 from convncf.tensor import conv2x2s2_forward, to_quadtree
-from convncf.training import init_adagrad
+from convncf.training import AdagradState
 
 from _oracles import numeric_grad_full
 
@@ -177,7 +178,7 @@ class TestConvHead:
         stack = init_conv_stack(8, 2, derive_seed(2, "init_head"))
         E = rng.normal(size=(1, 8, 8)) + 0.5
         acts, _ = convncf_forward(stack, E)
-        _, d_E = convncf_backward(stack, acts, np.ones(1))
+        d_E = convncf_backward(stack, acts, np.ones(1), head_views(stack))
 
         def objective(flat):
             _, y = convncf_forward(stack, flat.reshape(1, 8, 8))
@@ -189,7 +190,8 @@ class TestConvHead:
     def test_head_grad_keys_cover_sections(self):
         stack = init_conv_stack(8, 2, 0)
         acts, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(1, 8, 8)))
-        grads, _ = convncf_backward(stack, acts, np.ones(1))
+        grads = head_views(stack)
+        convncf_backward(stack, acts, np.ones(1), grads)
         assert set(grads) == {name for name, _ in head_sections(stack)}
 
 
@@ -249,6 +251,21 @@ class TestPredictBatch:
         t = init_tables(5, 12, 8, variant, derive_seed(7, "init"), scale=1.0)
         with pytest.raises(IndexError, match="user index"):
             predict_batch(spec_for(variant, MergeKind.OUTER, HeadKind.CNN), t, u, np.array([1, 2]))
+
+    @pytest.mark.parametrize("variant", [Variant.MF, Variant.FISM, Variant.SVDPP])
+    @pytest.mark.parametrize("u", [1.5, True, np.float64(1.0), np.True_], ids=["float", "bool", "np_float", "np_bool"])
+    def test_non_integer_user_is_refused(self, variant, u):
+        """A float would score as the user it truncates to and a boolean as
+        user 0 or 1, also for FISM, which reads no user index."""
+        t = init_tables(5, 12, 8, variant, derive_seed(7, "init"), scale=1.0)
+        with pytest.raises(IndexError, match="^user index must be an integer"):
+            predict_batch(spec_for(variant, MergeKind.OUTER, HeadKind.CNN), t, u, np.array([1, 2]), [0, 3])
+
+    def test_numpy_integer_user_scores_as_int(self):
+        t = init_tables(5, 12, 8, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN)
+        want = predict_batch(spec, t, 2, np.array([1, 2]))
+        assert predict_batch(spec, t, np.int32(2), np.array([1, 2])).tobytes() == want.tobytes()
 
     def test_fism_reads_no_user_index(self):
         """FISM has no user table: its scores depend on the history only."""
@@ -605,7 +622,7 @@ class TestVariantTables:
             "checkpoint": [line.split()[0] for line in header[1:]],
             "param_count": [name for name, _ in param_count(spec, 6, 9).embedding_sections],
             "gradcheck": [s.name for s in report.sections],
-            "adagrad": list(init_adagrad(spec, t)),  # packs the head: last
+            "adagrad": list(AdagradState(spec, t)),  # packs the head: last
         }
         for view, names in views.items():
             assert [name for name in names if name not in heads] == want, view

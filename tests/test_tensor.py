@@ -17,6 +17,7 @@ from convncf.model import (
     head_backward,
     head_forward,
     head_sections,
+    head_views,
     init_conv_stack,
     init_mlp_head,
     merge,
@@ -135,7 +136,8 @@ class TestRelu:
 
         def run():
             conv = conv2x2s2_backward(inp, kernel, act, d_act)
-            grads, d_X0 = mlp_backward(head, acts, d_y)
+            grads = head_views(head)
+            d_X0 = mlp_backward(head, acts, d_y, grads)
             return [a.tobytes() for a in (*conv, *grads.values(), d_X0)]
 
         fast = run()
@@ -301,7 +303,8 @@ class TestDense:
             return float(mlp_forward(head, x)[1][0])
 
         acts, _ = mlp_forward(head, x)
-        grads, d_x = mlp_backward(head, acts, np.ones(1))
+        grads = head_views(head)
+        d_x = mlp_backward(head, acts, np.ones(1), grads)
         for arr, grad in ((x, d_x), (W, grads["mlp.1.W"]), (b, grads["mlp.1.b"])):
             for flat in range(arr.size):
                 assert grad.flat[flat] == pytest.approx(numeric_grad(objective, arr, flat), abs=1e-7)
@@ -315,7 +318,8 @@ class TestDense:
         np.testing.assert_array_equal(dense_loops(x[0], W, np.zeros(3)), [0.0, 3.0, -1.0])
         acts, _ = mlp_forward(head, x)
         np.testing.assert_array_equal(acts[1], [[0.0, 3.0, 0.0]])
-        grads, d_x = mlp_backward(head, acts, np.ones(1))
+        grads = head_views(head)
+        d_x = mlp_backward(head, acts, np.ones(1), grads)
         np.testing.assert_array_equal(grads["mlp.1.W"], [[0.0, 0.0], [2.0, 4.0], [0.0, 0.0]])
         np.testing.assert_array_equal(grads["mlp.1.b"], [0.0, 2.0, 0.0])
         np.testing.assert_array_equal(d_x, [[2.0, 2.0]])  # 2 * W[1] alone
@@ -332,7 +336,8 @@ class TestDense:
         X0 = rng.normal(size=(5, 24))
         d_y = rng.normal(size=5)
         acts, y = mlp_forward(head, X0)
-        grads, d_X0 = mlp_backward(head, acts, d_y)
+        grads = head_views(head)
+        d_X0 = mlp_backward(head, acts, d_y, grads)
         want_acts, want_y, want_grads, want_d_X0 = mlp_loops(head, X0, d_y)
         assert all((a == 0).any() and (a > 0).any() for a in acts[1:])
         for l, (got, want) in enumerate(zip(acts, want_acts)):
@@ -357,9 +362,9 @@ def _arrays(*objs):
             yield from (arr for _, arr in head_sections(head))
 
 
-def call_unchanged(fn, *args):
+def call_unchanged(fn, *args, **out):
     before = [arr.tobytes() for arr in _arrays(*args)]
-    result = fn(*args)
+    result = fn(*args, **out)
     assert [arr.tobytes() for arr in _arrays(*args)] == before, fn.__name__
     return result
 
@@ -379,7 +384,7 @@ class TestArgumentsUnchanged:
         head = init_mlp_head(6, 2, 89)
         X0 = rng.normal(size=(3, 6))
         acts, _ = call_unchanged(mlp_forward, head, X0)
-        call_unchanged(mlp_backward, head, acts, rng.normal(size=3))
+        call_unchanged(mlp_backward, head, acts, rng.normal(size=3), out=head_views(head))
 
     @pytest.mark.parametrize(
         "mk,hk",
@@ -396,4 +401,4 @@ class TestArgumentsUnchanged:
         spec = ModelSpec(variant=Variant.MF, merge=mk, head=new_head(hk, mk, 8, 4, 2, 97), K=8)
         merged = merge(mk, rng.normal(size=(3, 8)), rng.normal(size=(3, 8)))
         acts, _ = call_unchanged(head_forward, spec, merged)
-        call_unchanged(head_backward, spec, merged, acts, rng.normal(size=3))
+        call_unchanged(head_backward, spec, merged, acts, rng.normal(size=3), out=head_views(spec.head))

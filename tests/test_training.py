@@ -12,6 +12,7 @@ import _oracles
 from convncf import embeddings, model, tensor, training
 from convncf.data import derive_seed, load_interactions, minibatches, sample_negative, split_leave_latest_out
 from convncf.embeddings import EmbeddingTables, Variant, init_tables, user_rows
+from convncf.gradcheck import triple_gradients
 from convncf.model import (
     HeadKind,
     IdentityHead,
@@ -20,6 +21,7 @@ from convncf.model import (
     head_backward,
     head_forward,
     head_sections,
+    head_views,
     merge,
     new_head,
     predict_batch,
@@ -28,20 +30,19 @@ from convncf.model import (
 from convncf.training import (
     LN2,
     METRICS_HEADER,
+    AdagradState,
     NonFiniteError,
     TrainConfig,
-    TripleGrads,
     _run_epochs,
     adagrad_pass,
     adagrad_step,
     bpr_grad,
     bpr_loss,
-    compute_triple_gradients,
     evaluate_state,
-    init_adagrad,
     pretrain,
     train,
     train_step,
+    triple_forward,
     write_metrics_csv,
 )
 
@@ -115,16 +116,16 @@ class TestAdagrad:
     def test_first_step_closed_form(self):
         theta = np.array([1.0])
         state = np.zeros(1)
-        adagrad_step(theta, np.array([1.0]), state, lr=0.1, epsilon=1e-6)
+        adagrad_step(theta, np.array([1.0]), state, lr=0.1, epsilon=1e-6, out=np.empty(1))
         assert state[0] == 1.0
         assert theta[0] == pytest.approx(1.0 - 0.1 / (1.0 + 1e-6), rel=1e-15)
 
     def test_second_step_scales_by_sqrt2(self):
         theta = np.array([0.0])
         state = np.zeros(1)
-        adagrad_step(theta, np.array([1.0]), state, lr=0.1, epsilon=1e-6)
+        adagrad_step(theta, np.array([1.0]), state, lr=0.1, epsilon=1e-6, out=np.empty(1))
         first = -theta[0]
-        adagrad_step(theta, np.array([1.0]), state, lr=0.1, epsilon=1e-6)
+        adagrad_step(theta, np.array([1.0]), state, lr=0.1, epsilon=1e-6, out=np.empty(1))
         second = -theta[0] - first
         assert state[0] == 2.0
         assert second == pytest.approx(0.1 / (math.sqrt(2.0) + 1e-6), rel=1e-12)
@@ -134,7 +135,7 @@ class TestAdagrad:
         theta = np.array([0.5, -0.5])
         state = np.array([4.0, 0.0])
         before = theta.copy()
-        adagrad_step(theta, np.zeros(2), state, lr=0.1, epsilon=1e-6)
+        adagrad_step(theta, np.zeros(2), state, lr=0.1, epsilon=1e-6, out=np.empty(2))
         np.testing.assert_array_equal(theta, before)
         np.testing.assert_array_equal(state, [4.0, 0.0])
 
@@ -143,14 +144,14 @@ class TestAdagrad:
         rng = np.random.default_rng(4)
         prev = state.copy()
         for _ in range(10):
-            adagrad_step(np.zeros(3), rng.normal(size=3), state, lr=0.1, epsilon=1e-6)
+            adagrad_step(np.zeros(3), rng.normal(size=3), state, lr=0.1, epsilon=1e-6, out=np.empty(3))
             assert (state >= prev).all()
             prev = state.copy()
 
     def test_row_view_updates_parent_in_place(self):
         P = np.ones((3, 2))
         state = np.zeros((3, 2))
-        adagrad_step(P[1], np.array([1.0, 2.0]), state[1], lr=0.1, epsilon=1e-6)
+        adagrad_step(P[1], np.array([1.0, 2.0]), state[1], lr=0.1, epsilon=1e-6, out=np.empty(2))
         np.testing.assert_array_equal(P[0], [1.0, 1.0])
         np.testing.assert_array_equal(P[2], [1.0, 1.0])
         assert (P[1] < 1.0).all() and (state[1] > 0).all()
@@ -164,7 +165,7 @@ class TestTrainStep:
         P0, Q0 = t.P.copy(), t.Q.copy()
         spec = inner_spec()
         cfg = TrainConfig(lr_embed=0.05, lambda1=0.01, lambda2=0.02, epochs=1)
-        states = init_adagrad(spec, t)
+        states = AdagradState(spec, t)
         u, i, j = 1, 2, 0
         loss = train_step(spec, t, (u, i, j), cfg, states, regularize=True)
 
@@ -191,7 +192,7 @@ class TestTrainStep:
         t = init_tables(3, 4, 4, Variant.MF, 0, scale=1.0)
         spec = cnn_spec()
         spec.head.w[:] = 0.0
-        states = init_adagrad(spec, t)
+        states = AdagradState(spec, t)
         loss = train_step(spec, t, (0, 1, 2), TrainConfig(), states, regularize=False)
         assert loss == pytest.approx(LN2, abs=1e-12)
 
@@ -199,7 +200,7 @@ class TestTrainStep:
         t = init_tables(3, 4, 4, Variant.MF, 1, scale=1.0)
         spec = cnn_spec(seed=11)
         before = bpr_loss(*predict_batch(spec, t, 0, [1, 2]))
-        states = init_adagrad(spec, t)
+        states = AdagradState(spec, t)
         cfg = TrainConfig(lambda3=50.0, lambda4=50.0)
         loss = train_step(spec, t, (0, 1, 2), cfg, states, regularize=True)
         assert loss == pytest.approx(before, rel=1e-12)
@@ -208,7 +209,7 @@ class TestTrainStep:
         t = init_tables(3, 4, 4, Variant.MF, 2, scale=0.01)
         spec = cnn_spec(seed=7)
         w0 = spec.head.w.copy()
-        states = init_adagrad(spec, t)
+        states = AdagradState(spec, t)
         cfg = TrainConfig(lambda3=0.0, lambda4=50.0, lr_net=0.01)
         train_step(spec, t, (1, 0, 3), cfg, states, regularize=True)
         assert (np.abs(spec.head.w) < np.abs(w0)).all()
@@ -219,20 +220,20 @@ class TestTrainStep:
         spec = inner_spec()
         heavy = TrainConfig(lambda1=100.0, lambda2=100.0)
         light = TrainConfig(lambda1=0.0, lambda2=0.0)
-        train_step(spec, t1, (0, 1, 2), heavy, init_adagrad(spec, t1), regularize=False)
-        train_step(spec, t2, (0, 1, 2), light, init_adagrad(spec, t2), regularize=False)
+        train_step(spec, t1, (0, 1, 2), heavy, AdagradState(spec, t1), regularize=False)
+        train_step(spec, t2, (0, 1, 2), light, AdagradState(spec, t2), regularize=False)
         np.testing.assert_array_equal(t1.P, t2.P)
         np.testing.assert_array_equal(t1.Q, t2.Q)
 
     def test_triple_gradients_share_positive_negative_paths(self):
         """The user row accumulates both branches; each item row only its own."""
         t = init_tables(3, 4, 2, Variant.MF, 8, scale=1.0)
-        g = compute_triple_gradients(inner_spec(), t, 1, 2, 0)
-        P_rows, P_grads = g.tables["P"]
-        Q_rows, _ = g.tables["Q"]
+        grads, rows = triple_gradients(inner_spec(), t, 1, 2, 0, None)
+        P_rows, P_grads = rows["P"], grads["P"]
+        Q_rows = rows["Q"]
         assert P_rows.tolist() == [1]
         assert sorted(Q_rows.tolist()) == [0, 2]
-        dp, dn = bpr_grad(g.y_pos, g.y_neg)
+        dp, dn = bpr_grad(*triple_forward(inner_spec(), t, 1, 2, 0, None)[-1].tolist())
         np.testing.assert_allclose(P_grads[0], dp * t.Q[2] + dn * t.Q[0], rtol=1e-12)
 
     @pytest.mark.parametrize("variant", list(Variant))
@@ -242,17 +243,18 @@ class TestTrainStep:
         t = init_tables(4, 9, 4, variant, derive_seed(2, "init"), scale=1.0)
         spec = ModelSpec(variant=variant, merge=MergeKind.INNER, head=IdentityHead(), K=4)
         cfg = TrainConfig(lambda1=0.3, lambda2=0.2)
-        states = init_adagrad(spec, t)
+        states = AdagradState(spec, t)
         for acc in states.values():
             acc += 0.5
         want_t, want_s = copy.deepcopy(t), copy.deepcopy(states)
         terms = np.array([0, 2, 4, 7])
-        g = compute_triple_gradients(spec, t, 1, 2, 5, terms)
-        for name, (rows, grads) in g.tables.items():
+        grads, rows = triple_gradients(spec, t, 1, 2, 5, terms)
+        for name, index in rows.items():
             table = getattr(want_t, name)
             lam = cfg.lambda2 if name == "Q" else cfg.lambda1
-            for r, grad in zip(rows.tolist(), grads):
-                adagrad_step(table[r], grad + 2.0 * lam * table[r], want_s[name][r], cfg.lr_embed, cfg.adagrad_epsilon)
+            for r, grad in zip(index.tolist(), grads[name]):
+                step = grad + 2.0 * lam * table[r]
+                adagrad_step(table[r], step, want_s[name][r], cfg.lr_embed, cfg.adagrad_epsilon, np.empty_like(step))
         train_step(spec, t, (1, 2, 5), cfg, states, regularize=True, terms=terms)
         for name in states:
             assert getattr(t, name).tobytes() == getattr(want_t, name).tobytes(), name
@@ -273,16 +275,17 @@ class TestTrainStep:
         head = new_head(hk, mk, 8, 4, 2, derive_seed(3, "init_head"))
         spec = ModelSpec(variant=variant, merge=mk, head=head, K=8)
         u, i, j, terms = 1, 2, 5, np.array([0, 2, 4, 7])
-        g = compute_triple_gradients(spec, t, u, i, j, terms)
+        grads, _ = triple_gradients(spec, t, u, i, j, terms)
         passes = []
-        for target, d_y in zip((i, j), bpr_grad(g.y_pos, g.y_neg)):
+        for target, d_y in zip((i, j), bpr_grad(*triple_forward(spec, t, u, i, j, terms)[-1].tolist())):
             fU = user_rows(spec, t, [u], terms[None], (target,))
             merged = merge(mk, fU, t.Q[[target]])
             acts, _ = head_forward(spec, merged)
-            passes.append(head_backward(spec, merged, acts, np.array([d_y]))[0])
-        assert list(g.head) == list(passes[0])
-        for name, grad in g.head.items():
-            assert grad.tobytes() == (passes[0][name] + passes[1][name]).tobytes(), name
+            passes.append(head_views(spec.head))
+            head_backward(spec, merged, acts, np.array([d_y]), passes[-1])
+        assert list(grads)[: len(passes[0])] == list(passes[0])
+        for name in passes[0]:
+            assert grads[name].tobytes() == (passes[0][name] + passes[1][name]).tobytes(), name
 
     @pytest.mark.parametrize("mk", [MergeKind.OUTER, MergeKind.CONCAT])
     def test_mlp_head_grads_match_per_row_loop_oracle(self, mk):
@@ -293,12 +296,14 @@ class TestTrainStep:
         head = new_head(HeadKind.MLP, mk, 8, 4, 2, derive_seed(3, "init_head"))
         spec = ModelSpec(variant=Variant.MF, merge=mk, head=head, K=8)
         u, i, j = 1, 2, 5
-        g = compute_triple_gradients(spec, t, u, i, j)
+        got, _ = triple_gradients(spec, t, u, i, j, None)
+        y_pos, y_neg = triple_forward(spec, t, u, i, j, None)[-1].tolist()
         merged = merge(mk, user_rows(spec, t, [u, u], targets=(i, j)), t.Q[[i, j]])
-        _, y, grads, _ = mlp_loops(head, merged.reshape(2, -1), np.array(bpr_grad(g.y_pos, g.y_neg)))
-        np.testing.assert_allclose([g.y_pos, g.y_neg], y, rtol=1e-12)
-        assert sorted(g.head) == sorted(grads)
-        for name, grad in g.head.items():
+        _, y, grads, _ = mlp_loops(head, merged.reshape(2, -1), np.array(bpr_grad(y_pos, y_neg)))
+        np.testing.assert_allclose([y_pos, y_neg], y, rtol=1e-12)
+        got_head = {name: got[name] for name, _ in head_sections(head)}
+        assert sorted(got_head) == sorted(grads)
+        for name, grad in got_head.items():
             np.testing.assert_allclose(grad, grads[name], rtol=1e-12, err_msg=name)
 
     def test_wide_mlp_triple_allocates_one_weight_gradient(self):
@@ -310,7 +315,7 @@ class TestTrainStep:
         spec = ModelSpec(variant=Variant.MF, merge=MergeKind.OUTER, head=head, K=64)
         tracemalloc.start()
         try:
-            compute_triple_gradients(spec, t, 1, 2, 5)
+            triple_gradients(spec, t, 1, 2, 5, None)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -343,29 +348,29 @@ class TestPackedHead:
         spec = ModelSpec(variant=Variant.SVDPP, merge=mk, head=head, K=4)
         cfg = TrainConfig(lambda1=0.2, lambda2=0.1, lambda3=lambdas[0], lambda4=lambdas[1])
         want_spec, want_t = copy.deepcopy((spec, t))
-        states = init_adagrad(spec, t)
+        states = AdagradState(spec, t)
         want_s = {name: np.zeros_like(arr) for name, arr in section_arrays(want_spec, want_t).items()}
         terms = np.array([0, 2, 4, 7])
         for triple in ((1, 2, 5), (3, 0, 8), (1, 4, 6)):
-            g = compute_triple_gradients(want_spec, want_t, *triple, terms)
+            grads, rows = triple_gradients(want_spec, want_t, *triple, terms)
             for name, arr in head_sections(want_spec.head):
-                grad, lam = g.head[name], cfg.lambda4 if name == "w" else cfg.lambda3
+                grad, lam = grads[name], cfg.lambda4 if name == "w" else cfg.lambda3
                 if regularize and lam:
                     grad = grad + 2.0 * lam * arr
-                adagrad_step(arr, grad, want_s[name], cfg.lr_net, cfg.adagrad_epsilon)
-            for name, (rows, grads) in g.tables.items():
+                adagrad_step(arr, grad, want_s[name], cfg.lr_net, cfg.adagrad_epsilon, np.empty_like(grad))
+            for name, index in rows.items():
                 table, lam = getattr(want_t, name), cfg.lambda2 if name == "Q" else cfg.lambda1
-                for r, grad in zip(rows.tolist(), grads):
+                for r, grad in zip(index.tolist(), grads[name]):
                     if regularize and lam:
                         grad = grad + 2.0 * lam * table[r]
-                    adagrad_step(table[r], grad, want_s[name][r], cfg.lr_embed, cfg.adagrad_epsilon)
+                    adagrad_step(table[r], grad, want_s[name][r], cfg.lr_embed, cfg.adagrad_epsilon, np.empty_like(grad))
             train_step(spec, t, triple, cfg, states, regularize, terms)
         got, want = section_arrays(spec, t), section_arrays(want_spec, want_t)
         assert list(got) == list(want)
         for name in got:
             assert got[name].tobytes() == want[name].tobytes(), name
         names = [name for name, _ in head_sections(spec.head)]
-        assert states.head_acc.tobytes() == b"".join(want_s[name].tobytes() for name in names)
+        assert states.acc[: states.size].tobytes() == b"".join(want_s[name].tobytes() for name in names)
         for name in ("P", "Q", "Qp"):
             assert states[name].tobytes() == want_s[name].tobytes(), name
 
@@ -376,27 +381,27 @@ class TestPackedHead:
         t = init_tables(3, 6, 32, Variant.MF, derive_seed(3, "init"), scale=1.0)
         head = new_head(HeadKind.MLP, MergeKind.OUTER, 32, 1, 1, derive_seed(3, "init_head"))
         spec = ModelSpec(variant=Variant.MF, merge=MergeKind.OUTER, head=head, K=32)
-        states = init_adagrad(spec, t)
+        states = AdagradState(spec, t)
         tracemalloc.start()
         try:
             train_step(spec, t, (1, 2, 5), TrainConfig(), states, regularize=True)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        limit = 2.5 * states.head.nbytes
+        limit = 2.5 * states.params[: states.size].nbytes
         assert peak < limit, f"peak {peak} B, limit {limit} B"
 
     def test_sections_are_views_of_the_packed_vector(self):
         t = init_tables(3, 4, 4, Variant.MF, 0, scale=1.0)
         spec = cnn_spec(K=4, C=2)
         before = [arr.copy() for _, arr in head_sections(spec.head)]
-        states = init_adagrad(spec, t)
+        states = AdagradState(spec, t)
         sections = head_sections(spec.head)
-        assert [name for name, _ in sections] == states.head_names
-        assert states.head.size == sum(arr.size for arr in before)
-        assert states.tower == states.head.size - spec.head.w.size
+        assert [name for name, _ in sections] == list(states.grads)[: len(sections)]
+        assert states.size == sum(arr.size for arr in before)
+        assert states.tower == states.size - spec.head.w.size
         for (name, arr), old in zip(sections, before):
-            assert np.shares_memory(arr, states.head), name
+            assert np.shares_memory(arr, states.params[: states.size]), name
             assert arr.shape == old.shape and arr.tobytes() == old.tobytes(), name
 
     def test_training_a_deep_copy_gives_the_same_bytes(self, tmp_path):
@@ -453,7 +458,7 @@ class TestOneVectorStep:
         spec = ModelSpec(variant=variant, merge=mk, head=head, K=4)
         cfg = TrainConfig(lambda1=0.2, lambda2=0.1, lambda3=0.3, lambda4=0.05)
         want_spec, want_t = copy.deepcopy((spec, t))
-        states = init_adagrad(spec, t, int(np.diff(train_ds.indptr).max()))
+        states = AdagradState(spec, t, int(np.diff(train_ds.indptr).max()))
         want_s = AdagradStateLoops(want_spec, want_t)
         for u, i, j in triples_of(train_ds, 300):
             terms = train_ds.terms_of(u) if variant.reads_history else None
@@ -463,7 +468,7 @@ class TestOneVectorStep:
         assert list(got) == list(want)
         for name in got:
             assert got[name].tobytes() == want[name].tobytes(), name
-        assert states.head_acc.tobytes() == want_s.head_acc.tobytes()
+        assert states.acc[: states.size].tobytes() == want_s.head_acc.tobytes()
         assert list(states) == list(want_s) == list(variant.tables)
         for name in states:
             assert states[name].tobytes() == want_s[name].tobytes(), name
@@ -481,7 +486,7 @@ class TestOneVectorStep:
         head = new_head(HeadKind.CNN, MergeKind.OUTER, 4, 3, 2, derive_seed(6, "init_head"))
         spec = ModelSpec(variant=Variant.SVDPP, merge=MergeKind.OUTER, head=head, K=4)
         want_spec, want_t = copy.deepcopy((spec, t))
-        states = init_adagrad(spec, t, int(np.diff(train_ds.indptr).max()))
+        states = AdagradState(spec, t, int(np.diff(train_ds.indptr).max()))
         want_s = AdagradStateLoops(want_spec, want_t)
         cfg = TrainConfig(lambda1=0.2, lambda2=0.1, lambda3=0.3, lambda4=0.05)
         configs = [(cfg, False), (cfg, True)]
@@ -497,7 +502,7 @@ class TestOneVectorStep:
         got, want = section_arrays(spec, t), section_arrays(want_spec, want_t)
         for name in got:
             assert got[name].tobytes() == want[name].tobytes(), name
-        assert states.head_acc.tobytes() == want_s.head_acc.tobytes()
+        assert states.acc[: states.size].tobytes() == want_s.head_acc.tobytes()
 
     @pytest.mark.parametrize("lambdas", [(0.3, 0.0, 0.2, 0.1), (0.0, 0.0, 0.0, 0.0)])
     def test_zero_lambda_stretches_keep_their_bits(self, monkeypatch, lambdas):
@@ -531,26 +536,26 @@ class TestOneVectorStep:
         for name, r in rows.items():
             getattr(t, name)[r] = crafted((len(r), 4), (lam2 if name == "Q" else lam1) == 0)
         want_spec, want_t = copy.deepcopy((spec, t))
-        states, want_s = init_adagrad(spec, t), AdagradStateLoops(want_spec, want_t)
-        for acc in [*states.values(), states.head_acc, *want_s.values(), want_s.head_acc]:
+        states, want_s = AdagradState(spec, t), AdagradStateLoops(want_spec, want_t)
+        for acc in [*states.values(), states.acc[: states.size], *want_s.values(), want_s.head_acc]:
             acc += 0.25
 
-        for name, view in states.head_grads.items():
-            view[...] = head_grads[name]
+        for name, grad in head_grads.items():
+            states.grads[name][...] = grad
         for name, (r, grad) in table_grads.items():
-            states.grad_rows[name][: len(r)] = grad
-        adagrad_pass(t, states, {name: (r, None) for name, r in rows.items()}, cfg, regularize=True)
+            states.grads[name][: len(r)] = grad
+        adagrad_pass(t, states, rows, cfg, regularize=True)
 
         monkeypatch.setattr(
             _oracles,
             "compute_triple_gradients_loops",
-            lambda *args: TripleGrads(0.0, 0.0, 0.0, copy.deepcopy(head_grads), copy.deepcopy(table_grads)),
+            lambda *args: _oracles.LoopGrads(0.0, copy.deepcopy(head_grads), copy.deepcopy(table_grads)),
         )
         train_step_loops(want_spec, want_t, (1, 2, 5), cfg, want_s, True, np.array([0, 4, 7]))
         got, want = section_arrays(spec, t), section_arrays(want_spec, want_t)
         for name in got:
             assert got[name].tobytes() == want[name].tobytes(), name
-        assert states.head_acc.tobytes() == want_s.head_acc.tobytes()
+        assert states.acc[: states.size].tobytes() == want_s.head_acc.tobytes()
         for name in states:
             assert states[name].tobytes() == want_s[name].tobytes(), name
 
@@ -813,7 +818,6 @@ class TestConfigValidation:
             {"lambda3": math.nan},
             {"adagrad_epsilon": math.inf},
             {"lambda_pretrain": math.nan},
-            {"fism_norm": "bogus_set"},
         ],
     )
     def test_rejects(self, kw):
