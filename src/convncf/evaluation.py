@@ -72,7 +72,8 @@ def evaluate(
     which: str = "test",
     store: dict[tuple[int, str], int] | None = None,
 ) -> EvalResult:
-    """Average HR@k / NDCG@k over every user carrying a held-out item.
+    """Average HR@k / NDCG@k over every user carrying a held-out item; with
+    no such user every average is NaN, an undefined mean, not a miss rate.
 
     The candidate list is the target plus the user's fixed negatives; the
     negatives never intersect any split of the user's interactions, so the
@@ -104,8 +105,8 @@ def evaluate(
 
     ranks = {u: store[(u, which)] for u in users}
     n = len(users)
-    hr = {k: sum(hr_at_k(ranks[u], k) for u in users) / n if n else 0.0 for k in DEFAULT_KS}
-    ndcg = {k: sum(ndcg_at_k(ranks[u], k) for u in users) / n if n else 0.0 for k in DEFAULT_KS}
+    hr = {k: sum(hr_at_k(ranks[u], k) for u in users) / n if n else math.nan for k in DEFAULT_KS}
+    ndcg = {k: sum(ndcg_at_k(ranks[u], k) for u in users) / n if n else math.nan for k in DEFAULT_KS}
     return EvalResult(hr=hr, ndcg=ndcg, users_evaluated=n, ranks=ranks)
 
 

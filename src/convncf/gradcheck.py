@@ -24,7 +24,7 @@ from typing import Callable, Iterable, Optional
 import numpy as np
 
 from convncf.embeddings import EmbeddingTables, history_terms
-from convncf.model import ModelSpec, head_views, section_arrays
+from convncf.model import ModelSpec, head_views, section_arrays, tower_work
 from convncf.training import bpr_loss, compute_triple_gradients, triple_forward
 
 
@@ -76,8 +76,9 @@ def _loss_and_acts(
     spec: ModelSpec, tables: EmbeddingTables, u: int, i: int, j: int, terms: np.ndarray
 ) -> tuple[float, list[np.ndarray]]:
     """The triple's loss and its head's relu outputs (none for a head
-    without layers)."""
-    *_, acts, y = triple_forward(spec, tables, u, i, j, terms)
+    without layers), in buffers of their own, so each perturbed forward's
+    outputs stay for the kink test."""
+    *_, acts, y = triple_forward(spec, tables, u, i, j, terms, tower_work(spec, 2))
     return bpr_loss(float(y[0]), float(y[1])), acts[1:] if acts else []
 
 
@@ -123,7 +124,7 @@ def triple_gradients(spec: ModelSpec, tables: EmbeddingTables, u: int, i: int, j
     for each owned table (P 1, Q 2, Qp ``len(terms)``): (buffers, rows)."""
     counts = {"P": 1, "Q": 2, "Qp": 0 if terms is None else len(terms)}
     grads = head_views(spec.head) | {name: np.empty((counts[name], tables.K)) for name in spec.variant.tables}
-    return grads, compute_triple_gradients(spec, tables, u, i, j, terms, grads)[1]
+    return grads, compute_triple_gradients(spec, tables, u, i, j, terms, grads, tower_work(spec, 2))[1]
 
 
 def finite_diff_check(

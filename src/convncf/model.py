@@ -24,10 +24,13 @@ two, gradcheck runs that same forward, and ``score_rows`` scores rows of
 most a few MiB and ``SCORE_BLOCK_ROWS`` rows, spread over every usable CPU:
 ``predict_batch`` scores one user's candidates, and evaluation scores many
 users' candidates laid end to end, so at small K one block holds several
-users. Each row's result is bit-identical to that row scored alone, except
-with an MLP head: each of its layers is one matrix product over the whole
-batch, which reads the weight matrix once per batch and agrees with the row
-alone to rounding.
+users. Blocks are the pool's unit of work; inside a block a conv tower runs
+in chunks of rows small enough for its layer-1 activations to stay in cache
+(``TOWER_CHUNK_BYTES``), through buffers its thread keeps (``ConvWork``).
+Each row's result is bit-identical to that row scored alone, except with an
+MLP head: each of its layers is one matrix product over the whole batch,
+which reads the weight matrix once per batch and agrees with the row alone
+to rounding.
 
 A head's backward pass sums its gradients over the batch into the caller's
 views keyed by section name (``head_views``: ``conv.<l>.kernel``,
@@ -43,6 +46,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import cached_property
 from enum import Enum
 from typing import Iterable, Optional, Union
 
@@ -211,16 +215,17 @@ def merged_width(kind: MergeKind, K: int) -> int:
     return {MergeKind.OUTER: K * K, MergeKind.CONCAT: 2 * K}.get(kind, K)
 
 
-def merge(kind: MergeKind, FU: np.ndarray, FI: np.ndarray):
+def merge(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, maps: Optional[np.ndarray] = None):
     """Combine rows of user and item embeddings, both ``(B, K)``, into
-    ``(B, K)`` vectors, ``(B, 2K)`` vectors, ``(B, K, K)`` maps or ``(B,)``
-    scalars. A single user row ``(1, K)`` is shared by every item row."""
+    ``(B, K)`` vectors, ``(B, 2K)`` vectors, ``(B, K, K)`` maps (into
+    ``maps`` when given) or ``(B,)`` scalars. A single user row ``(1, K)``
+    is shared by every item row."""
     if kind is MergeKind.ELEMENTWISE:
         return FU * FI
     if kind is MergeKind.CONCAT:
         return np.concatenate([np.broadcast_to(FU, FI.shape), FI], axis=1)
     if kind is MergeKind.OUTER:
-        return np.einsum("nk,nl->nkl", FU, FI)
+        return np.einsum("nk,nl->nkl", FU, FI, out=maps)
     if kind is MergeKind.INNER:
         return np.vecdot(FU, FI)
     raise ValueError(f"unknown merge kind {kind!r}")
@@ -250,28 +255,92 @@ def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged):
 # pre-activation's sign, so no pre-activation is kept. They take one score
 # cotangent per row, write the head gradients summed over the batch into the
 # caller's section views and return the per-row cotangents of their input.
+# A conv head's activations (acts[0] is its quadtree-ordered map) and layer
+# cotangents live in a ConvWork the caller passes (``tower_work``); other
+# heads take None.
 # The conv and linear heads form gradients per row, then sum, so a batch of
 # two gives exactly the sum of two single-row passes; the MLP head sums
 # inside one matrix product per layer, which equals that sum to rounding.
 
 
-def convncf_forward(stack: ConvStack, E: np.ndarray):
+class ConvWork:
+    """Buffers for the wide arrays of a conv tower over up to ``rows`` rows,
+    allocated once by a caller that runs the tower many times: ``acts``,
+    shaped as convncf_forward's activation list (the ``(rows, K*K, 1)``
+    quadtree map, then each layer's ``(rows, P_l, C)`` relu output), except
+    that layer 1's holds ``chunk`` rows (default ``rows``; all of them at
+    depth 1), the rows it computes at once. Made on first use: ``E``, the
+    ``(rows, K, K)`` interaction maps that scoring merges into, and for a
+    backward, per layer, the relu cotangent ``d_pres[l - 1]`` (shaped as
+    ``acts[l]``) and the input cotangent ``d_inps[l - 1]`` (shaped as
+    ``acts[l - 1]``). A batch of n rows uses each buffer's leading rows."""
+
+    def __init__(self, stack: ConvStack, rows: int, chunk: Optional[int] = None):
+        K = 2**stack.depth
+        self.key = (K, stack.C, rows, chunk)
+        chunk = rows if chunk is None or stack.depth == 1 else min(chunk, rows)
+        self.shapes = [(rows, K * K, 1), (chunk, K * K // 4, stack.C)]
+        self.shapes += [(rows, (K >> l) ** 2, stack.C) for l in range(2, stack.depth + 1)]
+        self.K, self.rows, self.chunk = K, rows, max(1, chunk)  # chunk: a range step, also over an empty batch
+        self.acts = [np.empty(shape) for shape in self.shapes]
+
+    def lead(self, bufs: list[np.ndarray], n: int) -> list[np.ndarray]:
+        """The leading n rows of each buffer: ``bufs`` itself when n is every row."""
+        return bufs if n == self.rows else [buf[:n] for buf in bufs]
+
+    @cached_property
+    def E(self) -> np.ndarray:
+        return np.empty((self.rows, self.K, self.K))
+
+    @cached_property
+    def d_pres(self) -> list[np.ndarray]:
+        return [np.empty(shape) for shape in self.shapes[1:]]
+
+    @cached_property
+    def d_inps(self) -> list[np.ndarray]:
+        return [np.empty(shape) for shape in self.shapes[:-1]]
+
+
+def tower_work(spec: ModelSpec, rows: int) -> Optional[ConvWork]:
+    """A ConvWork for ``rows`` rows of a conv head, unchunked; None for any
+    other head, which runs without one."""
+    return ConvWork(spec.head, rows) if isinstance(spec.head, ConvStack) else None
+
+
+def convncf_forward(stack: ConvStack, E: np.ndarray, work: ConvWork):
     """Run the tower over a batch of ``(B, K, K)`` interaction maps, gathered
-    once into quadtree order; returns (acts, scores)."""
-    acts = [to_quadtree(E[..., None])]
-    for layer in stack.layers:
-        acts.append(conv2x2s2_forward(acts[-1], layer.kernel, layer.bias))
-    return acts, np.vecdot(acts[-1].reshape(E.shape[0], stack.C), stack.w)
+    once into quadtree order, through ``work``'s buffers; returns (acts,
+    scores), acts views of the buffers' leading B rows. Layer 1 runs in
+    chunks of ``work.chunk`` rows, and layer 2 takes each chunk while it is
+    still in cache; ``acts[1]`` then holds the last chunk only, so only a
+    batch of one chunk can run backward."""
+    n = E.shape[0]
+    acts = work.lead(work.acts, n)
+    to_quadtree(E[..., None], acts[0])
+    layers, step = stack.layers, work.chunk
+    for a in range(0, n, step):
+        h = conv2x2s2_forward(acts[0][a : a + step], layers[0].kernel, layers[0].bias, acts[1][: n - a])
+        for layer, act in zip(layers[1:2], acts[2:3]):  # layer 2, in a tower that has one
+            conv2x2s2_forward(h, layer.kernel, layer.bias, act[a : a + step])
+    for layer, inp, act in zip(layers[2:], acts[2:], acts[3:]):
+        conv2x2s2_forward(inp, layer.kernel, layer.bias, act)
+    return acts, np.vecdot(acts[-1].reshape(n, stack.C), stack.w)
 
 
-def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray, out: dict[str, np.ndarray]):
-    """Adjoint of convncf_forward: head grads into ``out``; returns d_E."""
-    g = acts[-1].reshape(d_y.shape[0], stack.C)
+def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray, out: dict[str, np.ndarray], work: ConvWork):
+    """Adjoint of convncf_forward, its layer cotangents in ``work``'s
+    buffers: head grads into ``out``; returns d_E. Raises ValueError for
+    acts whose layer 1 holds only a batch's last chunk."""
+    n = d_y.shape[0]
+    if acts[1].shape[0] != n:
+        raise ValueError(f"layer 1 holds {acts[1].shape[0]} of {n} rows: a chunked forward cannot run backward")
+    d_pres, d_inps = work.lead(work.d_pres, n), work.lead(work.d_inps, n)
+    g = acts[-1].reshape(n, stack.C)
     np.add.reduce(d_y[:, None] * g, axis=0, out=out["w"])
     d_act = (d_y[:, None] * stack.w)[:, None, :]
     for l in range(stack.depth, 0, -1):
         layer = stack.layers[l - 1]
-        d_act, d_kernel, d_bias = conv2x2s2_backward(acts[l - 1], layer.kernel, acts[l], d_act)
+        d_act, d_kernel, d_bias = conv2x2s2_backward(acts[l - 1], layer.kernel, acts[l], d_act, d_pres[l - 1], d_inps[l - 1])
         np.add.reduce(d_kernel, axis=0, out=out[f"conv.{l}.kernel"])
         np.add.reduce(d_bias, axis=0, out=out[f"conv.{l}.bias"])
     return from_quadtree(d_act)[..., 0]
@@ -295,19 +364,21 @@ def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray, out: di
     d_X = d_y[:, None] * head.w
     for l in range(len(head.layers), 0, -1):
         layer = head.layers[l - 1]
-        d_pre = relu_backward(acts[l], d_X)
+        d_pre = relu_backward(acts[l], d_X, d_X)
         np.matmul(d_pre.T, acts[l - 1], out=out[f"mlp.{l}.W"])
         np.add.reduce(d_pre, axis=0, out=out[f"mlp.{l}.b"])
         d_X = d_pre @ layer.W
     return d_X
 
 
-def head_forward(spec: ModelSpec, merged):
+def head_forward(spec: ModelSpec, merged, work: Optional[ConvWork]):
     """Dispatch a batch of merged values through the head; returns
-    (acts, scores of shape (B,)), with acts None for a head without layers."""
+    (acts, scores of shape (B,)), with acts None for a head without layers;
+    a conv head runs through ``work`` (see convncf_forward), others take
+    None."""
     head = spec.head
     if isinstance(head, ConvStack):
-        return convncf_forward(head, merged)
+        return convncf_forward(head, merged, work)
     if isinstance(head, MlpHead):
         return mlp_forward(head, merged.reshape(merged.shape[0], head.in_width))
     if isinstance(head, LinearHead):
@@ -315,12 +386,13 @@ def head_forward(spec: ModelSpec, merged):
     return None, merged
 
 
-def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray, out: dict[str, np.ndarray]):
+def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray, out: dict[str, np.ndarray], work: Optional[ConvWork]):
     """Adjoint of head_forward: the head grads, summed over the batch, into
-    ``out``'s section views; returns the per-row d_merged."""
+    ``out``'s section views; returns the per-row d_merged. A conv head's
+    cotangents go into ``work`` (see convncf_backward)."""
     head = spec.head
     if isinstance(head, ConvStack):
-        return convncf_backward(head, acts, d_y, out)
+        return convncf_backward(head, acts, d_y, out, work)
     if isinstance(head, MlpHead):
         return mlp_backward(head, acts, d_y, out).reshape(merged.shape)
     if isinstance(head, LinearHead):
@@ -332,15 +404,18 @@ def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray, out: dict[str,
 # ---------------------------------------------------------------------------
 # scoring
 
-# Bytes of first-layer head activations per scoring block, which bound its
-# memory: 16 rows of the K=64 C=32 tower (at small K the row cap below binds
-# first, and a block may hold several users' rows). Blocks run on the calling
-# thread and one pool thread per further usable CPU (numpy's products
-# release the GIL; no thread starts before a call has two blocks). On a
-# 2-CPU Xeon (2 MiB L2 per core, one BLAS thread) flagship recommend took
-# 18 ms, against 32 ms for 16 MiB blocks and 31 ms for these on one CPU;
-# 2 MiB blocks took 20 ms, 8 MiB 18 ms at +12 MB RSS, and 1 MiB cut
-# training ~590 -> ~350 triples/s (glibc mmap/trim thresholds).
+# Bytes of first-layer head activations per scoring block: 16 rows of the
+# K=64 C=32 tower (at small K the row cap below binds first, and a block may
+# hold several users' rows). A block is the scoring pool's unit of work: the
+# blocks run on the calling thread and one pool thread per further usable
+# CPU (numpy's products release the GIL; no thread starts before a call has
+# two blocks). A conv tower never holds a whole block's layer-1 activations:
+# it computes them in chunks of TOWER_CHUNK_BYTES, the cache's unit, in
+# buffers its thread keeps, so this size sets neither memory nor training
+# speed. On a 2-CPU Xeon (2 MiB L2 per core, one BLAS thread; single 20 s
+# seed-1 flagship benchmark runs) 1 MiB blocks trained at 642 triples/s (636
+# pinned to one CPU), as these do (631; 599-605 pinned), but evaluated 90.9
+# users/s (64.6 pinned) against 105 (67) with these.
 SCORE_BLOCK_BYTES = 4 * 2**20
 # Rows per scoring block at most, whatever the byte budget allows: at small K
 # a block then holds a few users' candidates, and evaluation's blocks keep
@@ -349,6 +424,19 @@ SCORE_BLOCK_BYTES = 4 * 2**20
 # 1,024-row blocks, 9.4 ms at +6.2 MB with 4,096, and 9.0 ms at +22 MB with
 # the byte budget's 16,384; one call per user took 13.1-13.4 ms at +0.5 MB.
 SCORE_BLOCK_ROWS = 1024
+# Bytes of layer-1 activations per chunk that a conv tower computes at once
+# inside a block: 2 rows of the K=64 C=32 tower, so a chunk's product, bias,
+# relu and layer 2's product work from the 2 MiB L2 of the Xeon above (at
+# K=4 C=8 a 1,024-row block is one chunk). Against whole-block layers, in
+# alternating pairs of 60 s seed-1 flagship benchmark runs, evaluation read
+# medians of 108.7 against 102.7 users/s on both CPUs (10 pairs, 8 won; the
+# whole-block quartiles 100.8-107.9) and 68.7 against 59.9 pinned to one (4
+# pairs, 4 won), recommend 17.6 against 18.0 ms (29.1 against 32.1 pinned),
+# and peak RSS 52.8 against 57.2 MB. On both CPUs 256 KiB chunks read 96.8
+# users/s against 109.6 for these (4 pairs of 60 s runs, 4 won), and in 20 s
+# runs 1 MiB chunks read 86 and 2-row chunks through the whole tower 88,
+# against 105: the whole tower's many small calls contend for the GIL.
+TOWER_CHUNK_BYTES = 512 * 2**10
 SCORE_WORKERS = len(os.sched_getaffinity(0))
 _SCORE_POOL = ThreadPoolExecutor(max_workers=max(1, SCORE_WORKERS - 1), thread_name_prefix="convncf-score")
 
@@ -466,8 +554,32 @@ def predict_batch(
 
 
 def _score_block(spec: ModelSpec, FU: np.ndarray, Q: np.ndarray, items: np.ndarray) -> np.ndarray:
-    # take copies the same rows as Q[items], ~6x faster for a block's 1-D index
-    return head_forward(spec, merge(spec.merge, FU, Q.take(items, axis=0)))[1]
+    """One block's scores; a conv tower runs through its thread's ConvWork."""
+    FI = Q.take(items, axis=0)  # the same rows as Q[items], ~6x faster for a block's 1-D index
+    if not isinstance(spec.head, ConvStack):
+        return head_forward(spec, merge(spec.merge, FU, FI), None)[1]
+    work = _thread_work(spec)
+    return head_forward(spec, merge(spec.merge, FU, FI, work.E[: FI.shape[0]]), work)[1]
+
+
+def chunk_rows(spec: ModelSpec) -> int:
+    """Rows per tower chunk of a conv head: TOWER_CHUNK_BYTES of layer-1
+    activations, at most a block."""
+    return max(1, min(block_rows(spec), TOWER_CHUNK_BYTES // (8 * (spec.K // 2) ** 2 * spec.head.C)))
+
+
+_THREAD = threading.local()
+
+
+def _thread_work(spec: ModelSpec) -> ConvWork:
+    """The calling thread's scoring buffers for ``spec``'s tower, a block's
+    rows in chunks of ``chunk_rows``, kept between blocks and calls; a
+    thread keeps one set, made again when the tower or a size changes."""
+    rows, chunk = block_rows(spec), chunk_rows(spec)
+    work = getattr(_THREAD, "work", None)
+    if work is None or work.key != (spec.K, spec.head.C, rows, chunk):
+        work = _THREAD.work = ConvWork(spec.head, rows, chunk)
+    return work
 
 
 # ---------------------------------------------------------------------------

@@ -34,6 +34,7 @@ from convncf.embeddings import (
 )
 from convncf.evaluation import DEFAULT_KS, EvalResult, evaluate
 from convncf.model import (
+    ConvWork,
     IdentityHead,
     MergeKind,
     ModelSpec,
@@ -45,6 +46,7 @@ from convncf.model import (
     merge_backward,
     pack_head,
     section_arrays,
+    tower_work,
 )
 
 LN2 = math.log(2.0)
@@ -127,7 +129,9 @@ class AdagradState(dict):
     ``history_rows`` rows of Qp (default every item). ``grads`` holds the
     views of ``grad`` by section name: the head's and each table's ``(rows,
     K)`` slot; ``slots`` each slot's start and views of ``params`` and
-    ``acc``. Packs the head, rebinding its sections: take them after this."""
+    ``acc``. ``work`` is a conv head's ConvWork for a triple's two rows (None
+    for other heads), so a run allocates its tower's buffers once. Packs the
+    head, rebinding its sections: take them after this."""
 
     def __init__(self, spec: ModelSpec, tables: EmbeddingTables, history_rows: Optional[int] = None):
         super().__init__({name: np.zeros_like(getattr(tables, name)) for name in spec.variant.tables})
@@ -149,6 +153,7 @@ class AdagradState(dict):
             self.stretches.append((start, stop, "lambda2" if name == "Q" else "lambda1", "lr_embed"))
             start = stop
         self.scratch, self.plan_key, self._plan = np.empty(min(length, HEAD_STEP_ENTRIES)), None, []
+        self.work = tower_work(spec, 2)
 
     def plan(self, config: TrainConfig, regularize: bool) -> list:
         """The vector's parts of at most ``HEAD_STEP_ENTRIES`` entries, built
@@ -206,14 +211,16 @@ def triple_forward(
     i: int,
     j: int,
     terms: Optional[np.ndarray],
+    work: Optional[ConvWork],
 ):
     """Embed, merge and score the positive and the negative of one triple
     as a batch of two, given the user's history terms (1-D, ascending, or
-    None); returns (FU, FI, merged, head activations, scores)."""
+    None), a conv head through ``work`` (see ``head_forward``); returns
+    (FU, FI, merged, head activations, scores)."""
     FU = user_rows(spec, tables, (u, u), None if terms is None else terms[None], (i, j))
     FI = tables.Q.take((i, j), axis=0)
     merged = merge(spec.merge, FU, FI)
-    acts, y = head_forward(spec, merged)
+    acts, y = head_forward(spec, merged, work)
     return FU, FI, merged, acts, y
 
 
@@ -225,14 +232,16 @@ def compute_triple_gradients(
     j: int,
     terms: Optional[np.ndarray],
     grads: dict[str, np.ndarray],
+    work: Optional[ConvWork],
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward both branches of one triple and backpropagate the plain
     (regularization-free) pairwise loss through every shared parameter into
     ``grads``, keyed as ``AdagradState.grads``, each table's touched rows
-    into its buffer's leading rows. Returns (loss, ``{table: rows}``)."""
-    FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms)
+    into its buffer's leading rows; a conv head's activations and
+    cotangents go into ``work``. Returns (loss, ``{table: rows}``)."""
+    FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms, work)
     y_pos, y_neg = float(y[0]), float(y[1])
-    d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), grads)
+    d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), grads, work)
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
     rows = scatter_user_gradient(spec, u, terms, (i, j), d_FU, grads)
     np.copyto(grads["Q"][:2], d_FI)
@@ -249,10 +258,11 @@ def train_step(
     regularize: bool,
     terms: Optional[np.ndarray] = None,
 ) -> float:
-    """One triple: its gradients into ``states.grads``, then one
-    ``adagrad_pass``. Returns the pre-update pairwise loss."""
+    """One triple: its gradients into ``states.grads`` through the tower
+    buffers ``states.work``, then one ``adagrad_pass``. Returns the
+    pre-update pairwise loss."""
     u, i, j = triple
-    loss, rows = compute_triple_gradients(spec, tables, u, i, j, terms, states.grads)
+    loss, rows = compute_triple_gradients(spec, tables, u, i, j, terms, states.grads, states.work)
     adagrad_pass(tables, states, rows, config, regularize)
     return loss
 

@@ -15,7 +15,7 @@ import numpy as np
 from convncf import training
 from convncf.data import ParseError, _assemble
 from convncf.embeddings import scatter_user_gradient
-from convncf.model import head_backward, head_sections, head_views, merge_backward, pack_head
+from convncf.model import head_backward, head_sections, head_views, merge_backward, pack_head, tower_work
 from convncf.training import adagrad_step, bpr_grad, bpr_loss, triple_forward
 
 
@@ -55,12 +55,16 @@ def dense_loops(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def relu_backward_loops(act: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Entry by entry: ``d`` where ``act > 0`` (a -0.0 stays -0.0), else +0.0."""
-    out = np.zeros(d.shape)
+def relu_backward_loops(act: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Entry by entry: ``d`` where ``act > 0`` (a -0.0 stays -0.0), else
+    +0.0; copied into ``out`` too when given, as ``relu_backward`` writes."""
+    masked = np.zeros(d.shape)
     for idx in np.ndindex(d.shape):
         if act[idx] > 0:
-            out[idx] = d[idx]
+            masked[idx] = d[idx]
+    if out is None:
+        return masked
+    out[...] = masked
     return out
 
 
@@ -299,11 +303,12 @@ class LoopGrads:
 def compute_triple_gradients_loops(spec, tables, u, i, j, terms=None):
     """The per-triple gradients in fresh arrays: head grads by section,
     table grads as (rows, grads) by section."""
-    FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms)
+    work = tower_work(spec, 2)
+    FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms, work)
     y_pos, y_neg = float(y[0]), float(y[1])
     loss = bpr_loss(y_pos, y_neg)
     head_grads = head_views(spec.head)
-    d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), head_grads)
+    d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), head_grads, work)
     d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
     user = {"P": np.empty((1, spec.K)), "Qp": np.empty((0 if terms is None else len(terms), spec.K))}
     rows = scatter_user_gradient(spec, u, terms, (i, j), d_FU, user)

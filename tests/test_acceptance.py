@@ -66,6 +66,7 @@ from convncf.gradcheck import finite_diff_check, format_report
 from convncf.model import (
     HeadKind,
     MergeKind,
+    ConvWork,
     ModelSpec,
     convncf_backward,
     convncf_forward,
@@ -295,13 +296,13 @@ def test_criterion_3_kernel_oracles():
         inp = rng.normal(size=(size, size, cin))
         kernel = rng.normal(size=(2, 2, cin, cout))
         bias = float(rng.normal())
-        act = from_quadtree(conv2x2s2_forward(to_quadtree(inp[None]), kernel, bias))[0]
+        act = from_quadtree(conv2x2s2_forward(to_quadtree(inp[None]), kernel, bias, np.empty((1, size * size // 4, cout))))[0]
         oracle_pre, oracle_act = _oracles.conv2x2s2_loops(inp, kernel, bias)
         worst = max(worst, float(np.max(np.abs(act - oracle_act))))
         # bias raised past the most negative pre-activation: every unit is
         # live, so act must equal the oracle's pre-activation entry by entry
         live = bias + abs(float(oracle_pre.min())) + 1.0
-        act = from_quadtree(conv2x2s2_forward(to_quadtree(inp[None]), kernel, live))[0]
+        act = from_quadtree(conv2x2s2_forward(to_quadtree(inp[None]), kernel, live, np.empty((1, size * size // 4, cout))))[0]
         live_pre, _ = _oracles.conv2x2s2_loops(inp, kernel, live)
         worst = max(worst, float(np.max(np.abs(act - live_pre))))
     dt = time.time() - t0
@@ -318,8 +319,9 @@ def test_criterion_4_receptive_field_totality():
         layer.bias[...] = 0.1
     stack.w[...] = np.abs(stack.w) + 0.05
     E = np.abs(merge(MergeKind.OUTER, rng.normal(size=(1, 64)), rng.normal(size=(1, 64)))) + 0.1
-    acts, _ = convncf_forward(stack, E)
-    d_E = convncf_backward(stack, acts, np.ones(1), head_views(stack))
+    work = ConvWork(stack, 1)
+    acts, _ = convncf_forward(stack, E, work)
+    d_E = convncf_backward(stack, acts, np.ones(1), head_views(stack), work)
     n_pos = int(np.sum(d_E > 0))
     dt = time.time() - t0
     ok = d_E.shape == (1, 64, 64) and n_pos == 64 * 64 and dt < 5

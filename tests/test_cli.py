@@ -256,6 +256,17 @@ class TestEmptyLog:
         assert rc == 0 and err == ""
 
 
+    def test_itempop_metrics_over_no_users_read_nan(self, tmp_path, capsys):
+        """HR and NDCG over zero evaluated users are undefined: both rows of
+        the ItemPop run's metrics.csv read nan, not the 0.0 of a model that
+        never hits."""
+        dataset = tmp_path / "empty.tsv"
+        dataset.write_text("# no interactions\n", encoding="utf-8")
+        rc, _, err = run(capsys, "train", "variant=itempop", f"dataset={dataset}", f"outdir={tmp_path}")
+        assert rc == 0 and err == ""
+        rows = (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
+        assert rows == [f"1,{split}," + ",".join(["nan"] * 7) for split in ("val", "test")]
+
 class TestGradcheckCommand:
     def test_passes_for_default_architecture(self, capsys):
         rc, out, _ = run(capsys, "gradcheck", "K=8", "C=4", "variant=svdpp")

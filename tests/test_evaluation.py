@@ -310,6 +310,45 @@ class TestSharedPass:
             assert scores.tobytes() == np.concatenate(alone).tobytes()
 
     @pytest.mark.parametrize("workers", [1, 2])
+    def test_flagship_svdpp_chunks_straddle_users(self, tmp_path, monkeypatch, workers):
+        """At K=64 C=32 with 3-row tower chunks, an SVD++ group's 16-row
+        blocks, and chunks inside them, hold rows of users with different
+        user rows; inline or on the pool, every score of the group equals
+        predict_batch of that user's candidates with the split's history,
+        bit for bit."""
+        splits = ragged_fixture(tmp_path)
+        t = init_tables(splits.train.M, splits.train.N, 64, Variant.SVDPP, derive_seed(9, "init"), scale=0.3)
+        head = new_head(HeadKind.CNN, MergeKind.OUTER, 64, 32, 1, derive_seed(9, "init_head"))
+        spec = ModelSpec(variant=Variant.SVDPP, merge=MergeKind.OUTER, head=head, K=64)
+        monkeypatch.setattr(model, "TOWER_CHUNK_BYTES", 3 * 8 * 32 * 32 * 32)
+        monkeypatch.setattr(model, "SCORE_WORKERS", workers)
+        assert model.chunk_rows(spec) == 3 and model.block_rows(spec) == 16
+        groups = []
+        rank_group, score_rows = evaluation._rank_group, evaluation.score_rows
+
+        def recording_rank_group(spec, tables, splits, group, served):
+            groups.append([group, served])
+            return rank_group(spec, tables, splits, group, served)
+
+        def recording_score_rows(*args):
+            blocks = list(score_rows(*args))
+            groups[-1].append(np.concatenate(blocks))
+            return iter(blocks)
+
+        monkeypatch.setattr(evaluation, "_rank_group", recording_rank_group)
+        monkeypatch.setattr(evaluation, "score_rows", recording_score_rows)
+        evaluate_state(spec, t, splits, epoch=1)
+        assert [served for _, served, _ in groups] == [("val",)] * (len(groups) // 2) + [("test",)] * (len(groups) // 2)
+        for group, (which,), scores in groups:
+            held = splits.validation if which == "val" else splits.test
+            want = []
+            for u in group:
+                history = splits.history_items(u, include_validation=which == "test")
+                want.append(predict_batch(spec, t, u, np.append(held[u].item, splits.eval_negatives[u]), history))
+            assert max(w.shape[0] for w in want) < 16 < scores.shape[0]  # blocks span users
+            assert scores.tobytes() == np.concatenate(want).tobytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
     def test_failing_block_names_its_first_user(self, tmp_path, monkeypatch, workers):
         """A block holding several users' rows that fails, inline or on the
         pool, raises EvaluationError naming the first user it holds, with

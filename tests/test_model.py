@@ -1,5 +1,6 @@
 import re
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -13,6 +14,7 @@ from convncf.model import (
     SCORE_BLOCK_BYTES,
     ConfigurationError,
     ConvStack,
+    ConvWork,
     FormatError,
     HeadKind,
     IdentityHead,
@@ -36,6 +38,7 @@ from convncf.model import (
     predict_batch,
     save_checkpoint,
     section_arrays,
+    tower_work,
 )
 from convncf.tensor import conv2x2s2_forward, to_quadtree
 from convncf.training import AdagradState
@@ -163,12 +166,12 @@ class TestConvHead:
         rng = np.random.default_rng(23)
         stack = init_conv_stack(8, 4, derive_seed(1, "init_head"))
         E = rng.normal(size=(1, 8, 8))
-        acts, y = convncf_forward(stack, E)
+        acts, y = convncf_forward(stack, E, ConvWork(stack, 1))
         x = to_quadtree(E.reshape(1, 8, 8, 1))
         assert len(acts) == stack.depth + 1
         np.testing.assert_array_equal(acts[0], x)
         for l, layer in enumerate(stack.layers, start=1):
-            x = conv2x2s2_forward(x, layer.kernel, float(layer.bias))
+            x = conv2x2s2_forward(x, layer.kernel, float(layer.bias), np.empty((1, x.shape[1] // 4, 4)))
             np.testing.assert_array_equal(acts[l], x)
         assert y.shape == (1,)
         assert y[0] == pytest.approx(float(stack.w @ x.reshape(4)), abs=1e-12)
@@ -177,11 +180,12 @@ class TestConvHead:
         rng = np.random.default_rng(29)
         stack = init_conv_stack(8, 2, derive_seed(2, "init_head"))
         E = rng.normal(size=(1, 8, 8)) + 0.5
-        acts, _ = convncf_forward(stack, E)
-        d_E = convncf_backward(stack, acts, np.ones(1), head_views(stack))
+        work = ConvWork(stack, 1)
+        acts, _ = convncf_forward(stack, E, work)
+        d_E = convncf_backward(stack, acts, np.ones(1), head_views(stack), work)
 
         def objective(flat):
-            _, y = convncf_forward(stack, flat.reshape(1, 8, 8))
+            _, y = convncf_forward(stack, flat.reshape(1, 8, 8), ConvWork(stack, 1))
             return float(y[0])
 
         want = numeric_grad_full(objective, E.reshape(-1)).reshape(1, 8, 8)
@@ -189,10 +193,22 @@ class TestConvHead:
 
     def test_head_grad_keys_cover_sections(self):
         stack = init_conv_stack(8, 2, 0)
-        acts, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(1, 8, 8)))
+        work = ConvWork(stack, 1)
+        acts, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(1, 8, 8)), work)
         grads = head_views(stack)
-        convncf_backward(stack, acts, np.ones(1), grads)
+        convncf_backward(stack, acts, np.ones(1), grads, work)
         assert set(grads) == {name for name, _ in head_sections(stack)}
+
+    def test_chunked_forward_refuses_backward(self):
+        """A forward in 3-row chunks keeps only the last chunk's layer-1
+        outputs, so a backward over its acts raises instead of computing
+        wrong kernel gradients."""
+        stack = init_conv_stack(8, 2, 0)
+        work = ConvWork(stack, 7, chunk=3)
+        acts, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(7, 8, 8)), work)
+        assert acts[1].shape[0] == 3
+        with pytest.raises(ValueError, match="layer 1 holds 3 of 7 rows"):
+            convncf_backward(stack, acts, np.ones(7), head_views(stack), work)
 
 
 class TestGmfReduction:
@@ -213,6 +229,32 @@ class TestGmfReduction:
             )
 
 
+def largest_statement_allocation(fn, *args) -> int:
+    """Run ``fn(*args)`` under tracemalloc and return the most that any one
+    Python statement it runs, at any call depth, added to the traced memory
+    at its peak over what was live when the statement began. An array
+    allocated anywhere in the call counts in full in its statement, so
+    every array ``fn`` allocates is at most this large."""
+    worst, last = 0, 0
+
+    def trace(frame, event, arg):
+        nonlocal worst, last
+        current, peak = tracemalloc.get_traced_memory()
+        worst = max(worst, peak - last)
+        tracemalloc.reset_peak()
+        last = current
+        return trace
+
+    tracemalloc.start()
+    sys.settrace(trace)
+    try:
+        fn(*args)
+    finally:
+        sys.settrace(None)
+        tracemalloc.stop()
+    return worst
+
+
 def assert_rows_score_alone(spec, tables, u, items, history=()):
     """Each row of predict_batch equals the training forward of that one
     (user, item) pair, a batch of one, bit for bit. An MLP head scores a
@@ -222,7 +264,7 @@ def assert_rows_score_alone(spec, tables, u, items, history=()):
     terms = history_terms(history)
     for i in items:
         fU = user_rows(spec, tables, [u], terms[None], (int(i),))
-        _, y = head_forward(spec, merge(spec.merge, fU, tables.Q[[i]]))
+        _, y = head_forward(spec, merge(spec.merge, fU, tables.Q[[i]]), tower_work(spec, 1))
         single.append(y)
     single = np.concatenate(single)
     batch = predict_batch(spec, tables, u, items, history)
@@ -328,6 +370,31 @@ class TestPredictBatch:
         items = np.arange(150)
         assert len(items) > 2 * SCORE_BLOCK_BYTES // (8 * 32 * 32 * 32)
         assert_rows_score_alone(spec, t, 1, items)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_flagship_rows_score_alone_across_chunks(self, monkeypatch, workers):
+        """With 3-row tower chunks every 16-row flagship block runs as five
+        chunks and a short one, and the last block (13 rows) ends on a
+        short chunk too; every row still equals that row scored alone,
+        inline and on the pool."""
+        monkeypatch.setattr(model, "TOWER_CHUNK_BYTES", 3 * 8 * 32 * 32 * 32)
+        monkeypatch.setattr(model, "SCORE_WORKERS", workers)
+        t = init_tables(3, 45, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
+        assert model.chunk_rows(spec) == 3 and model.block_rows(spec) == 16 and 45 % 16 % 3
+        assert_rows_score_alone(spec, t, 1, np.arange(45))
+
+    def test_flagship_block_allocates_no_layer_array(self):
+        """After a warm-up block on the same thread, scoring one 16-row
+        flagship block allocates no array of 256 KiB or more: the tower runs
+        in chunks through the thread's buffers, where a whole block's
+        layer-1 activations would be 4 MiB."""
+        t = init_tables(3, 40, 64, Variant.MF, derive_seed(7, "init"), scale=0.13)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
+        FU = t.P[:1]
+        model._score_block(spec, FU, t.Q, np.arange(16))
+        largest = largest_statement_allocation(model._score_block, spec, FU, t.Q, np.arange(16, 32))
+        assert largest < 256 * 2**10, f"{largest} B in one statement"
 
     def test_mlp_over_outer_rows_score_alone_across_blocks(self):
         t = init_tables(3, 600, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)

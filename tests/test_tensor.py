@@ -1,8 +1,9 @@
 """Kernel tests: the outer map and inner product (merge), relu and dense
 layers (the MLP head) and the 2x2 / stride-2 convolution, each against a
-loop oracle or finite differences, and a check that no pass writes to its
-arguments. Conv operands are built row-major and converted to and from the
-kernels' quadtree layout, so every comparison is made in row-major layout."""
+loop oracle or finite differences, and a check that no pass writes to an
+argument other than its output buffers. Conv operands are built row-major
+and converted to and from the kernels' quadtree layout, so every
+comparison is made in row-major layout."""
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from convncf.model import (
     mlp_backward,
     mlp_forward,
     new_head,
+    tower_work,
 )
 from convncf import model, tensor
 from convncf.tensor import (
@@ -36,6 +38,17 @@ from convncf.tensor import (
 )
 
 from _oracles import conv2x2s2_loops, dense_loops, mlp_loops, numeric_grad, outer_loops, relu_backward_loops
+
+
+def layer_forward(inp, kernel, bias):
+    """conv2x2s2_forward into a fresh act buffer."""
+    n, p, _ = inp.shape
+    return conv2x2s2_forward(inp, kernel, bias, np.empty((n, p // 4, kernel.shape[3])))
+
+
+def layer_backward(inp, kernel, act, d_act):
+    """conv2x2s2_backward into fresh relu and input cotangent buffers."""
+    return conv2x2s2_backward(inp, kernel, act, d_act, np.empty(act.shape), np.empty(inp.shape))
 
 
 def one_layer_mlp(W, b, w):
@@ -83,14 +96,14 @@ class TestRelu:
         return inp
 
     def test_values(self):
-        act = conv2x2s2_forward(to_quadtree(self._inp([-2.0, 0.0, 3.5])), self.PICK, 0.0)
+        act = layer_forward(to_quadtree(self._inp([-2.0, 0.0, 3.5])), self.PICK, 0.0)
         np.testing.assert_array_equal(act.reshape(-1), [0.0, 0.0, 3.5])
 
     def test_backward_zero_subgradient_at_kink(self):
         # the subgradient at exactly 0 is taken as 0
         inp = to_quadtree(self._inp([-1.0, 0.0, 2.0]))
-        act = conv2x2s2_forward(inp, self.PICK, 0.0)
-        d_inp, _, _ = conv2x2s2_backward(inp, self.PICK, act, np.ones((1, 1, 3)))
+        act = layer_forward(inp, self.PICK, 0.0)
+        d_inp, _, _ = layer_backward(inp, self.PICK, act, np.ones((1, 1, 3)))
         np.testing.assert_array_equal(from_quadtree(d_inp)[0, 0, 0], [0.0, 0.0, 1.0])
 
 
@@ -112,7 +125,7 @@ class TestRelu:
         d = rng.normal(size=shape)
         d.flat[::5] = -0.0
         d.flat[1::11] = np.nan
-        got = relu_backward(act, d)
+        got = relu_backward(act, d, np.empty(shape))
         assert got.dtype == np.float64 and got.shape == shape
         assert got.tobytes() == relu_backward_loops(act, d).tobytes()
         assert got.tobytes() == np.where(act > 0, d, 0.0).tobytes()
@@ -124,7 +137,7 @@ class TestRelu:
         rng = np.random.default_rng(97)
         inp = to_quadtree(rng.normal(size=(2, 32, 32, 32)))
         kernel = rng.normal(size=(2, 2, 32, 32))
-        act = conv2x2s2_forward(inp, kernel, np.array(0.1))
+        act = layer_forward(inp, kernel, np.array(0.1))
         head = init_mlp_head(1024, 1, 97)
         head.layers[0].b = rng.normal(size=512)
         acts, _ = mlp_forward(head, rng.normal(size=(8, 1024)))
@@ -135,7 +148,7 @@ class TestRelu:
         assert 0.2 < (act > 0).mean() < 0.8 and 0.2 < (acts[1] > 0).mean() < 0.8
 
         def run():
-            conv = conv2x2s2_backward(inp, kernel, act, d_act)
+            conv = layer_backward(inp, kernel, act, d_act)
             grads = head_views(head)
             d_X0 = mlp_backward(head, acts, d_y, grads)
             return [a.tobytes() for a in (*conv, *grads.values(), d_X0)]
@@ -148,12 +161,12 @@ class TestRelu:
 
 def spatial_forward(inp, kernel, bias):
     """conv2x2s2_forward on a row-major stack; row-major act."""
-    return from_quadtree(conv2x2s2_forward(to_quadtree(inp), kernel, bias))
+    return from_quadtree(layer_forward(to_quadtree(inp), kernel, bias))
 
 
 def spatial_backward(inp, kernel, act, d_act):
     """conv2x2s2_backward on row-major operands; row-major d_input."""
-    d_inp, d_kernel, d_bias = conv2x2s2_backward(to_quadtree(inp), kernel, to_quadtree(act), to_quadtree(d_act))
+    d_inp, d_kernel, d_bias = layer_backward(to_quadtree(inp), kernel, to_quadtree(act), to_quadtree(d_act))
     return from_quadtree(d_inp), d_kernel, d_bias
 
 
@@ -212,7 +225,7 @@ class TestConv2x2Stride2:
     def test_halves_spatial_size(self):
         rng = np.random.default_rng(5)
         inp, kernel, bias = self._random_case(rng, s=4)
-        assert conv2x2s2_forward(to_quadtree(inp), kernel, bias).shape == (1, 16, 2)
+        assert layer_forward(to_quadtree(inp), kernel, bias).shape == (1, 16, 2)
 
     def test_backward_matches_finite_differences(self):
         """Gradients with respect to input, kernel, and bias all agree with
@@ -263,12 +276,12 @@ class TestConv2x2Stride2:
         stack = init_conv_stack(64, 32, 83)
         x = to_quadtree(rng.normal(size=(5, 64, 64, 1)))
         for layer in stack.layers:
-            act = conv2x2s2_forward(x, layer.kernel, layer.bias)
+            act = layer_forward(x, layer.kernel, layer.bias)
             d_act = rng.normal(size=act.shape)
-            outs = (act,) + conv2x2s2_backward(x, layer.kernel, act, d_act)
+            outs = (act,) + layer_backward(x, layer.kernel, act, d_act)
             for r in range(x.shape[0]):
-                alone = conv2x2s2_forward(x[r : r + 1], layer.kernel, layer.bias)
-                alone = (alone,) + conv2x2s2_backward(x[r : r + 1], layer.kernel, alone, d_act[r : r + 1])
+                alone = layer_forward(x[r : r + 1], layer.kernel, layer.bias)
+                alone = (alone,) + layer_backward(x[r : r + 1], layer.kernel, alone, d_act[r : r + 1])
                 for batch, single in zip(outs, alone):
                     assert batch[r : r + 1].tobytes() == single.tobytes()
             x = act
@@ -371,15 +384,18 @@ def call_unchanged(fn, *args, **out):
 
 class TestArgumentsUnchanged:
     """Relu runs in place on freshly computed products only: no forward or
-    backward pass writes to an argument, cached activations included."""
+    backward pass writes to an argument other than its output buffers,
+    cached activations included."""
 
     def test_conv_and_dense_passes(self):
         rng = np.random.default_rng(89)
         x = to_quadtree(rng.normal(size=(3, 4, 4, 2)))
         kernel = rng.normal(size=(2, 2, 2, 3))
-        act = call_unchanged(conv2x2s2_forward, x, kernel, np.zeros(()))
+        act = call_unchanged(conv2x2s2_forward, x, kernel, np.zeros(()), act=np.empty((3, 4, 3)))
         assert (act == 0).any() and (act > 0).any()
-        call_unchanged(conv2x2s2_backward, x, kernel, act, rng.normal(size=act.shape))
+        call_unchanged(
+            conv2x2s2_backward, x, kernel, act, rng.normal(size=act.shape), d_pre=np.empty(act.shape), d_inp=np.empty(x.shape)
+        )
 
         head = init_mlp_head(6, 2, 89)
         X0 = rng.normal(size=(3, 6))
@@ -400,5 +416,6 @@ class TestArgumentsUnchanged:
         rng = np.random.default_rng(97)
         spec = ModelSpec(variant=Variant.MF, merge=mk, head=new_head(hk, mk, 8, 4, 2, 97), K=8)
         merged = merge(mk, rng.normal(size=(3, 8)), rng.normal(size=(3, 8)))
-        acts, _ = call_unchanged(head_forward, spec, merged)
-        call_unchanged(head_backward, spec, merged, acts, rng.normal(size=3), out=head_views(spec.head))
+        work = tower_work(spec, 3)
+        acts, _ = call_unchanged(head_forward, spec, merged, work=work)
+        call_unchanged(head_backward, spec, merged, acts, rng.normal(size=3), out=head_views(spec.head), work=work)

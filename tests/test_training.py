@@ -14,6 +14,7 @@ from convncf.data import derive_seed, load_interactions, minibatches, sample_neg
 from convncf.embeddings import EmbeddingTables, Variant, init_tables, user_rows
 from convncf.gradcheck import triple_gradients
 from convncf.model import (
+    ConvWork,
     HeadKind,
     IdentityHead,
     MergeKind,
@@ -26,6 +27,7 @@ from convncf.model import (
     new_head,
     predict_batch,
     section_arrays,
+    tower_work,
 )
 from convncf.training import (
     LN2,
@@ -47,7 +49,7 @@ from convncf.training import (
 )
 
 from _oracles import AdagradStateLoops, mlp_loops, train_step_loops
-from test_model import ALL_COMBOS
+from test_model import ALL_COMBOS, largest_statement_allocation
 
 # frozen reference values, computed once with mpmath at 50 digits
 SOFTPLUS_NEG20 = 2.061153620314381e-09
@@ -233,7 +235,7 @@ class TestTrainStep:
         Q_rows = rows["Q"]
         assert P_rows.tolist() == [1]
         assert sorted(Q_rows.tolist()) == [0, 2]
-        dp, dn = bpr_grad(*triple_forward(inner_spec(), t, 1, 2, 0, None)[-1].tolist())
+        dp, dn = bpr_grad(*triple_forward(inner_spec(), t, 1, 2, 0, None, None)[-1].tolist())
         np.testing.assert_allclose(P_grads[0], dp * t.Q[2] + dn * t.Q[0], rtol=1e-12)
 
     @pytest.mark.parametrize("variant", list(Variant))
@@ -277,12 +279,13 @@ class TestTrainStep:
         u, i, j, terms = 1, 2, 5, np.array([0, 2, 4, 7])
         grads, _ = triple_gradients(spec, t, u, i, j, terms)
         passes = []
-        for target, d_y in zip((i, j), bpr_grad(*triple_forward(spec, t, u, i, j, terms)[-1].tolist())):
+        for target, d_y in zip((i, j), bpr_grad(*triple_forward(spec, t, u, i, j, terms, tower_work(spec, 2))[-1].tolist())):
             fU = user_rows(spec, t, [u], terms[None], (target,))
             merged = merge(mk, fU, t.Q[[target]])
-            acts, _ = head_forward(spec, merged)
+            work = tower_work(spec, 1)
+            acts, _ = head_forward(spec, merged, work)
             passes.append(head_views(spec.head))
-            head_backward(spec, merged, acts, np.array([d_y]), passes[-1])
+            head_backward(spec, merged, acts, np.array([d_y]), passes[-1], work)
         assert list(grads)[: len(passes[0])] == list(passes[0])
         for name in passes[0]:
             assert grads[name].tobytes() == (passes[0][name] + passes[1][name]).tobytes(), name
@@ -297,7 +300,7 @@ class TestTrainStep:
         spec = ModelSpec(variant=Variant.MF, merge=mk, head=head, K=8)
         u, i, j = 1, 2, 5
         got, _ = triple_gradients(spec, t, u, i, j, None)
-        y_pos, y_neg = triple_forward(spec, t, u, i, j, None)[-1].tolist()
+        y_pos, y_neg = triple_forward(spec, t, u, i, j, None, None)[-1].tolist()
         merged = merge(mk, user_rows(spec, t, [u, u], targets=(i, j)), t.Q[[i, j]])
         _, y, grads, _ = mlp_loops(head, merged.reshape(2, -1), np.array(bpr_grad(y_pos, y_neg)))
         np.testing.assert_allclose([y_pos, y_neg], y, rtol=1e-12)
@@ -390,6 +393,53 @@ class TestPackedHead:
             tracemalloc.stop()
         limit = 2.5 * states.params[: states.size].nbytes
         assert peak < limit, f"peak {peak} B, limit {limit} B"
+
+    @pytest.mark.parametrize("mk,hk", HEADS[:3])
+    def test_run_buffers_hold_nothing_between_steps(self, mk, hk):
+        """Twenty steps through one AdagradState, whose gradient vector,
+        slots, scratch part and conv tower buffers every step reuses, equal
+        twenty steps that find each of those buffers fresh and NaN-filled,
+        bit for bit, accumulators included: no step reads what an earlier
+        step left behind."""
+        t = init_tables(6, 12, 4, Variant.SVDPP, derive_seed(8, "init"), scale=1.0)
+        head = new_head(hk, mk, 4, 3, 2, derive_seed(8, "init_head"))
+        spec = ModelSpec(variant=Variant.SVDPP, merge=mk, head=head, K=4)
+        cfg = TrainConfig(lambda1=0.2, lambda2=0.1, lambda3=0.3, lambda4=0.05)
+        rng = np.random.default_rng(8)
+        steps = []
+        for _ in range(20):
+            u, i, j = (int(x) for x in rng.choice(12, size=3, replace=False))
+            steps.append(((u % 6, i, j), np.sort(rng.choice(12, size=int(rng.integers(1, 6)), replace=False))))
+
+        def run(fresh):
+            run_spec, run_t = copy.deepcopy((spec, t))
+            states = AdagradState(run_spec, run_t, history_rows=5)
+            for k, (triple, terms) in enumerate(steps):
+                if fresh:
+                    for buf in (states.grad, states.scratch, states.params[states.size :], states.acc[states.size :]):
+                        buf.fill(np.nan)
+                    if states.work is not None:
+                        states.work = ConvWork(run_spec.head, 2)
+                        for buf in (*states.work.acts, *states.work.d_pres, *states.work.d_inps):
+                            buf.fill(np.nan)
+                train_step(run_spec, run_t, triple, cfg, states, k > 0, terms)
+            arrays = [*section_arrays(run_spec, run_t).values(), states.acc[: states.size], *states.values()]
+            return [arr.tobytes() for arr in arrays]
+
+        assert (AdagradState(spec, copy.deepcopy(t)).work is not None) == (hk is HeadKind.CNN)
+        assert run(fresh=False) == run(fresh=True)
+
+    def test_flagship_step_allocates_no_layer_array(self):
+        """After a warm-up step, one K=64 C=32 conv step allocates no array
+        of 256 KiB or more: its layer-1 activations and cotangents (512 KiB
+        per triple) live in the run's buffers, so its speed cannot hang on
+        glibc's mmap threshold, which arrays of that size cross."""
+        t = init_tables(3, 6, 64, Variant.MF, derive_seed(3, "init"), scale=0.13)
+        spec = cnn_spec(K=64, C=32)
+        states = AdagradState(spec, t)
+        train_step(spec, t, (1, 2, 5), TrainConfig(), states, regularize=True)
+        largest = largest_statement_allocation(train_step, spec, t, (0, 3, 4), TrainConfig(), states, True)
+        assert largest < 256 * 2**10, f"{largest} B in one statement"
 
     def test_sections_are_views_of_the_packed_vector(self):
         t = init_tables(3, 4, 4, Variant.MF, 0, scale=1.0)
