@@ -144,13 +144,14 @@ def scatter_user_gradient(
     ``targets[b]``; ``terms`` are the user's distinct history items, a 1-D
     array in any order. Returns ``{table: rows}`` for the variant's P and/or
     Qp, every touched row listed once, and writes each row's gradient,
-    summed over the batch, to its place in the leading rows of ``out[table]``.
+    summed over the batch, to its place in the leading rows of ``out[table]``
+    (``out["P"]`` is the one row, ``(1, K)``).
     The user row takes the sum of every row of d_FU; the history table takes
     ``d_FU[b] / n_b**alpha`` on the history rows that target b keeps.
     """
     variant, rows = spec.variant, {}
     if "P" in variant.tables:
-        np.add.reduce(d_FU, axis=0, keepdims=True, out=out["P"][:1])
+        np.add.reduce(d_FU, axis=0, keepdims=True, out=out["P"])
         rows["P"] = np.array([u])
     if variant.reads_history:
         keep, scales = _history_weights(spec, terms[None], targets)

@@ -124,7 +124,7 @@ def triple_gradients(spec: ModelSpec, tables: EmbeddingTables, u: int, i: int, j
     for each owned table (P 1, Q 2, Qp ``len(terms)``): (buffers, rows)."""
     counts = {"P": 1, "Q": 2, "Qp": 0 if terms is None else len(terms)}
     grads = head_views(spec.head) | {name: np.empty((counts[name], tables.K)) for name in spec.variant.tables}
-    return grads, compute_triple_gradients(spec, tables, u, i, j, terms, grads, tower_work(spec, 2))[1]
+    return grads, compute_triple_gradients(spec, tables, u, i, j, terms, grads, tower_work(spec, 2), np.empty((2, tables.K)))[1]
 
 
 def finite_diff_check(

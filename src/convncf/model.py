@@ -53,7 +53,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from convncf.embeddings import EmbeddingTables, FISM_NORM_EXCLUDED, FISM_NORMS, Variant, history_terms, user_rows
-from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, relu_backward, to_quadtree
+from convncf.tensor import conv2x2s2_backward, conv2x2s2_forward, from_quadtree, patch_rows, relu_backward, to_quadtree
 
 
 class MergeKind(Enum):
@@ -231,18 +231,23 @@ def merge(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, maps: Optional[np.nda
     raise ValueError(f"unknown merge kind {kind!r}")
 
 
-def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged):
-    """Adjoint of merge: per-row cotangents for both embeddings."""
+def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged, d_FU: np.ndarray, d_FI: np.ndarray) -> None:
+    """Adjoint of merge: the per-row cotangents of both embeddings into
+    ``d_FU`` and ``d_FI``, shaped as FI."""
     if kind is MergeKind.ELEMENTWISE:
-        return d_merged * FI, d_merged * FU
-    if kind is MergeKind.CONCAT:
-        k = FU.shape[1]
-        return d_merged[:, :k], d_merged[:, k:]
-    if kind is MergeKind.OUTER:
-        return (d_merged @ FI[..., None])[..., 0], (d_merged.transpose(0, 2, 1) @ FU[..., None])[..., 0]
-    if kind is MergeKind.INNER:
-        return d_merged[:, None] * FI, d_merged[:, None] * FU
-    raise ValueError(f"unknown merge kind {kind!r}")
+        np.multiply(d_merged, FI, d_FU)
+        np.multiply(d_merged, FU, d_FI)
+    elif kind is MergeKind.CONCAT:
+        np.copyto(d_FU, d_merged[:, : FU.shape[1]])
+        np.copyto(d_FI, d_merged[:, FU.shape[1] :])
+    elif kind is MergeKind.OUTER:
+        np.matmul(d_merged, FI[..., None], d_FU[..., None])
+        np.matmul(d_merged.transpose(0, 2, 1), FU[..., None], d_FI[..., None])
+    elif kind is MergeKind.INNER:
+        np.multiply(d_merged[:, None], FI, d_FU)
+        np.multiply(d_merged[:, None], FU, d_FI)
+    else:
+        raise ValueError(f"unknown merge kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -265,40 +270,62 @@ def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged):
 
 class ConvWork:
     """Buffers for the wide arrays of a conv tower over up to ``rows`` rows,
-    allocated once by a caller that runs the tower many times: ``acts``,
+    allocated once by a caller that runs the tower many times, and views of
+    them for a pass over n rows, built once per batch size. ``acts`` is
     shaped as convncf_forward's activation list (the ``(rows, K*K, 1)``
     quadtree map, then each layer's ``(rows, P_l, C)`` relu output), except
     that layer 1's holds ``chunk`` rows (default ``rows``; all of them at
-    depth 1), the rows it computes at once. Made on first use: ``E``, the
-    ``(rows, K, K)`` interaction maps that scoring merges into, and for a
-    backward, per layer, the relu cotangent ``d_pres[l - 1]`` (shaped as
-    ``acts[l]``) and the input cotangent ``d_inps[l - 1]`` (shaped as
-    ``acts[l - 1]``). A batch of n rows uses each buffer's leading rows."""
+    depth 1), the rows it computes at once; ``E`` holds the maps a caller
+    merges into; a backward makes ``cotangents``. No view points into a
+    head's parameters, so one ConvWork serves every tower of its shape."""
 
     def __init__(self, stack: ConvStack, rows: int, chunk: Optional[int] = None):
-        K = 2**stack.depth
-        self.key = (K, stack.C, rows, chunk)
-        chunk = rows if chunk is None or stack.depth == 1 else min(chunk, rows)
-        self.shapes = [(rows, K * K, 1), (chunk, K * K // 4, stack.C)]
-        self.shapes += [(rows, (K >> l) ** 2, stack.C) for l in range(2, stack.depth + 1)]
-        self.K, self.rows, self.chunk = K, rows, max(1, chunk)  # chunk: a range step, also over an empty batch
-        self.acts = [np.empty(shape) for shape in self.shapes]
-
-    def lead(self, bufs: list[np.ndarray], n: int) -> list[np.ndarray]:
-        """The leading n rows of each buffer: ``bufs`` itself when n is every row."""
-        return bufs if n == self.rows else [buf[:n] for buf in bufs]
+        K, C, depth = 2**stack.depth, stack.C, stack.depth
+        chunk = rows if chunk is None or depth == 1 else min(chunk, rows)
+        self.shapes = [(rows, K * K, 1), (chunk, K * K // 4, C)] + [(rows, (K >> l) ** 2, C) for l in range(2, depth + 1)]
+        self.K, self.C, self.chunk = K, C, max(1, chunk)  # chunk: a range step, also over an empty batch
+        self.acts, self.E = [np.empty(shape) for shape in self.shapes], np.empty((rows, K, K))
+        self.n = self.fwd = self.bwd = None
 
     @cached_property
-    def E(self) -> np.ndarray:
-        return np.empty((self.rows, self.K, self.K))
+    def cotangents(self) -> tuple:
+        """(each acts[l]'s cotangent, masked in place by layer l's relu; the
+        layers' shared relu mask buffers; per-row kernel gradients; d_E)."""
+        entries = max(math.prod(shape) for shape in self.shapes[1:])
+        d_kernels = [np.empty((shape[0], 4 * shape[2], self.C)) for shape in self.shapes[:-1]]
+        d_acts = [np.empty(shape) for shape in self.shapes]
+        return d_acts, (np.empty(entries, bool), np.empty(entries, np.int64)), d_kernels, np.empty(self.shapes[0])
 
-    @cached_property
-    def d_pres(self) -> list[np.ndarray]:
-        return [np.empty(shape) for shape in self.shapes[1:]]
+    def views(self, n: int):
+        """A forward's views over n rows: (E, acts, (layer index, patches,
+        act) in call order, layer 1 by chunks each followed by layer 2,
+        acts[-1] as ``(n, C)``)."""
+        if n != self.n:
+            acts, calls = [buf[:n] for buf in self.acts], []
+            for a in range(0, n, self.chunk):
+                calls.append((0, patch_rows(acts[0][a : a + self.chunk]), acts[1][: n - a]))
+                calls += [(1, patch_rows(acts[1][: n - a]), act[a : a + self.chunk]) for act in acts[2:3]]
+            calls += [(l, patch_rows(acts[l]), acts[l + 1]) for l in range(2, len(acts) - 1)]
+            self.n, self.fwd, self.bwd = n, (self.E[:n], acts, calls, acts[-1].reshape(n, self.C)), None
+        return self.fwd
 
-    @cached_property
-    def d_inps(self) -> list[np.ndarray]:
-        return [np.empty(shape) for shape in self.shapes[:-1]]
+    def backward_views(self, n: int):
+        """After views(n), a backward's views: (the last layer's output and
+        its cotangent as ``(n, C)``; per layer from the top its section
+        names, columns, act, (d_act, its int64 view, relu mask views),
+        d_kernel as ``(n, 4 cin, C)`` and ``(n,) + kernel.shape``, the input
+        cotangent's patch rows; the map's cotangent; its row-major copy as
+        ``(n, K*K, 1)`` and ``(n, K, K)``)."""
+        if self.bwd is None:
+            d_acts, masks, d_kernels, d_E = self.cotangents
+            acts, d, layers = self.fwd[1], [buf[:n] for buf in d_acts], []
+            for l in range(len(acts) - 1, 0, -1):
+                live, mask = (buf[: acts[l].size].reshape(acts[l].shape) for buf in masks)
+                relu, d_kernel_mat = (d[l], d[l].view(np.int64), live, live.view(np.int8), mask), d_kernels[l - 1][:n]
+                names, columns = (f"conv.{l}.kernel", f"conv.{l}.bias"), patch_rows(acts[l - 1]).transpose(0, 2, 1)
+                layers.append((*names, columns, acts[l], relu, d_kernel_mat, d_kernel_mat.reshape(n, 2, 2, -1, self.C), patch_rows(d[l - 1])))
+            self.bwd = (self.fwd[3], d[-1].reshape(n, self.C), layers, d[0], d_E[:n], d_E[:n].reshape(n, self.K, self.K))
+        return self.bwd
 
 
 def tower_work(spec: ModelSpec, rows: int) -> Optional[ConvWork]:
@@ -314,36 +341,31 @@ def convncf_forward(stack: ConvStack, E: np.ndarray, work: ConvWork):
     chunks of ``work.chunk`` rows, and layer 2 takes each chunk while it is
     still in cache; ``acts[1]`` then holds the last chunk only, so only a
     batch of one chunk can run backward."""
-    n = E.shape[0]
-    acts = work.lead(work.acts, n)
+    _, acts, calls, features = work.views(E.shape[0])
     to_quadtree(E[..., None], acts[0])
-    layers, step = stack.layers, work.chunk
-    for a in range(0, n, step):
-        h = conv2x2s2_forward(acts[0][a : a + step], layers[0].kernel, layers[0].bias, acts[1][: n - a])
-        for layer, act in zip(layers[1:2], acts[2:3]):  # layer 2, in a tower that has one
-            conv2x2s2_forward(h, layer.kernel, layer.bias, act[a : a + step])
-    for layer, inp, act in zip(layers[2:], acts[2:], acts[3:]):
-        conv2x2s2_forward(inp, layer.kernel, layer.bias, act)
-    return acts, np.vecdot(acts[-1].reshape(n, stack.C), stack.w)
+    layers = stack.layers
+    for l, patches, act in calls:
+        conv2x2s2_forward(patches, layers[l].kernel, layers[l].bias, act)
+    return acts, np.vecdot(features, stack.w)
 
 
 def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray, out: dict[str, np.ndarray], work: ConvWork):
-    """Adjoint of convncf_forward, its layer cotangents in ``work``'s
-    buffers: head grads into ``out``; returns d_E. Raises ValueError for
-    acts whose layer 1 holds only a batch's last chunk."""
+    """Adjoint of convncf_forward through ``work``, whose forward made
+    ``acts``: head grads into ``out``; returns d_E, a view of ``work``'s
+    buffer. Raises ValueError for acts whose layer 1 holds only a batch's
+    last chunk, or when ``work``'s last forward ran another batch size."""
     n = d_y.shape[0]
-    if acts[1].shape[0] != n:
-        raise ValueError(f"layer 1 holds {acts[1].shape[0]} of {n} rows: a chunked forward cannot run backward")
-    d_pres, d_inps = work.lead(work.d_pres, n), work.lead(work.d_inps, n)
-    g = acts[-1].reshape(n, stack.C)
-    np.add.reduce(d_y[:, None] * g, axis=0, out=out["w"])
-    d_act = (d_y[:, None] * stack.w)[:, None, :]
-    for l in range(stack.depth, 0, -1):
-        layer = stack.layers[l - 1]
-        d_act, d_kernel, d_bias = conv2x2s2_backward(acts[l - 1], layer.kernel, acts[l], d_act, d_pres[l - 1], d_inps[l - 1])
-        np.add.reduce(d_kernel, axis=0, out=out[f"conv.{l}.kernel"])
-        np.add.reduce(d_bias, axis=0, out=out[f"conv.{l}.bias"])
-    return from_quadtree(d_act)[..., 0]
+    if acts[1].shape[0] != n or work.n != n:
+        raise ValueError(f"layer 1 holds {acts[1].shape[0]} of {n} rows, the last forward {work.n}: run backward after its own forward")
+    features, d_top, layers, d_map, d_rows, d_E = work.backward_views(n)
+    np.add.reduce(d_y[:, None] * features, axis=0, out=out["w"])
+    np.multiply.outer(d_y, stack.w, out=d_top)
+    for layer, (kernel_name, bias_name, columns, act, relu, d_kernel_mat, d_kernel, d_patches) in zip(reversed(stack.layers), layers):
+        d_bias = conv2x2s2_backward(columns, layer.kernel, act, *relu, d_kernel_mat, d_patches)
+        np.add.reduce(d_kernel, axis=0, out=out[kernel_name])
+        np.add.reduce(d_bias, axis=0, out=out[bias_name])
+    from_quadtree(d_map, d_rows)
+    return d_E
 
 
 def mlp_forward(head: MlpHead, X0: np.ndarray):
@@ -364,10 +386,10 @@ def mlp_backward(head: MlpHead, acts: list[np.ndarray], d_y: np.ndarray, out: di
     d_X = d_y[:, None] * head.w
     for l in range(len(head.layers), 0, -1):
         layer = head.layers[l - 1]
-        d_pre = relu_backward(acts[l], d_X, d_X)
-        np.matmul(d_pre.T, acts[l - 1], out=out[f"mlp.{l}.W"])
-        np.add.reduce(d_pre, axis=0, out=out[f"mlp.{l}.b"])
-        d_X = d_pre @ layer.W
+        relu_backward(acts[l], d_X.view(np.int64), live := np.empty(d_X.shape, bool), live.view(np.int8), np.empty(d_X.shape, np.int64))
+        np.matmul(d_X.T, acts[l - 1], out=out[f"mlp.{l}.W"])
+        np.add.reduce(d_X, axis=0, out=out[f"mlp.{l}.b"])
+        d_X = d_X @ layer.W
     return d_X
 
 
@@ -559,7 +581,7 @@ def _score_block(spec: ModelSpec, FU: np.ndarray, Q: np.ndarray, items: np.ndarr
     if not isinstance(spec.head, ConvStack):
         return head_forward(spec, merge(spec.merge, FU, FI), None)[1]
     work = _thread_work(spec)
-    return head_forward(spec, merge(spec.merge, FU, FI, work.E[: FI.shape[0]]), work)[1]
+    return head_forward(spec, merge(spec.merge, FU, FI, work.views(FI.shape[0])[0]), work)[1]
 
 
 def chunk_rows(spec: ModelSpec) -> int:
@@ -574,12 +596,12 @@ _THREAD = threading.local()
 def _thread_work(spec: ModelSpec) -> ConvWork:
     """The calling thread's scoring buffers for ``spec``'s tower, a block's
     rows in chunks of ``chunk_rows``, kept between blocks and calls; a
-    thread keeps one set, made again when the tower or a size changes."""
-    rows, chunk = block_rows(spec), chunk_rows(spec)
-    work = getattr(_THREAD, "work", None)
-    if work is None or work.key != (spec.K, spec.head.C, rows, chunk):
-        work = _THREAD.work = ConvWork(spec.head, rows, chunk)
-    return work
+    thread keeps one set, made again when the tower's shape or a size
+    constant changes."""
+    key = (spec.K, spec.head.C, SCORE_BLOCK_BYTES, SCORE_BLOCK_ROWS, TOWER_CHUNK_BYTES)
+    if getattr(_THREAD, "key", None) != key:
+        _THREAD.work, _THREAD.key = ConvWork(spec.head, block_rows(spec), chunk_rows(spec)), key
+    return _THREAD.work
 
 
 # ---------------------------------------------------------------------------

@@ -130,8 +130,9 @@ class AdagradState(dict):
     views of ``grad`` by section name: the head's and each table's ``(rows,
     K)`` slot; ``slots`` each slot's start and views of ``params`` and
     ``acc``. ``work`` is a conv head's ConvWork for a triple's two rows (None
-    for other heads), so a run allocates its tower's buffers once. Packs the
-    head, rebinding its sections: take them after this."""
+    for other heads) and ``d_FU`` their user rows' cotangents, so a run
+    allocates those buffers once. Packs the head, rebinding its sections:
+    take them after this."""
 
     def __init__(self, spec: ModelSpec, tables: EmbeddingTables, history_rows: Optional[int] = None):
         super().__init__({name: np.zeros_like(getattr(tables, name)) for name in spec.variant.tables})
@@ -153,14 +154,15 @@ class AdagradState(dict):
             self.stretches.append((start, stop, "lambda2" if name == "Q" else "lambda1", "lr_embed"))
             start = stop
         self.scratch, self.plan_key, self._plan = np.empty(min(length, HEAD_STEP_ENTRIES)), None, []
-        self.work = tower_work(spec, 2)
+        self.work, self.d_FU = tower_work(spec, 2), np.empty((2, tables.K))
 
     def plan(self, config: TrainConfig, regularize: bool) -> list:
         """The vector's parts of at most ``HEAD_STEP_ENTRIES`` entries, built
-        when the hyper-parameters change: (start, stop, lr, runs), a run a
-        (start, stop, 2 * lambda) span of non-zero L2 in the part (a zero
-        lambda adds nothing, not even +0.0 to a -0.0 gradient). lr and 2 *
-        lambda hold one entry where constant, else one per entry."""
+        when the hyper-parameters change: (start, stop, lr, runs, the whole
+        part's ``part_views``), a run a (start, stop, 2 * lambda) span of
+        non-zero L2 in the part (a zero lambda adds nothing, not even +0.0 to
+        a -0.0 gradient). lr and 2 * lambda hold one entry where constant,
+        else one per entry."""
         c, one = config, lambda v: v[:1].copy() if (v == v[0]).all() else v
         key = (regularize, c.lambda1, c.lambda2, c.lambda3, c.lambda4, c.lr_net, c.lr_embed)
         if key != self.plan_key:
@@ -171,8 +173,16 @@ class AdagradState(dict):
                 l2 = np.concatenate([np.full(n, 2.0 * getattr(c, lam) * regularize) for n, lam, _ in cut])
                 lrs = np.concatenate([np.full(n, getattr(c, lr)) for n, _, lr in cut])
                 edges = np.flatnonzero(np.diff(np.r_[0, l2 != 0, 0])).reshape(-1, 2).tolist()
-                self._plan.append((lo, hi, one(lrs), [(a, b, one(l2[a:b])) for a, b in edges]))
+                lrs, runs = one(lrs), [(a, b, one(l2[a:b])) for a, b in edges]
+                self._plan.append((lo, hi, lrs, runs, self.part_views(lo, hi - lo, lrs, runs)))
         return self._plan
+
+    def part_views(self, lo: int, n: int, lr: np.ndarray, runs: list) -> tuple:
+        """Views of a part's first n entries from ``lo`` (grad, params, acc,
+        scratch, lr) and per L2 run in them (grad, params, 2 * lambda, scratch)."""
+        g, p, s = self.grad[lo : lo + n], self.params[lo : lo + n], self.scratch[:n]
+        runs = [(a, min(b, n), l2) for a, b, l2 in runs]
+        return g, p, self.acc[lo : lo + n], s, lr[:n], [(g[a:b], p[a:b], l2[: b - a], s[a:b]) for a, b, l2 in runs if a < b]
 
 
 def adagrad_step(
@@ -187,7 +197,7 @@ def adagrad_step(
     ``lr`` a float or an array broadcast against ``grad``.
 
     ``out``, an array shaped like ``grad``, holds grad^2 and then the
-    denominator; ``lr * grad`` is the only temporary. The formula's
+    denominator, and ``grad`` turns into ``lr * grad``. The formula's
     operations run in its order, so the bytes are the formula's. Each is a
     ufunc call with its output passed by position: on a few entries numpy's
     in-place operators and the ``out=`` keyword cost about twice as much.
@@ -196,7 +206,7 @@ def adagrad_step(
     np.add(state, out, state)
     np.sqrt(state, out)
     np.add(out, epsilon, out)
-    np.divide(np.multiply(grad, lr), out, out)
+    np.divide(np.multiply(grad, lr, grad), out, out)
     np.subtract(param, out, param)
 
 
@@ -219,7 +229,7 @@ def triple_forward(
     (FU, FI, merged, head activations, scores)."""
     FU = user_rows(spec, tables, (u, u), None if terms is None else terms[None], (i, j))
     FI = tables.Q.take((i, j), axis=0)
-    merged = merge(spec.merge, FU, FI)
+    merged = merge(spec.merge, FU, FI, None if work is None else work.views(2)[0])
     acts, y = head_forward(spec, merged, work)
     return FU, FI, merged, acts, y
 
@@ -233,18 +243,19 @@ def compute_triple_gradients(
     terms: Optional[np.ndarray],
     grads: dict[str, np.ndarray],
     work: Optional[ConvWork],
+    d_FU: np.ndarray,
 ) -> tuple[float, dict[str, np.ndarray]]:
     """Forward both branches of one triple and backpropagate the plain
     (regularization-free) pairwise loss through every shared parameter into
     ``grads``, keyed as ``AdagradState.grads``, each table's touched rows
     into its buffer's leading rows; a conv head's activations and
-    cotangents go into ``work``. Returns (loss, ``{table: rows}``)."""
+    cotangents go into ``work``, the user rows' into ``d_FU``, ``(2, K)``.
+    Returns (loss, ``{table: rows}``)."""
     FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms, work)
-    y_pos, y_neg = float(y[0]), float(y[1])
+    y_pos, y_neg = y.tolist()
     d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), grads, work)
-    d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
+    merge_backward(spec.merge, FU, FI, d_merged, d_FU, grads["Q"])
     rows = scatter_user_gradient(spec, u, terms, (i, j), d_FU, grads)
-    np.copyto(grads["Q"][:2], d_FI)
     rows["Q"] = np.array([i, j])
     return bpr_loss(y_pos, y_neg), rows
 
@@ -262,7 +273,7 @@ def train_step(
     buffers ``states.work``, then one ``adagrad_pass``. Returns the
     pre-update pairwise loss."""
     u, i, j = triple
-    loss, rows = compute_triple_gradients(spec, tables, u, i, j, terms, states.grads, states.work)
+    loss, rows = compute_triple_gradients(spec, tables, u, i, j, terms, states.grads, states.work, states.d_FU)
     adagrad_pass(tables, states, rows, config, regularize)
     return loss
 
@@ -280,26 +291,23 @@ def adagrad_pass(
     accumulators into their slots, run L2 + Adagrad up to the last slot in
     use in ``states.plan``'s parts, each operation one elementwise pass
     over a part in cache, and write the rows back."""
-    end = states.size
+    end, gathered = states.size, []
     for name, index in rows.items():
         start, param, acc = states.slots[name]
-        getattr(tables, name).take(index, axis=0, out=param[: len(index)])
-        states[name].take(index, axis=0, out=acc[: len(index)])
-        end = max(end, start + param[: len(index)].size)
-    for lo, hi, lr, runs in states.plan(config, regularize):
+        table, table_acc, param, acc = getattr(tables, name), states[name], param[: len(index)], acc[: len(index)]
+        table.take(index, axis=0, out=param)
+        table_acc.take(index, axis=0, out=acc)
+        end = max(end, start + param.size)
+        gathered.append((table, table_acc, index[0] if len(index) == 1 else index, param, acc))
+    for lo, hi, lr, runs, views in states.plan(config, regularize):
         if lo >= end:
             break
-        n = min(hi, end) - lo
-        grad, param, s = states.grad[lo : lo + n], states.params[lo : lo + n], states.scratch[:n]
-        for a, b, l2 in runs:
-            b = min(b, n)
-            if a < b:
-                np.add(grad[a:b], np.multiply(param[a:b], l2[: b - a], s[a:b]), grad[a:b])
-        adagrad_step(param, grad, states.acc[lo : lo + n], lr[:n], config.adagrad_epsilon, s)
-    for name, index in rows.items():
-        _, param, acc = states.slots[name]
-        at = index[0] if len(index) == 1 else index  # basic indexing writes one row ~5x faster
-        getattr(tables, name)[at], states[name][at] = param[: len(index)], acc[: len(index)]
+        grad, param, acc, s, lr, l2_runs = views if hi <= end else states.part_views(lo, end - lo, lr, runs)
+        for g, p, l2, t in l2_runs:
+            np.add(g, np.multiply(p, l2, t), g)
+        adagrad_step(param, grad, acc, lr, config.adagrad_epsilon, s)
+    for table, table_acc, at, param, acc in gathered:  # at: basic indexing writes one row ~5x faster
+        table[at], table_acc[at] = param, acc
 
 
 # ---------------------------------------------------------------------------

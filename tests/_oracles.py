@@ -55,17 +55,21 @@ def dense_loops(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def relu_backward_loops(act: np.ndarray, d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def relu_backward_loops(act: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Entry by entry: ``d`` where ``act > 0`` (a -0.0 stays -0.0), else
-    +0.0; copied into ``out`` too when given, as ``relu_backward`` writes."""
+    +0.0."""
     masked = np.zeros(d.shape)
     for idx in np.ndindex(d.shape):
         if act[idx] > 0:
             masked[idx] = d[idx]
-    if out is None:
-        return masked
-    out[...] = masked
-    return out
+    return masked
+
+
+def relu_backward_in_place_loops(act: np.ndarray, bits: np.ndarray, live, signs, mask) -> None:
+    """``relu_backward``'s form over the loop oracle: the float64 cotangent
+    whose int64 view is ``bits`` masked in place; the mask buffers are not
+    read."""
+    bits[...] = relu_backward_loops(act, bits.view(np.float64)).view(np.int64)
 
 
 def dense_backward_loops(x: np.ndarray, W: np.ndarray, act: np.ndarray, d_act: np.ndarray):
@@ -309,7 +313,8 @@ def compute_triple_gradients_loops(spec, tables, u, i, j, terms=None):
     loss = bpr_loss(y_pos, y_neg)
     head_grads = head_views(spec.head)
     d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), head_grads, work)
-    d_FU, d_FI = merge_backward(spec.merge, FU, FI, d_merged)
+    d_FU, d_FI = np.empty(FI.shape), np.empty(FI.shape)
+    merge_backward(spec.merge, FU, FI, d_merged, d_FU, d_FI)
     user = {"P": np.empty((1, spec.K)), "Qp": np.empty((0 if terms is None else len(terms), spec.K))}
     rows = scatter_user_gradient(spec, u, terms, (i, j), d_FU, user)
     table_grads = {name: (index, user[name][: len(index)]) for name, index in rows.items()}

@@ -77,7 +77,7 @@ from convncf.model import (
     predict_batch,
 )
 from convncf.synthetic import planted_interactions, write_interactions
-from convncf.tensor import conv2x2s2_forward, from_quadtree, to_quadtree
+from convncf.tensor import conv2x2s2_forward, from_quadtree, patch_rows, to_quadtree
 from convncf.training import TrainConfig, pretrain, train
 
 # --- learning-experiment constants (criteria 7-9) --------------------------
@@ -296,13 +296,13 @@ def test_criterion_3_kernel_oracles():
         inp = rng.normal(size=(size, size, cin))
         kernel = rng.normal(size=(2, 2, cin, cout))
         bias = float(rng.normal())
-        act = from_quadtree(conv2x2s2_forward(to_quadtree(inp[None]), kernel, bias, np.empty((1, size * size // 4, cout))))[0]
+        act = from_quadtree(conv2x2s2_forward(patch_rows(to_quadtree(inp[None])), kernel, bias, np.empty((1, size * size // 4, cout))))[0]
         oracle_pre, oracle_act = _oracles.conv2x2s2_loops(inp, kernel, bias)
         worst = max(worst, float(np.max(np.abs(act - oracle_act))))
         # bias raised past the most negative pre-activation: every unit is
         # live, so act must equal the oracle's pre-activation entry by entry
         live = bias + abs(float(oracle_pre.min())) + 1.0
-        act = from_quadtree(conv2x2s2_forward(to_quadtree(inp[None]), kernel, live, np.empty((1, size * size // 4, cout))))[0]
+        act = from_quadtree(conv2x2s2_forward(patch_rows(to_quadtree(inp[None])), kernel, live, np.empty((1, size * size // 4, cout))))[0]
         live_pre, _ = _oracles.conv2x2s2_loops(inp, kernel, live)
         worst = max(worst, float(np.max(np.abs(act - live_pre))))
     dt = time.time() - t0

@@ -40,7 +40,7 @@ from convncf.model import (
     section_arrays,
     tower_work,
 )
-from convncf.tensor import conv2x2s2_forward, to_quadtree
+from convncf.tensor import conv2x2s2_forward, patch_rows, to_quadtree
 from convncf.training import AdagradState
 
 from _oracles import numeric_grad_full
@@ -92,7 +92,8 @@ class TestMerge:
             m = merge(kind, concat_vec[None, :5], concat_vec[None, 5:])
             return float(np.sum(m * d_merged))
 
-        d_fU, d_fI = merge_backward(kind, fU, fI, d_merged)
+        d_fU, d_fI = np.empty(fI.shape), np.empty(fI.shape)
+        merge_backward(kind, fU, fI, d_merged, d_fU, d_fI)
         got = np.concatenate([d_fU[0], d_fI[0]])
         want = numeric_grad_full(objective, np.concatenate([fU[0], fI[0]]))
         np.testing.assert_allclose(got, want, rtol=1e-7, atol=1e-9)
@@ -171,7 +172,7 @@ class TestConvHead:
         assert len(acts) == stack.depth + 1
         np.testing.assert_array_equal(acts[0], x)
         for l, layer in enumerate(stack.layers, start=1):
-            x = conv2x2s2_forward(x, layer.kernel, float(layer.bias), np.empty((1, x.shape[1] // 4, 4)))
+            x = conv2x2s2_forward(patch_rows(x), layer.kernel, float(layer.bias), np.empty((1, x.shape[1] // 4, 4)))
             np.testing.assert_array_equal(acts[l], x)
         assert y.shape == (1,)
         assert y[0] == pytest.approx(float(stack.w @ x.reshape(4)), abs=1e-12)
@@ -199,6 +200,26 @@ class TestConvHead:
         convncf_backward(stack, acts, np.ones(1), grads, work)
         assert set(grads) == {name for name, _ in head_sections(stack)}
 
+    def test_one_work_serves_changing_batch_sizes(self):
+        """One ConvWork runs batches of 5, 1 and 5 rows in turn, so the views
+        it builds once per batch size are rebuilt at each change: each
+        forward and backward (unchunked), and each forward in 2-row chunks,
+        equals the same pass through a fresh ConvWork, bit for bit: scores,
+        d_E and every head gradient."""
+        stack = init_conv_stack(8, 3, 0)
+        rng = np.random.default_rng(5)
+        shared, shared_chunked = ConvWork(stack, 5), ConvWork(stack, 5, chunk=2)
+        for n in (5, 1, 5):
+            E, d_y = rng.normal(size=(n, 8, 8)), rng.normal(size=n)
+            runs = []
+            for work, chunked in ((shared, shared_chunked), (ConvWork(stack, 5), ConvWork(stack, 5, chunk=2))):
+                acts, y = convncf_forward(stack, E, work)
+                grads = head_views(stack)
+                d_E = convncf_backward(stack, acts, d_y, grads, work)
+                runs.append([y.tobytes(), d_E.tobytes(), *(g.tobytes() for g in grads.values())])
+                runs[-1].append(convncf_forward(stack, E, chunked)[1].tobytes())
+            assert runs[0] == runs[1], n
+
     def test_chunked_forward_refuses_backward(self):
         """A forward in 3-row chunks keeps only the last chunk's layer-1
         outputs, so a backward over its acts raises instead of computing
@@ -208,6 +229,17 @@ class TestConvHead:
         acts, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(7, 8, 8)), work)
         assert acts[1].shape[0] == 3
         with pytest.raises(ValueError, match="layer 1 holds 3 of 7 rows"):
+            convncf_backward(stack, acts, np.ones(7), head_views(stack), work)
+
+    def test_backward_refuses_a_work_that_ran_another_forward(self):
+        """A ConvWork keeps one batch size's views: after a 7-row forward,
+        a 1-row forward through the same work (which overwrote its
+        buffers) makes a backward over the 7-row acts raise."""
+        stack, rng = init_conv_stack(8, 2, 0), np.random.default_rng(0)
+        work = ConvWork(stack, 7)
+        acts, _ = convncf_forward(stack, rng.normal(size=(7, 8, 8)), work)
+        convncf_forward(stack, rng.normal(size=(1, 8, 8)), work)
+        with pytest.raises(ValueError, match="layer 1 holds 7 of 7 rows, the last forward 1"):
             convncf_backward(stack, acts, np.ones(7), head_views(stack), work)
 
 
@@ -383,6 +415,32 @@ class TestPredictBatch:
         spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
         assert model.chunk_rows(spec) == 3 and model.block_rows(spec) == 16 and 45 % 16 % 3
         assert_rows_score_alone(spec, t, 1, np.arange(45))
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_thread_work_serves_two_models_of_one_shape(self, monkeypatch, workers):
+        """A scoring thread keeps one ConvWork for a tower shape, whatever
+        model of that shape it scores, so its cached views must point into
+        its own buffers only: two models of one shape called in turn, over
+        item counts that change the last block's size, score as the same
+        calls through fresh buffers, bit for bit, inline and on the pool.
+        Blocks of 16 rows in 3-row chunks make each call several blocks with
+        short last blocks and chunks."""
+        monkeypatch.setattr(model, "SCORE_WORKERS", workers)
+        monkeypatch.setattr(model, "SCORE_BLOCK_ROWS", 16)
+        monkeypatch.setattr(model, "TOWER_CHUNK_BYTES", 3 * 8 * 4 * 4 * 4)
+        t = init_tables(3, 45, 8, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        specs = [spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, seed=seed) for seed in (5, 6)]
+        assert model.chunk_rows(specs[0]) == 3 and model.block_rows(specs[0]) == 16
+        calls = [(spec, items) for items in (np.arange(45), np.arange(7, 40), np.arange(3)) for spec in specs]
+
+        def scores():
+            return [predict_batch(spec, t, 1, items).tobytes() for spec, items in calls]
+
+        got = scores()
+        fresh = lambda spec: ConvWork(spec.head, model.block_rows(spec), model.chunk_rows(spec))  # noqa: E731
+        monkeypatch.setattr(model, "_thread_work", fresh)
+        assert got == scores()
+        assert got[0] != got[1]
 
     def test_flagship_block_allocates_no_layer_array(self):
         """After a warm-up block on the same thread, scoring one 16-row

@@ -32,23 +32,39 @@ from convncf.tensor import (
     conv2x2s2_backward,
     conv2x2s2_forward,
     from_quadtree,
+    patch_rows,
     quadtree_order,
     relu_backward,
     to_quadtree,
 )
 
-from _oracles import conv2x2s2_loops, dense_loops, mlp_loops, numeric_grad, outer_loops, relu_backward_loops
+from _oracles import (
+    conv2x2s2_loops,
+    dense_loops,
+    mlp_loops,
+    numeric_grad,
+    outer_loops,
+    relu_backward_in_place_loops,
+    relu_backward_loops,
+)
 
 
 def layer_forward(inp, kernel, bias):
-    """conv2x2s2_forward into a fresh act buffer."""
+    """conv2x2s2_forward over ``inp``'s patch rows into a fresh act buffer."""
     n, p, _ = inp.shape
-    return conv2x2s2_forward(inp, kernel, bias, np.empty((n, p // 4, kernel.shape[3])))
+    return conv2x2s2_forward(patch_rows(inp), kernel, bias, np.empty((n, p // 4, kernel.shape[3])))
 
 
 def layer_backward(inp, kernel, act, d_act):
-    """conv2x2s2_backward into fresh relu and input cotangent buffers."""
-    return conv2x2s2_backward(inp, kernel, act, d_act, np.empty(act.shape), np.empty(inp.shape))
+    """conv2x2s2_backward over views of fresh buffers, ``d_act`` copied
+    into one: (d_inp, per-row d_kernel shaped ``(n,) + kernel.shape``,
+    d_bias)."""
+    n = inp.shape[0]
+    d, d_inp, d_kernel = d_act.copy(), np.empty(inp.shape), np.empty((n,) + kernel.shape)
+    live, d_kernel_rows = np.empty(act.shape, bool), d_kernel.reshape(n, -1, kernel.shape[3])
+    masks = live, live.view(np.int8), np.empty(act.shape, np.int64)
+    d_bias = conv2x2s2_backward(patch_rows(inp).transpose(0, 2, 1), kernel, act, d, d.view(np.int64), *masks, d_kernel_rows, patch_rows(d_inp))
+    return d_inp, d_kernel, d_bias
 
 
 def one_layer_mlp(W, b, w):
@@ -125,8 +141,9 @@ class TestRelu:
         d = rng.normal(size=shape)
         d.flat[::5] = -0.0
         d.flat[1::11] = np.nan
-        got = relu_backward(act, d, np.empty(shape))
-        assert got.dtype == np.float64 and got.shape == shape
+        got = d.copy()
+        live = np.empty(shape, bool)
+        relu_backward(act, got.view(np.int64), live, live.view(np.int8), np.empty(shape, np.int64))
         assert got.tobytes() == relu_backward_loops(act, d).tobytes()
         assert got.tobytes() == np.where(act > 0, d, 0.0).tobytes()
 
@@ -155,7 +172,7 @@ class TestRelu:
 
         fast = run()
         for module in (tensor, model):
-            monkeypatch.setattr(module, "relu_backward", relu_backward_loops)
+            monkeypatch.setattr(module, "relu_backward", relu_backward_in_place_loops)
         assert run() == fast
 
 
@@ -383,19 +400,21 @@ def call_unchanged(fn, *args, **out):
 
 
 class TestArgumentsUnchanged:
-    """Relu runs in place on freshly computed products only: no forward or
-    backward pass writes to an argument other than its output buffers,
-    cached activations included."""
+    """Relu runs in place on freshly computed products and on a conv
+    layer's cotangent buffer only: no forward or backward pass writes to an
+    argument other than its output buffers, cached activations included."""
 
     def test_conv_and_dense_passes(self):
         rng = np.random.default_rng(89)
         x = to_quadtree(rng.normal(size=(3, 4, 4, 2)))
         kernel = rng.normal(size=(2, 2, 2, 3))
-        act = call_unchanged(conv2x2s2_forward, x, kernel, np.zeros(()), act=np.empty((3, 4, 3)))
+        act = call_unchanged(conv2x2s2_forward, patch_rows(x), kernel, np.zeros(()), act=np.empty((3, 4, 3)))
         assert (act == 0).any() and (act > 0).any()
-        call_unchanged(
-            conv2x2s2_backward, x, kernel, act, rng.normal(size=act.shape), d_pre=np.empty(act.shape), d_inp=np.empty(x.shape)
-        )
+        d_act = rng.normal(size=act.shape)
+        live = np.empty(act.shape, bool)
+        buffers = dict(d_act=d_act, bits=d_act.view(np.int64), live=live, signs=live.view(np.int8), mask=np.empty(act.shape, np.int64))
+        buffers |= dict(d_kernel=np.empty((3, 8, 3)), d_patches=np.empty((3, 4, 8)))
+        call_unchanged(conv2x2s2_backward, patch_rows(x).transpose(0, 2, 1), kernel, act, **buffers)
 
         head = init_mlp_head(6, 2, 89)
         X0 = rng.normal(size=(3, 6))
