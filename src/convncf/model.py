@@ -26,7 +26,9 @@ most a few MiB and ``SCORE_BLOCK_ROWS`` rows, spread over every usable CPU:
 users' candidates laid end to end, so at small K one block holds several
 users. Blocks are the pool's unit of work; inside a block a conv tower runs
 in chunks of rows small enough for its layer-1 activations to stay in cache
-(``TOWER_CHUNK_BYTES``), through buffers its thread keeps (``ConvWork``).
+(``TOWER_CHUNK_BYTES``), through buffers its thread keeps (``ConvWork``), and
+each row's layer products in slices small enough for BLAS's small-matrix
+kernels (``SMALL_PRODUCT_MACS``).
 Each row's result is bit-identical to that row scored alone, except with an
 MLP head: each of its layers is one matrix product over the whole batch,
 which reads the weight matrix once per batch and agrees with the row alone
@@ -268,6 +270,36 @@ def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged, d_
 # inside one matrix product per layer, which equals that sum to rounding.
 
 
+# Multiply-adds per BLAS call at most. numpy's bundled OpenBLAS picks its
+# SkylakeX core on an AVX-512 CPU, and that core runs a float64 product of
+# M*N*K <= 10^6 on small-matrix kernels that pack no operand. On a 2-CPU
+# AVX-512 Xeon, one BLAS thread, pinned, (244, 128) @ (128, 32) (999,424)
+# took 26.2 us (76 GFLOP/s) and (245, 128) @ (128, 32) 38.7 us (52 GFLOP/s).
+# So a ConvWork cuts each row's product of a layer into the fewest equal
+# slices of its patch rows that keep every call within this bound: at K=64
+# C=32 layer 2's (256, 128) @ (128, 32), 1,048,576, runs as two 128-row
+# calls, and no other layer is cut. A slice is a row range of the product,
+# which both kernels compute in the same order: scores and training keep
+# their bytes (tests/test_model.py runs K = 8..128 x C = 4..64 both ways).
+# Rows are never grouped into one call, so a row computes alone in a batch.
+SMALL_PRODUCT_MACS = 10**6
+
+
+def product_slices(rows: int, inner: int, cols: int) -> int:
+    """Equal slices of a ``(rows, inner) @ (inner, cols)`` product, rows a
+    power of two, that keep each within SMALL_PRODUCT_MACS multiply-adds:
+    the least power of two that does, at most ``rows``."""
+    calls = -(-rows * inner * cols // SMALL_PRODUCT_MACS)
+    return min(rows, 1 << (calls - 1).bit_length())
+
+
+def _sliced(x: np.ndarray, slices: int) -> np.ndarray:
+    """``(n, m, c)`` rows as ``(n * slices, m / slices, c)``, each row in
+    ``slices`` equal runs."""
+    n, m, c = x.shape
+    return x.reshape(n * slices, m // slices, c)
+
+
 class ConvWork:
     """Buffers for the wide arrays of a conv tower over up to ``rows`` rows,
     allocated once by a caller that runs the tower many times, and views of
@@ -276,13 +308,17 @@ class ConvWork:
     quadtree map, then each layer's ``(rows, P_l, C)`` relu output), except
     that layer 1's holds ``chunk`` rows (default ``rows``; all of them at
     depth 1), the rows it computes at once; ``E`` holds the maps a caller
-    merges into; a backward makes ``cotangents``. No view points into a
-    head's parameters, so one ConvWork serves every tower of its shape."""
+    merges into; a backward makes ``cotangents``. Each row's product of
+    layer l + 1 runs in ``slices[l]`` equal slices (product_slices), and
+    ``cut`` says whether any layer's does. No view points into a head's
+    parameters, so one ConvWork serves every tower of its shape."""
 
     def __init__(self, stack: ConvStack, rows: int, chunk: Optional[int] = None):
         K, C, depth = 2**stack.depth, stack.C, stack.depth
         chunk = rows if chunk is None or depth == 1 else min(chunk, rows)
         self.shapes = [(rows, K * K, 1), (chunk, K * K // 4, C)] + [(rows, (K >> l) ** 2, C) for l in range(2, depth + 1)]
+        self.slices = [product_slices(shape[1] // 4, 4 * shape[2], C) for shape in self.shapes[:-1]]
+        self.cut = max(self.slices) > 1
         self.K, self.C, self.chunk = K, C, max(1, chunk)  # chunk: a range step, also over an empty batch
         self.acts, self.E = [np.empty(shape) for shape in self.shapes], np.empty((rows, K, K))
         self.n = self.fwd = self.bwd = None
@@ -299,13 +335,16 @@ class ConvWork:
     def views(self, n: int):
         """A forward's views over n rows: (E, acts, (layer index, patches,
         act) in call order, layer 1 by chunks each followed by layer 2,
-        acts[-1] as ``(n, C)``)."""
+        each row's patches and act in ``slices`` equal slices, acts[-1] as
+        ``(n, C)``)."""
         if n != self.n:
             acts, calls = [buf[:n] for buf in self.acts], []
             for a in range(0, n, self.chunk):
                 calls.append((0, patch_rows(acts[0][a : a + self.chunk]), acts[1][: n - a]))
                 calls += [(1, patch_rows(acts[1][: n - a]), act[a : a + self.chunk]) for act in acts[2:3]]
             calls += [(l, patch_rows(acts[l]), acts[l + 1]) for l in range(2, len(acts) - 1)]
+            if self.cut:  # views still: each is a run of whole rows of a C-contiguous buffer
+                calls = [(l, _sliced(patches, self.slices[l]), _sliced(act, self.slices[l])) for l, patches, act in calls]
             self.n, self.fwd, self.bwd = n, (self.E[:n], acts, calls, acts[-1].reshape(n, self.C)), None
         return self.fwd
 
@@ -454,10 +493,14 @@ SCORE_BLOCK_ROWS = 1024
 # medians of 108.7 against 102.7 users/s on both CPUs (10 pairs, 8 won; the
 # whole-block quartiles 100.8-107.9) and 68.7 against 59.9 pinned to one (4
 # pairs, 4 won), recommend 17.6 against 18.0 ms (29.1 against 32.1 pinned),
-# and peak RSS 52.8 against 57.2 MB. On both CPUs 256 KiB chunks read 96.8
-# users/s against 109.6 for these (4 pairs of 60 s runs, 4 won), and in 20 s
-# runs 1 MiB chunks read 86 and 2-row chunks through the whole tower 88,
-# against 105: the whole tower's many small calls contend for the GIL.
+# and peak RSS 52.8 against 57.2 MB. In 20 s runs 2-row chunks through the
+# whole tower read 88 users/s against 105: the whole tower's many small calls
+# contend for the GIL. With layer 2 in slices (SMALL_PRODUCT_MACS), in 4
+# alternating pairs of 60 s seed-1 runs against these, 256 KiB chunks read
+# 106.0 against 121.5 users/s and 17.8 against 15.6 ms per recommend (4 of 4
+# pairs lost each); 1 MiB chunks read 124.2 against 120.2 users/s (2 of 4
+# won) and 15.2 against 15.6 ms (3 of 4), both inside these runs' spread,
+# at 54.3 against 53.3 MB peak RSS.
 TOWER_CHUNK_BYTES = 512 * 2**10
 SCORE_WORKERS = len(os.sched_getaffinity(0))
 _SCORE_POOL = ThreadPoolExecutor(max_workers=max(1, SCORE_WORKERS - 1), thread_name_prefix="convncf-score")
@@ -598,7 +641,7 @@ def _thread_work(spec: ModelSpec) -> ConvWork:
     rows in chunks of ``chunk_rows``, kept between blocks and calls; a
     thread keeps one set, made again when the tower's shape or a size
     constant changes."""
-    key = (spec.K, spec.head.C, SCORE_BLOCK_BYTES, SCORE_BLOCK_ROWS, TOWER_CHUNK_BYTES)
+    key = (spec.K, spec.head.C, SCORE_BLOCK_BYTES, SCORE_BLOCK_ROWS, TOWER_CHUNK_BYTES, SMALL_PRODUCT_MACS)
     if getattr(_THREAD, "key", None) != key:
         _THREAD.work, _THREAD.key = ConvWork(spec.head, block_rows(spec), chunk_rows(spec)), key
     return _THREAD.work

@@ -8,8 +8,10 @@ cout)``. In this order the 2x2 patch under output position (i, j), inputs
 (2i + a, 2j + b), is four consecutive rows in the kernel's (a, b) order, and
 the outputs come out in quadtree order again: a layer is a reshape to rows
 of patches and one stacked matrix product with the flattened kernel, with
-no copy. numpy runs that product once per batch row, so each row's result
-is bit-identical to that row computed alone, whatever rows share the call.
+no copy. numpy runs that product once per slice of a batch row (the whole
+row, unless ``model.ConvWork`` cuts its patch rows into equal slices to keep
+each call within ``model.SMALL_PRODUCT_MACS``), so each row's result is
+bit-identical to that row computed alone, whatever rows share the call.
 Patches never overlap, so the input gradient is a plain reshape of the
 patch gradient.
 
@@ -42,13 +44,23 @@ import numpy as np
 
 
 @cache
-def quadtree_order(s: int) -> np.ndarray:
-    """Row-major indices of the positions of an s x s map, in quadtree order."""
+def _orders(s: int) -> tuple[np.ndarray, np.ndarray]:
+    """(quadtree order, its inverse: the quadtree rank of each row-major
+    position) of an s x s map, writeable, for ``take`` alone: ``take``
+    copies a read-only index array on every call (32 KiB at s = 64), so the
+    gathers read these private arrays and callers get a read-only copy."""
     r, c = np.divmod(np.arange(s * s), s)
     code = np.zeros(s * s, dtype=np.int64)
     for bit in range(s.bit_length()):
         code |= ((r >> bit) & 1) << (2 * bit + 1) | ((c >> bit) & 1) << (2 * bit)
     order = np.argsort(code)
+    return order, np.argsort(order)
+
+
+@cache
+def quadtree_order(s: int) -> np.ndarray:
+    """Row-major indices of the positions of an s x s map, in quadtree order."""
+    order = _orders(s)[0].copy()
     order.flags.writeable = False  # cached: every caller shares this array
     return order
 
@@ -58,16 +70,7 @@ def to_quadtree(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     into ``out`` when given. The indices are in range, so ``take`` runs
     unchecked ("clip"), which writes straight into ``out``."""
     n, s, _, c = x.shape
-    return x.reshape(n, s * s, c).take(quadtree_order(s), axis=1, out=out, mode="clip")
-
-
-@cache
-def _row_major_order(s: int) -> np.ndarray:
-    """Quadtree ranks of the positions of an s x s map, in row-major order:
-    the inverse permutation of quadtree_order(s)."""
-    inverse = np.argsort(quadtree_order(s))
-    inverse.flags.writeable = False
-    return inverse
+    return x.reshape(n, s * s, c).take(_orders(s)[0], axis=1, out=out, mode="clip")
 
 
 def from_quadtree(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -75,7 +78,7 @@ def from_quadtree(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     ``out`` when given."""
     n, p, c = x.shape
     s = math.isqrt(p)
-    return x.take(_row_major_order(s), axis=1, out=out, mode="clip").reshape(n, s, s, c)
+    return x.take(_orders(s)[1], axis=1, out=out, mode="clip").reshape(n, s, s, c)
 
 
 def patch_rows(x: np.ndarray) -> np.ndarray:

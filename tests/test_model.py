@@ -41,7 +41,7 @@ from convncf.model import (
     tower_work,
 )
 from convncf.tensor import conv2x2s2_forward, patch_rows, to_quadtree
-from convncf.training import AdagradState
+from convncf.training import AdagradState, TrainConfig, train_step
 
 from _oracles import numeric_grad_full
 
@@ -243,6 +243,68 @@ class TestConvHead:
             convncf_backward(stack, acts, np.ones(7), head_views(stack), work)
 
 
+class TestProductSlices:
+    @pytest.mark.parametrize("C", [4, 8, 16, 32, 64])
+    @pytest.mark.parametrize("K", [8, 16, 32, 64, 128])
+    def test_slices_keep_every_byte(self, monkeypatch, K, C):
+        """Scoring 40 items and four training steps give the same bytes
+        (scores, every table and head section, the Adagrad accumulators)
+        with each row's layer products cut into slices within
+        SMALL_PRODUCT_MACS and with the bound lifted so that none is cut.
+        At these shapes some layer is cut at K=32 C=64, K=64 C>=32 and
+        K=128 C>=16."""
+
+        def run():
+            t = init_tables(3, 40, K, Variant.MF, derive_seed(11, "init"), scale=1.0)
+            spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=K, C=C)
+            scores = predict_batch(spec, t, 1, np.arange(40))
+            states = AdagradState(spec, t)
+            for k, triple in enumerate(((0, 1, 2), (1, 3, 4), (2, 5, 6), (0, 7, 8))):
+                train_step(spec, t, triple, TrainConfig(), states, k > 0)
+            cut = max(states.work.slices) > 1
+            return cut, [scores.tobytes(), *(arr.tobytes() for arr in section_arrays(spec, t).values()), states.acc.tobytes()], scores
+
+        cut, sliced, scores = run()
+        assert cut == ((K, C) in {(32, 64), (64, 32), (64, 64), (128, 16), (128, 32), (128, 64)})
+        assert np.count_nonzero(scores) > 20  # most rows score through a live tower
+        monkeypatch.setattr(model, "SMALL_PRODUCT_MACS", 10**18)
+        uncut, whole, _ = run()
+        assert not uncut
+        assert whole == sliced
+
+    def test_flagship_calls_stay_within_the_bound(self):
+        """Every forward product of the K=64 C=32 tower, over a 16-row
+        scoring block in 2-row chunks, a 1-row block and a training pair,
+        does at most SMALL_PRODUCT_MACS multiply-adds per call, and layer 2
+        (1,048,576 per row) runs in two 128-row slices of each row. The
+        calls are views of the work's buffers and cover every layer's
+        output."""
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
+        assert (model.block_rows(spec), model.chunk_rows(spec)) == (16, 2)
+        scoring = ConvWork(spec.head, model.block_rows(spec), model.chunk_rows(spec))
+        pair = AdagradState(spec, init_tables(3, 6, 64, Variant.MF, 0)).work
+        for work, n in ((scoring, 16), (scoring, 1), (pair, 2)):
+            written = [0] * spec.head.depth
+            for l, patches, act in work.views(n)[2]:
+                assert patches.shape[0] == act.shape[0] and patches.shape[1] == act.shape[1]
+                assert patches.shape[1] * patches.shape[2] * act.shape[2] <= model.SMALL_PRODUCT_MACS
+                assert np.shares_memory(patches, work.acts[l]) and np.shares_memory(act, work.acts[l + 1])
+                if l == 1:
+                    assert patches.shape[1:] == (128, 128)
+                written[l] += act.size
+            assert written == [n * (64 >> l) ** 2 * 32 for l in range(1, 7)], n
+
+    def test_product_slices(self):
+        bound = model.SMALL_PRODUCT_MACS
+        assert model.product_slices(256, 128, 32) == 2
+        assert model.product_slices(128, 128, 32) == 1
+        assert model.product_slices(1024, 256, 64) == 32
+        assert model.product_slices(1, 4096, 4096) == 1  # a single patch row is not cut
+        for rows, inner, cols in ((256, 128, 32), (1024, 256, 64), (4096, 4, 64), (64, 64, 64)):
+            s = model.product_slices(rows, inner, cols)
+            assert rows // s * inner * cols <= bound and (s == 1 or rows // (s // 2) * inner * cols > bound)
+
+
 class TestGmfReduction:
     def test_ones_weights_equal_inner_product(self):
         """GMF with all-ones projection is exactly the dot product."""
@@ -403,6 +465,14 @@ class TestPredictBatch:
         assert len(items) > 2 * SCORE_BLOCK_BYTES // (8 * 32 * 32 * 32)
         assert_rows_score_alone(spec, t, 1, items)
 
+    def test_flagship_rows_score_alone_in_a_one_row_block(self):
+        """33 items are two 16-row blocks and a 1-row block; each row, with
+        layer 2 in two slices of it, equals that row scored alone."""
+        t = init_tables(3, 33, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
+        assert model.block_rows(spec) == 16 and 33 % 16 == 1
+        assert_rows_score_alone(spec, t, 1, np.arange(33))
+
     @pytest.mark.parametrize("workers", [1, 2])
     def test_flagship_rows_score_alone_across_chunks(self, monkeypatch, workers):
         """With 3-row tower chunks every 16-row flagship block runs as five
@@ -444,15 +514,17 @@ class TestPredictBatch:
 
     def test_flagship_block_allocates_no_layer_array(self):
         """After a warm-up block on the same thread, scoring one 16-row
-        flagship block allocates no array of 256 KiB or more: the tower runs
+        flagship block allocates no array of 16 KiB or more: the tower runs
         in chunks through the thread's buffers, where a whole block's
-        layer-1 activations would be 4 MiB."""
+        layer-1 activations would be 4 MiB, the quadtree gather copies no
+        index array (32 KiB at K=64), and no layer's sliced view is a
+        copy."""
         t = init_tables(3, 40, 64, Variant.MF, derive_seed(7, "init"), scale=0.13)
         spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
         FU = t.P[:1]
         model._score_block(spec, FU, t.Q, np.arange(16))
         largest = largest_statement_allocation(model._score_block, spec, FU, t.Q, np.arange(16, 32))
-        assert largest < 256 * 2**10, f"{largest} B in one statement"
+        assert largest < 16 * 2**10, f"{largest} B in one statement"
 
     def test_mlp_over_outer_rows_score_alone_across_blocks(self):
         t = init_tables(3, 600, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)

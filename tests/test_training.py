@@ -435,16 +435,18 @@ class TestPackedHead:
 
     def test_flagship_step_allocates_no_layer_array(self):
         """After a warm-up step, one K=64 C=32 conv step allocates no array
-        of 64 KiB or more: its layer-1 activations and cotangents (512 KiB
+        of 16 KiB or more: its layer-1 activations and cotangents (512 KiB
         per triple) live in the run's buffers, so its speed cannot hang on
-        glibc's mmap threshold, which arrays of that size cross, and Adagrad
-        scales the gradient in place (a 128 KiB part)."""
+        glibc's mmap threshold, which arrays of that size cross; Adagrad
+        scales the gradient in place (a 128 KiB part); the quadtree gathers
+        copy no index array (32 KiB at K=64); and no layer's sliced view is
+        a copy."""
         t = init_tables(3, 6, 64, Variant.MF, derive_seed(3, "init"), scale=0.13)
         spec = cnn_spec(K=64, C=32)
         states = AdagradState(spec, t)
         train_step(spec, t, (1, 2, 5), TrainConfig(), states, regularize=True)
         largest = largest_statement_allocation(train_step, spec, t, (0, 3, 4), TrainConfig(), states, True)
-        assert largest < 64 * 2**10, f"{largest} B in one statement"
+        assert largest < 16 * 2**10, f"{largest} B in one statement"
 
     def test_sections_are_views_of_the_packed_vector(self):
         t = init_tables(3, 4, 4, Variant.MF, 0, scale=1.0)
