@@ -79,7 +79,6 @@ class Dataset:
     user_ids: list[str]
     item_ids: list[str]
     user_index: dict[str, int] = field(repr=False)
-    item_index: dict[str, int] = field(repr=False)
 
     @property
     def n_interactions(self) -> int:
@@ -130,7 +129,6 @@ def _assemble(
         M=M, N=N, indptr=indptr, items=items[rows], stamps=stamps[rows], keys=keys,
         user_ids=user_ids, item_ids=item_ids,
         user_index={raw: k for k, raw in enumerate(user_ids)},
-        item_index={raw: k for k, raw in enumerate(item_ids)},
     )
 
 

@@ -217,17 +217,17 @@ def merged_width(kind: MergeKind, K: int) -> int:
     return {MergeKind.OUTER: K * K, MergeKind.CONCAT: 2 * K}.get(kind, K)
 
 
-def merge(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, maps: Optional[np.ndarray] = None):
+def merge(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, work: Optional[ConvWork] = None):
     """Combine rows of user and item embeddings, both ``(B, K)``, into
-    ``(B, K)`` vectors, ``(B, 2K)`` vectors, ``(B, K, K)`` maps (into
-    ``maps`` when given) or ``(B,)`` scalars. A single user row ``(1, K)``
-    is shared by every item row."""
+    ``(B, K)`` vectors, ``(B, 2K)`` vectors, ``(B, K, K)`` maps (into the
+    map buffer of a conv tower's ``work`` when given) or ``(B,)`` scalars. A
+    single user row ``(1, K)`` is shared by every item row."""
     if kind is MergeKind.ELEMENTWISE:
         return FU * FI
     if kind is MergeKind.CONCAT:
         return np.concatenate([np.broadcast_to(FU, FI.shape), FI], axis=1)
     if kind is MergeKind.OUTER:
-        return np.einsum("nk,nl->nkl", FU, FI, out=maps)
+        return np.einsum("nk,nl->nkl", FU, FI, out=None if work is None else work.views(FI.shape[0])[0])
     if kind is MergeKind.INNER:
         return np.vecdot(FU, FI)
     raise ValueError(f"unknown merge kind {kind!r}")
@@ -262,9 +262,10 @@ def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged, d_
 # pre-activation's sign, so no pre-activation is kept. They take one score
 # cotangent per row, write the head gradients summed over the batch into the
 # caller's section views and return the per-row cotangents of their input.
-# A conv head's activations (acts[0] is its quadtree-ordered map) and layer
-# cotangents live in a ConvWork the caller passes (``tower_work``); other
-# heads take None.
+# A conv head's map, activations (acts[0] is its quadtree-ordered map) and
+# layer cotangents live in a ConvWork the caller passes to merge and to both
+# passes (``tower_work``), and its backward reads the activations there;
+# other heads take None.
 # The conv and linear heads form gradients per row, then sum, so a batch of
 # two gives exactly the sum of two single-row passes; the MLP head sums
 # inside one matrix product per layer, which equals that sum to rounding.
@@ -307,8 +308,8 @@ class ConvWork:
     shaped as convncf_forward's activation list (the ``(rows, K*K, 1)``
     quadtree map, then each layer's ``(rows, P_l, C)`` relu output), except
     that layer 1's holds ``chunk`` rows (default ``rows``; all of them at
-    depth 1), the rows it computes at once; ``E`` holds the maps a caller
-    merges into; a backward makes ``cotangents``. Each row's product of
+    depth 1), the rows it computes at once; ``E`` holds the maps merge
+    writes; a backward makes ``cotangents``. Each row's product of
     layer l + 1 runs in ``slices[l]`` equal slices (product_slices), and
     ``cut`` says whether any layer's does. No view points into a head's
     parameters, so one ConvWork serves every tower of its shape."""
@@ -388,14 +389,15 @@ def convncf_forward(stack: ConvStack, E: np.ndarray, work: ConvWork):
     return acts, np.vecdot(features, stack.w)
 
 
-def convncf_backward(stack: ConvStack, acts: list[np.ndarray], d_y: np.ndarray, out: dict[str, np.ndarray], work: ConvWork):
-    """Adjoint of convncf_forward through ``work``, whose forward made
-    ``acts``: head grads into ``out``; returns d_E, a view of ``work``'s
-    buffer. Raises ValueError for acts whose layer 1 holds only a batch's
-    last chunk, or when ``work``'s last forward ran another batch size."""
+def convncf_backward(stack: ConvStack, d_y: np.ndarray, out: dict[str, np.ndarray], work: ConvWork):
+    """Adjoint of convncf_forward over the activations ``work`` holds from
+    its last forward: head grads into ``out``; returns d_E, a view of
+    ``work``'s buffer. Raises ValueError when layer 1 ran in chunks, so
+    that it holds only the last one, or when ``work``'s last forward ran
+    another batch size."""
     n = d_y.shape[0]
-    if acts[1].shape[0] != n or work.n != n:
-        raise ValueError(f"layer 1 holds {acts[1].shape[0]} of {n} rows, the last forward {work.n}: run backward after its own forward")
+    if work.chunk < n or work.n != n:
+        raise ValueError(f"layer 1 holds {min(work.chunk, n)} of {n} rows, the last forward {work.n}: run backward after its own forward")
     features, d_top, layers, d_map, d_rows, d_E = work.backward_views(n)
     np.add.reduce(d_y[:, None] * features, axis=0, out=out["w"])
     np.multiply.outer(d_y, stack.w, out=d_top)
@@ -450,10 +452,11 @@ def head_forward(spec: ModelSpec, merged, work: Optional[ConvWork]):
 def head_backward(spec: ModelSpec, merged, acts, d_y: np.ndarray, out: dict[str, np.ndarray], work: Optional[ConvWork]):
     """Adjoint of head_forward: the head grads, summed over the batch, into
     ``out``'s section views; returns the per-row d_merged. A conv head's
-    cotangents go into ``work`` (see convncf_backward)."""
+    backward reads its activations and writes its cotangents in ``work``
+    (see convncf_backward)."""
     head = spec.head
     if isinstance(head, ConvStack):
-        return convncf_backward(head, acts, d_y, out, work)
+        return convncf_backward(head, d_y, out, work)
     if isinstance(head, MlpHead):
         return mlp_backward(head, acts, d_y, out).reshape(merged.shape)
     if isinstance(head, LinearHead):
@@ -621,10 +624,8 @@ def predict_batch(
 def _score_block(spec: ModelSpec, FU: np.ndarray, Q: np.ndarray, items: np.ndarray) -> np.ndarray:
     """One block's scores; a conv tower runs through its thread's ConvWork."""
     FI = Q.take(items, axis=0)  # the same rows as Q[items], ~6x faster for a block's 1-D index
-    if not isinstance(spec.head, ConvStack):
-        return head_forward(spec, merge(spec.merge, FU, FI), None)[1]
     work = _thread_work(spec)
-    return head_forward(spec, merge(spec.merge, FU, FI, work.views(FI.shape[0])[0]), work)[1]
+    return head_forward(spec, merge(spec.merge, FU, FI, work), work)[1]
 
 
 def chunk_rows(spec: ModelSpec) -> int:
@@ -636,11 +637,13 @@ def chunk_rows(spec: ModelSpec) -> int:
 _THREAD = threading.local()
 
 
-def _thread_work(spec: ModelSpec) -> ConvWork:
+def _thread_work(spec: ModelSpec) -> Optional[ConvWork]:
     """The calling thread's scoring buffers for ``spec``'s tower, a block's
     rows in chunks of ``chunk_rows``, kept between blocks and calls; a
     thread keeps one set, made again when the tower's shape or a size
-    constant changes."""
+    constant changes. None for any other head, which runs without one."""
+    if not isinstance(spec.head, ConvStack):
+        return None
     key = (spec.K, spec.head.C, SCORE_BLOCK_BYTES, SCORE_BLOCK_ROWS, TOWER_CHUNK_BYTES, SMALL_PRODUCT_MACS)
     if getattr(_THREAD, "key", None) != key:
         _THREAD.work, _THREAD.key = ConvWork(spec.head, block_rows(spec), chunk_rows(spec)), key

@@ -46,23 +46,15 @@ import numpy as np
 @cache
 def _orders(s: int) -> tuple[np.ndarray, np.ndarray]:
     """(quadtree order, its inverse: the quadtree rank of each row-major
-    position) of an s x s map, writeable, for ``take`` alone: ``take``
-    copies a read-only index array on every call (32 KiB at s = 64), so the
-    gathers read these private arrays and callers get a read-only copy."""
+    position) of an s x s map, private to the gathers below and writeable:
+    ``take`` copies a read-only index array on every call (32 KiB at s =
+    64)."""
     r, c = np.divmod(np.arange(s * s), s)
     code = np.zeros(s * s, dtype=np.int64)
     for bit in range(s.bit_length()):
         code |= ((r >> bit) & 1) << (2 * bit + 1) | ((c >> bit) & 1) << (2 * bit)
     order = np.argsort(code)
     return order, np.argsort(order)
-
-
-@cache
-def quadtree_order(s: int) -> np.ndarray:
-    """Row-major indices of the positions of an s x s map, in quadtree order."""
-    order = _orders(s)[0].copy()
-    order.flags.writeable = False  # cached: every caller shares this array
-    return order
 
 
 def to_quadtree(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

@@ -225,11 +225,11 @@ def triple_forward(
 ):
     """Embed, merge and score the positive and the negative of one triple
     as a batch of two, given the user's history terms (1-D, ascending, or
-    None), a conv head through ``work`` (see ``head_forward``); returns
-    (FU, FI, merged, head activations, scores)."""
+    None), a conv head's map and tower through ``work`` (see ``merge`` and
+    ``head_forward``); returns (FU, FI, merged, head activations, scores)."""
     FU = user_rows(spec, tables, (u, u), None if terms is None else terms[None], (i, j))
     FI = tables.Q.take((i, j), axis=0)
-    merged = merge(spec.merge, FU, FI, None if work is None else work.views(2)[0])
+    merged = merge(spec.merge, FU, FI, work)
     acts, y = head_forward(spec, merged, work)
     return FU, FI, merged, acts, y
 

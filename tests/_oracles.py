@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from convncf import training
 from convncf.data import ParseError, _assemble
 from convncf.embeddings import scatter_user_gradient
 from convncf.model import head_backward, head_sections, head_views, merge_backward, pack_head, tower_work
@@ -43,6 +42,23 @@ def conv2x2s2_loops(inp: np.ndarray, kernel: np.ndarray, bias: float):
                             acc += inp[2 * r + a, 2 * c + b, d] * kernel[a, b, d, o]
                 pre[r, c, o] = acc
     return pre, np.maximum(pre, 0.0)
+
+
+def quadtree_order_loops(s: int) -> tuple[list[int], list[int]]:
+    """(the row-major index of each quadtree position, the quadtree rank of
+    each row-major position) of an s x s map: (r, c) ranks by the binary
+    number that takes each bit of r, then the same bit of c, from the top."""
+    width = max(1, (s - 1).bit_length())
+    codes = {}
+    for r in range(s):
+        for c in range(s):
+            bits = "".join(x + y for x, y in zip(format(r, f"0{width}b"), format(c, f"0{width}b")))
+            codes[r * s + c] = int(bits, 2)
+    order = sorted(codes, key=codes.__getitem__)
+    rank = [0] * (s * s)
+    for k, position in enumerate(order):
+        rank[position] = k
+    return order, rank
 
 
 def dense_loops(x: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -283,7 +299,7 @@ def load_interactions_loops(path: str):
 class AdagradStateLoops(dict):
     """State of the section-by-section step: table accumulators by section
     name, the head packed into ``head`` with its accumulator ``head_acc``,
-    stepped in ``parts`` of (start, stop, tower entries among them)."""
+    its first ``tower`` entries the hidden tower."""
 
     def __init__(self, spec, tables):
         super().__init__({name: np.zeros_like(getattr(tables, name)) for name in spec.variant.tables})
@@ -292,9 +308,6 @@ class AdagradStateLoops(dict):
         self.head_acc = np.zeros_like(self.head)
         self.head_names = [name for name, _ in head_sections(spec.head)]
         self.tower = self.head.size - (spec.head.w.size if self.head_names else 0)
-        size, step = self.head.size, training.HEAD_STEP_ENTRIES
-        self.parts = [(lo, min(lo + step, size), min(max(self.tower - lo, 0), step)) for lo in range(0, size, step)]
-        self.scratch = np.empty(min(size, step))
 
 
 @dataclass
@@ -324,7 +337,7 @@ def compute_triple_gradients_loops(spec, tables, u, i, j, terms=None):
 
 def train_step_loops(spec, tables, triple, config, states, regularize, terms=None):
     """One triple stepped section by section: the packed head's gradient
-    concatenated and stepped in its parts with lambda3 on the tower and
+    concatenated and stepped in one pass with lambda3 on the tower and
     lambda4 on w, the user row P[u] through its row view, and Q and Qp over
     their gathered rows, each with its own L2 (skipped for a zero lambda)
     and Adagrad step. ``states`` is an ``AdagradStateLoops``."""
@@ -334,13 +347,12 @@ def train_step_loops(spec, tables, triple, config, states, regularize, terms=Non
     if states.head_names:
         grad = np.concatenate([g.head[name] for name in states.head_names], axis=None)
         g.head.clear()  # the packed copy is all the step needs
-        for lo, hi, t in states.parts:
-            g_part, head, s = grad[lo:hi], states.head[lo:hi], states.scratch[: hi - lo]
-            if regularize and config.lambda3:
-                g_part[:t] += np.multiply(head[:t], 2.0 * config.lambda3, s[:t])
-            if regularize and config.lambda4:
-                g_part[t:] += np.multiply(head[t:], 2.0 * config.lambda4, s[t:])
-            adagrad_step(head, g_part, states.head_acc[lo:hi], config.lr_net, config.adagrad_epsilon, s)
+        head, t = states.head, states.tower
+        if regularize and config.lambda3:
+            grad[:t] += 2.0 * config.lambda3 * head[:t]
+        if regularize and config.lambda4:
+            grad[t:] += 2.0 * config.lambda4 * head[t:]
+        adagrad_step(head, grad, states.head_acc, config.lr_net, config.adagrad_epsilon, np.empty_like(grad))
 
     for name, (rows, grad) in g.tables.items():
         table, acc = getattr(tables, name), states[name]

@@ -413,7 +413,7 @@ class TestPipeline:
         known = {f"prod{(0 + 2 * k) % 20:02d}" for k in range(5)}
         expect = sorted(
             (name for name in counts if name not in known),
-            key=lambda n: (-counts[n], ds.item_index[n]),
+            key=lambda n: (-counts[n], ds.item_ids.index(n)),
         )[:4]
         assert [name for name, _ in got] == expect
         assert [float(s) for _, s in got] == [counts[n] for n in expect]

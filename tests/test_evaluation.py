@@ -502,7 +502,7 @@ class TestItemPop:
         path.write_text(text, encoding="utf-8")
         ds = load_interactions(str(path))
         spec, tables = make_itempop(ds)
-        x, y, z = (ds.item_index[n] for n in ("x", "y", "z"))
+        x, y, z = (ds.item_ids.index(n) for n in ("x", "y", "z"))
         scores = tables.Q[[x, y, z], 0]
         np.testing.assert_array_equal(scores, [3.0, 2.0, 1.0])
         assert rank_of_target(scores, 1) == 2

@@ -182,8 +182,8 @@ class TestConvHead:
         stack = init_conv_stack(8, 2, derive_seed(2, "init_head"))
         E = rng.normal(size=(1, 8, 8)) + 0.5
         work = ConvWork(stack, 1)
-        acts, _ = convncf_forward(stack, E, work)
-        d_E = convncf_backward(stack, acts, np.ones(1), head_views(stack), work)
+        convncf_forward(stack, E, work)
+        d_E = convncf_backward(stack, np.ones(1), head_views(stack), work)
 
         def objective(flat):
             _, y = convncf_forward(stack, flat.reshape(1, 8, 8), ConvWork(stack, 1))
@@ -195,9 +195,9 @@ class TestConvHead:
     def test_head_grad_keys_cover_sections(self):
         stack = init_conv_stack(8, 2, 0)
         work = ConvWork(stack, 1)
-        acts, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(1, 8, 8)), work)
+        convncf_forward(stack, np.random.default_rng(0).normal(size=(1, 8, 8)), work)
         grads = head_views(stack)
-        convncf_backward(stack, acts, np.ones(1), grads, work)
+        convncf_backward(stack, np.ones(1), grads, work)
         assert set(grads) == {name for name, _ in head_sections(stack)}
 
     def test_one_work_serves_changing_batch_sizes(self):
@@ -213,34 +213,34 @@ class TestConvHead:
             E, d_y = rng.normal(size=(n, 8, 8)), rng.normal(size=n)
             runs = []
             for work, chunked in ((shared, shared_chunked), (ConvWork(stack, 5), ConvWork(stack, 5, chunk=2))):
-                acts, y = convncf_forward(stack, E, work)
+                _, y = convncf_forward(stack, E, work)
                 grads = head_views(stack)
-                d_E = convncf_backward(stack, acts, d_y, grads, work)
+                d_E = convncf_backward(stack, d_y, grads, work)
                 runs.append([y.tobytes(), d_E.tobytes(), *(g.tobytes() for g in grads.values())])
                 runs[-1].append(convncf_forward(stack, E, chunked)[1].tobytes())
             assert runs[0] == runs[1], n
 
     def test_chunked_forward_refuses_backward(self):
         """A forward in 3-row chunks keeps only the last chunk's layer-1
-        outputs, so a backward over its acts raises instead of computing
-        wrong kernel gradients."""
+        outputs, so a backward after it raises instead of computing wrong
+        kernel gradients."""
         stack = init_conv_stack(8, 2, 0)
         work = ConvWork(stack, 7, chunk=3)
         acts, _ = convncf_forward(stack, np.random.default_rng(0).normal(size=(7, 8, 8)), work)
         assert acts[1].shape[0] == 3
         with pytest.raises(ValueError, match="layer 1 holds 3 of 7 rows"):
-            convncf_backward(stack, acts, np.ones(7), head_views(stack), work)
+            convncf_backward(stack, np.ones(7), head_views(stack), work)
 
     def test_backward_refuses_a_work_that_ran_another_forward(self):
         """A ConvWork keeps one batch size's views: after a 7-row forward,
         a 1-row forward through the same work (which overwrote its
-        buffers) makes a backward over the 7-row acts raise."""
+        buffers) makes a 7-row backward raise."""
         stack, rng = init_conv_stack(8, 2, 0), np.random.default_rng(0)
         work = ConvWork(stack, 7)
-        acts, _ = convncf_forward(stack, rng.normal(size=(7, 8, 8)), work)
+        convncf_forward(stack, rng.normal(size=(7, 8, 8)), work)
         convncf_forward(stack, rng.normal(size=(1, 8, 8)), work)
         with pytest.raises(ValueError, match="layer 1 holds 7 of 7 rows, the last forward 1"):
-            convncf_backward(stack, acts, np.ones(7), head_views(stack), work)
+            convncf_backward(stack, np.ones(7), head_views(stack), work)
 
 
 class TestProductSlices:

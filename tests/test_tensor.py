@@ -33,7 +33,6 @@ from convncf.tensor import (
     conv2x2s2_forward,
     from_quadtree,
     patch_rows,
-    quadtree_order,
     relu_backward,
     to_quadtree,
 )
@@ -44,6 +43,7 @@ from _oracles import (
     mlp_loops,
     numeric_grad,
     outer_loops,
+    quadtree_order_loops,
     relu_backward_in_place_loops,
     relu_backward_loops,
 )
@@ -200,11 +200,16 @@ def assert_forward_matches_oracle(inp, kernel, bias):
 
 
 class TestQuadtreeLayout:
+    @pytest.mark.parametrize("s", [2, 4, 8, 16, 32, 64, 128])
+    def test_order_matches_bit_interleaving_oracle(self, s):
+        """The gathers' order and its inverse rank each (r, c) by its
+        interleaved bits, r's bit just above c's."""
+        order, rank = tensor._orders(s)
+        assert (order.tolist(), rank.tolist()) == quadtree_order_loops(s)
+
     @pytest.mark.parametrize("K", [2, 4, 8, 64])
     def test_round_trip(self, K):
         x = np.random.default_rng(K).normal(size=(3, K, K, 2))
-        order = quadtree_order(K)
-        np.testing.assert_array_equal(np.sort(order), np.arange(K * K))
         assert from_quadtree(to_quadtree(x)).tobytes() == x.tobytes()
 
     @pytest.mark.parametrize("K", [2, 4, 8, 64])

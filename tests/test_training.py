@@ -767,7 +767,7 @@ class TestTrainLoop:
         finite; the end-of-epoch sweep still names the section."""
         splits = make_splits(tmp_path, N=40)  # item27 is only ever a test item
         tables = init_tables(splits.train.M, splits.train.N, 4, Variant.FISM, 3, scale=0.1)
-        tables.Qp[splits.train.item_index["item27"], 1] = np.inf
+        tables.Qp[splits.train.item_ids.index("item27"), 1] = np.inf
         spec = ModelSpec(variant=Variant.FISM, merge=MergeKind.INNER, head=IdentityHead(), K=4)
         with pytest.raises(NonFiniteError, match="^epoch 1: section Qp holds non-finite values$"):
             train(spec, tables, splits, TrainConfig(epochs=2, seed=8))
