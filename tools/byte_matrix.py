@@ -1,12 +1,15 @@
 """Print the sha256 of every artifact of a fixed set of CLI runs.
 
 Writes a seeded planted interaction log into a temporary directory, then
-runs ``convncf train``, ``eval per_user=true`` and ``gradcheck`` for mf, fism
-and svdpp x (outer cnn, outer mlp, elementwise linear, inner identity) at
-K=8 C=4, and for mf outer cnn at K=64 C=32. Prints one ``sha256  artifact``
-line per checkpoint, ``metrics.csv``, ``eval.csv``, ``per_user.tsv`` and
-command stdout (gradcheck's is its report), with each command's exit
-status. Two checkouts keep every byte when their outputs are equal:
+runs ``convncf train``, ``eval per_user=true``, ``gradcheck``, ``pretrain``
+and ``recommend`` (for user ``u007``, from the trained checkpoint) for mf,
+fism and svdpp x (outer cnn, outer mlp, elementwise linear, inner identity)
+at K=8 C=4, and for mf outer cnn at K=64 C=32. Prints one ``sha256
+artifact`` line per ``model.ckpt``, ``metrics.csv``, ``eval.csv``,
+``per_user.tsv``, ``pretrain.ckpt``, ``pretrain_metrics.csv`` and command
+stdout (gradcheck's is its report, recommend's its scored list), with each
+command's exit status. Two checkouts keep every byte when their outputs are
+equal:
 
     python tools/byte_matrix.py > before.txt   # in one checkout
     python tools/byte_matrix.py > after.txt    # in the other
@@ -34,6 +37,7 @@ HEADS = [("outer", "cnn"), ("outer", "mlp"), ("elementwise", "linear"), ("inner"
 RUNS = [(variant, merge, head, 8, 4) for variant in ("mf", "fism", "svdpp") for merge, head in HEADS]
 RUNS.append(("mf", "outer", "cnn", 64, 32))
 TRAIN_KEYS = ["dataset=data.tsv", "epochs=2", "epochs_pretrain=1", "seed=5"]
+ARTIFACTS = ["model.ckpt", "metrics.csv", "eval.csv", "per_user.tsv", "pretrain.ckpt", "pretrain_metrics.csv"]
 
 
 def digest(data: bytes) -> str:
@@ -47,12 +51,20 @@ def main() -> int:
         for variant, merge, head, K, C in RUNS:
             name = f"{variant}-{merge}-{head}-K{K}-C{C}"
             keys = [f"outdir={name}", f"variant={variant}", f"merge={merge}", f"head={head}", f"K={K}", f"C={C}", *TRAIN_KEYS]
-            for command, extra in (("train", []), ("eval", [f"checkpoint={name}/model.ckpt", "per_user=true"]), ("gradcheck", [])):
+            ckpt = f"checkpoint={name}/model.ckpt"
+            commands = [
+                ("train", []),
+                ("eval", [ckpt, "per_user=true"]),
+                ("gradcheck", []),
+                ("pretrain", []),
+                ("recommend", [ckpt, "user=u007"]),
+            ]
+            for command, extra in commands:
                 done = subprocess.run(
                     [sys.executable, "-m", "convncf.cli", command, *keys, *extra], cwd=tmp, env=env, capture_output=True
                 )
                 print(f"{digest(done.stdout)}  {name}/{command}.stdout exit={done.returncode}", flush=True)
-            for artifact in ("model.ckpt", "metrics.csv", "eval.csv", "per_user.tsv"):
+            for artifact in ARTIFACTS:
                 with open(os.path.join(tmp, name, artifact), "rb") as fh:
                     print(f"{digest(fh.read())}  {name}/{artifact}", flush=True)
     return 0
