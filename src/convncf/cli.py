@@ -216,7 +216,7 @@ def cmd_train(cfg: RunConfig) -> int:
     metrics = _outpath(cfg, "metrics.csv")
 
     if cfg.variant == "itempop":
-        spec, tables = make_itempop(splits.train)
+        spec, tables = make_itempop(_sized(cfg, splits).train)
         records = [evaluate_state(spec, tables, splits, epoch=1)]
     else:
         variant = Variant(cfg.variant)
@@ -265,9 +265,9 @@ def cmd_recommend(cfg: RunConfig) -> int:
     fr, splits = _load_splits(cfg)
     _check_tables_match(tables, splits, "checkpoint")
     ds = fr.dataset
-    if cfg.user not in ds.user_index:
+    if cfg.user not in ds.user_ids:
         raise ConfigError(f"key user: id {cfg.user!r} not present in the dataset")
-    u = ds.user_index[cfg.user]
+    u = ds.user_ids.index(cfg.user)
     history = splits.history_items(u, include_validation=True)
     candidates = np.delete(np.arange(ds.N), history)  # a mask over the catalogue, ascending
     if candidates.size == 0:

@@ -78,7 +78,6 @@ class Dataset:
     keys: np.ndarray = field(repr=False)
     user_ids: list[str]
     item_ids: list[str]
-    user_index: dict[str, int] = field(repr=False)
 
     @property
     def n_interactions(self) -> int:
@@ -126,9 +125,7 @@ def _assemble(
     indptr = np.zeros(M + 1, dtype=np.int64)
     np.cumsum(np.bincount(users[rows], minlength=M), out=indptr[1:])
     return Dataset(
-        M=M, N=N, indptr=indptr, items=items[rows], stamps=stamps[rows], keys=keys,
-        user_ids=user_ids, item_ids=item_ids,
-        user_index={raw: k for k, raw in enumerate(user_ids)},
+        M=M, N=N, indptr=indptr, items=items[rows], stamps=stamps[rows], keys=keys, user_ids=user_ids, item_ids=item_ids
     )
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from convncf.embeddings import EmbeddingTables, history_terms
 from convncf.model import ModelSpec, head_views, section_arrays, tower_work
-from convncf.training import bpr_loss, compute_triple_gradients, triple_forward
+from convncf.training import bpr, compute_triple_gradients, triple_forward
 
 
 @dataclass
@@ -79,7 +79,7 @@ def _loss_and_acts(
     without layers), in buffers of their own, so each perturbed forward's
     outputs stay for the kink test."""
     *_, acts, y = triple_forward(spec, tables, u, i, j, terms, tower_work(spec, 2))
-    return bpr_loss(float(y[0]), float(y[1])), acts[1:] if acts else []
+    return bpr(*y.tolist())[0], acts[1:] if acts else []
 
 
 def _candidate_indices(name: str, arr: np.ndarray, u: int, i: int, j: int, terms: np.ndarray) -> np.ndarray:

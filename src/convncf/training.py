@@ -2,7 +2,10 @@
 
 The loss for a triple (u, i, j) with i observed and j not is
 -ln sigmoid(y_ui - y_uj), evaluated through the softplus of the negated
-margin so large margins never overflow. Regularization splits into four
+margin so large margins never overflow. ``bpr`` is its one definition: the
+loss and its coefficient sigmoid(y_uj - y_ui) for the training step,
+gradcheck and the tests' loop oracle, both on numpy's exp, so a vectorised
+form over many pairs gives the same bits. Regularization splits into four
 groups: lambda1 on the user-representation tables the variant owns (P and
 the history table Qp), lambda2 on the target-item table Q, lambda3 on the
 hidden tower (convolution kernels and biases, or MLP layers), lambda4 on
@@ -99,22 +102,14 @@ def check_bound(cfg, key: str, bound: float, strict: bool = False) -> None:
 # loss
 
 
-def bpr_loss(y_pos: float, y_neg: float) -> float:
-    """-ln sigmoid(y_pos - y_neg), via softplus(-(margin)); always >= 0."""
-    return float(np.logaddexp(0.0, -(y_pos - y_neg)))
-
-
-def bpr_grad(y_pos: float, y_neg: float) -> tuple[float, float]:
-    """d loss / d y_pos and d y_neg. Both shrink to 0 as the margin grows."""
-    coeff = _sigmoid(-(y_pos - y_neg))
-    return -coeff, coeff
-
-
-def _sigmoid(x: float) -> float:
-    if x >= 0:
-        return 1.0 / (1.0 + math.exp(-x))
-    e = math.exp(x)
-    return e / (1.0 + e)
+def bpr(y_pos: float, y_neg: float) -> tuple[float, float]:
+    """(loss, coeff) of one pair: loss = -ln sigmoid(y_pos - y_neg) =
+    softplus(x) with x = y_neg - y_pos, always >= 0, and coeff = sigmoid(x)
+    = d loss / d y_neg = -d loss / d y_pos. Neither overflows: coeff reads
+    e = exp(-|x|) <= 1, as 1 / (1 + e) for x >= 0 and e / (1 + e) below."""
+    x = y_neg - y_pos
+    e = float(np.exp(-abs(x)))
+    return float(np.logaddexp(0.0, x)), (1.0 if x >= 0 else e) / (1.0 + e)
 
 
 # ---------------------------------------------------------------------------
@@ -252,12 +247,12 @@ def compute_triple_gradients(
     cotangents go into ``work``, the user rows' into ``d_FU``, ``(2, K)``.
     Returns (loss, ``{table: rows}``)."""
     FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms, work)
-    y_pos, y_neg = y.tolist()
-    d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), grads, work)
+    loss, coeff = bpr(*y.tolist())
+    d_merged = head_backward(spec, merged, acts, np.array((-coeff, coeff)), grads, work)
     merge_backward(spec.merge, FU, FI, d_merged, d_FU, grads["Q"])
     rows = scatter_user_gradient(spec, u, terms, (i, j), d_FU, grads)
     rows["Q"] = np.array([i, j])
-    return bpr_loss(y_pos, y_neg), rows
+    return loss, rows
 
 
 def train_step(

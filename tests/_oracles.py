@@ -15,7 +15,7 @@ import numpy as np
 from convncf.data import ParseError, _assemble
 from convncf.embeddings import scatter_user_gradient
 from convncf.model import head_backward, head_sections, head_views, merge_backward, pack_head, tower_work
-from convncf.training import adagrad_step, bpr_grad, bpr_loss, triple_forward
+from convncf.training import adagrad_step, bpr, triple_forward
 
 
 def outer_loops(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -322,10 +322,9 @@ def compute_triple_gradients_loops(spec, tables, u, i, j, terms=None):
     table grads as (rows, grads) by section."""
     work = tower_work(spec, 2)
     FU, FI, merged, acts, y = triple_forward(spec, tables, u, i, j, terms, work)
-    y_pos, y_neg = float(y[0]), float(y[1])
-    loss = bpr_loss(y_pos, y_neg)
+    loss, coeff = bpr(float(y[0]), float(y[1]))
     head_grads = head_views(spec.head)
-    d_merged = head_backward(spec, merged, acts, np.array(bpr_grad(y_pos, y_neg)), head_grads, work)
+    d_merged = head_backward(spec, merged, acts, np.array((-coeff, coeff)), head_grads, work)
     d_FU, d_FI = np.empty(FI.shape), np.empty(FI.shape)
     merge_backward(spec.merge, FU, FI, d_merged, d_FU, d_FI)
     user = {"P": np.empty((1, spec.K)), "Qp": np.empty((0 if terms is None else len(terms), spec.K))}

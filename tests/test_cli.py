@@ -228,13 +228,14 @@ class TestParamcount:
 
 
 class TestEmptyLog:
-    """A log with no interaction left after ingest sizes no embedding table:
-    the commands that train one refuse it with an error, the rest accept it."""
+    """A log with no interaction left after ingest sizes no table: the
+    commands that train or count one (ItemPop's popularity table included)
+    refuse it with an error and write no checkpoint, the rest accept it."""
 
     @pytest.mark.parametrize(
         "args",
-        [("train",), ("pretrain",), ("train", "merge=inner", "head=identity")],
-        ids=["train", "pretrain", "train_inner"],
+        [("train",), ("pretrain",), ("train", "merge=inner", "head=identity"), ("train", "variant=itempop")],
+        ids=["train", "pretrain", "train_inner", "train_itempop"],
     )
     @pytest.mark.parametrize("log", ["comments", "min_item"])
     def test_training_commands_refuse_it(self, toy, tmp_path, capsys, args, log):
@@ -247,8 +248,9 @@ class TestEmptyLog:
         rc, out, err = run(capsys, *args, f"dataset={dataset}", f"outdir={tmp_path}", "K=4", "C=2", *extra)
         assert rc == 1 and out == ""
         assert err.startswith(f"error: dataset {dataset} is empty after ingest") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.ckpt"))
 
-    @pytest.mark.parametrize("args", [("ingest",), ("paramcount", "K=4", "C=2"), ("train", "variant=itempop")])
+    @pytest.mark.parametrize("args", [("ingest",), ("paramcount", "K=4", "C=2")])
     def test_other_commands_accept_it(self, tmp_path, capsys, args):
         dataset = tmp_path / "empty.tsv"
         dataset.write_text("# no interactions\n", encoding="utf-8")
@@ -257,15 +259,20 @@ class TestEmptyLog:
 
 
     def test_itempop_metrics_over_no_users_read_nan(self, tmp_path, capsys):
-        """HR and NDCG over zero evaluated users are undefined: both rows of
+        """HR and NDCG over zero evaluated users are undefined: on a log that
+        holds out no user (each has fewer than 3 interactions), both rows of
         the ItemPop run's metrics.csv read nan, not the 0.0 of a model that
-        never hits."""
-        dataset = tmp_path / "empty.tsv"
-        dataset.write_text("# no interactions\n", encoding="utf-8")
+        never hits, and eval reads its checkpoint back."""
+        dataset = tmp_path / "short.tsv"
+        dataset.write_text("a\tx\t1\na\ty\t2\nb\tx\t3\n", encoding="utf-8")
         rc, _, err = run(capsys, "train", "variant=itempop", f"dataset={dataset}", f"outdir={tmp_path}")
         assert rc == 0 and err == ""
         rows = (tmp_path / "metrics.csv").read_text(encoding="utf-8").splitlines()[1:]
         assert rows == [f"1,{split}," + ",".join(["nan"] * 7) for split in ("val", "test")]
+        ckpt = f"checkpoint={tmp_path / 'model.ckpt'}"
+        rc, out, err = run(capsys, "eval", ckpt, f"dataset={dataset}", f"outdir={tmp_path}")
+        assert rc == 0 and err == ""
+        assert out.splitlines()[-1] == "users_evaluated 0"
 
 class TestGradcheckCommand:
     def test_passes_for_default_architecture(self, capsys):
@@ -328,7 +335,7 @@ class TestPipeline:
         splits = split_leave_latest_out(load_interactions(toy), derive_seed(9, "split"))
         ds = splits.train
         for user in ("user00", "user03", "user15"):
-            u = ds.user_index[user]
+            u = ds.user_ids.index(user)
             history = splits.history_items(u, include_validation=True)
             assert history
             candidates = np.array([i for i in range(ds.N) if i not in set(history)], dtype=np.int64)
@@ -348,7 +355,7 @@ class TestPipeline:
             capsys, "recommend", f"dataset={toy}", f"outdir={outdir}",
             f"checkpoint={outdir}/model.ckpt", "user=nobody", "seed=9",
         )
-        assert rc == 1 and "nobody" in err
+        assert rc == 1 and err == "error: key user: id 'nobody' not present in the dataset\n"
 
     @pytest.mark.parametrize("variant,held", [("mf", "16 users x 20 items"), ("fism", "20 items")])
     def test_checkpoint_must_fit_the_dataset(self, toy, tmp_path, capsys, variant, held):

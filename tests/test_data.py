@@ -121,7 +121,6 @@ def random_log_lines(rng, n):
 
 def assert_same_dataset(a, b):
     assert (a.M, a.N, a.user_ids, a.item_ids) == (b.M, b.N, b.user_ids, b.item_ids)
-    assert a.user_index == b.user_index
     for name in ("indptr", "items", "stamps", "keys"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype == np.int64, name
@@ -333,7 +332,7 @@ class TestSplit:
         text = "a\tx\t1\na\ty\t2\na\tz\t3\na\tw\t4\nb\tx\t9\nb\tv\t8\n"
         ds = load_interactions(write(tmp_path, text))
         splits = split_leave_latest_out(ds, seed=0)
-        b = ds.user_index["b"]
+        b = ds.user_ids.index("b")
         assert splits.skipped_users == 1
         assert b not in splits.test and b not in splits.validation
         assert len(splits.train.items_of(b)) == 2
@@ -391,7 +390,7 @@ class TestHistoryTerms:
         text = "".join(f"z\ti{i}\t{i}\n" for i in range(10))  # dense item i is i{i}
         text += "a\ti3\t1\na\ti5\t2\na\ti8\t3\nb\ti2\t1\nb\ti6\t2\nc\ti1\t1\nc\ti4\t2\nc\ti7\t3\n"
         train = load_interactions(write(tmp_path, text))
-        a, b, c = (train.user_index[name] for name in "abc")
+        a, b, c = (train.user_ids.index(name) for name in "abc")
         validation = {a: 0, b: 4, c: 9}  # first, middle, last
         splits = SplitSet(
             train=train,
@@ -418,7 +417,6 @@ class TestMinibatches:
             keys=rows,
             user_ids=["u"],
             item_ids=[f"i{k}" for k in range(n)],
-            user_index={"u": 0},
         )
 
     def test_batch_sizes(self):

@@ -547,4 +547,4 @@ class TestPerUserRanks:
         assert len(lines) == res.users_evaluated
         for line in lines:
             name, rank = line.split("\t")
-            assert res.ranks[splits.train.user_index[name]] == int(rank)
+            assert res.ranks[splits.train.user_ids.index(name)] == int(rank)

@@ -38,8 +38,7 @@ from convncf.training import (
     _run_epochs,
     adagrad_pass,
     adagrad_step,
-    bpr_grad,
-    bpr_loss,
+    bpr,
     evaluate_state,
     pretrain,
     train,
@@ -78,40 +77,63 @@ def cnn_spec(K=4, C=2, seed=3):
 
 class TestBprLoss:
     def test_zero_margin_is_ln2(self):
-        assert bpr_loss(0.0, 0.0) == pytest.approx(LN2, rel=1e-15)
-        assert bpr_loss(3.7, 3.7) == pytest.approx(LN2, rel=1e-15)
+        assert bpr(0.0, 0.0)[0] == pytest.approx(LN2, rel=1e-15)
+        assert bpr(3.7, 3.7)[0] == pytest.approx(LN2, rel=1e-15)
 
     def test_frozen_values(self):
-        assert bpr_loss(10.0, -10.0) == pytest.approx(SOFTPLUS_NEG20, rel=1e-12)
-        assert bpr_loss(-1.0, 1.0) == pytest.approx(SOFTPLUS_POS2, rel=1e-14)
+        assert bpr(10.0, -10.0)[0] == pytest.approx(SOFTPLUS_NEG20, rel=1e-12)
+        assert bpr(-1.0, 1.0)[0] == pytest.approx(SOFTPLUS_POS2, rel=1e-14)
 
     def test_no_overflow_at_extreme_margins(self):
-        assert bpr_loss(-500.0, 500.0) == pytest.approx(1000.0, rel=1e-12)
-        assert bpr_loss(500.0, -500.0) == 0.0  # underflows cleanly, not nan
+        assert bpr(-500.0, 500.0)[0] == pytest.approx(1000.0, rel=1e-12)
+        assert bpr(500.0, -500.0)[0] == 0.0  # underflows cleanly, not nan
 
     def test_symmetric_pair_sum_bounded_below(self):
         """loss(a,b) + loss(b,a) >= 2 ln 2 with equality only at a == b."""
         rng = np.random.default_rng(8)
         for _ in range(50):
             a, b = rng.normal(size=2) * 3
-            total = bpr_loss(a, b) + bpr_loss(b, a)
+            total = bpr(a, b)[0] + bpr(b, a)[0]
             assert total >= 2 * LN2 - 1e-12
-        assert bpr_loss(1.0, 1.0) + bpr_loss(1.0, 1.0) == pytest.approx(2 * LN2)
+        assert bpr(1.0, 1.0)[0] + bpr(1.0, 1.0)[0] == pytest.approx(2 * LN2)
 
     def test_grad_matches_finite_difference(self):
+        """coeff is d loss / d y_neg, and -coeff d loss / d y_pos."""
         rng = np.random.default_rng(9)
         for _ in range(25):
             yp, yn = rng.normal(size=2) * 2
-            dp, dn = bpr_grad(yp, yn)
+            coeff = bpr(yp, yn)[1]
             step = 1e-6
-            num_p = (bpr_loss(yp + step, yn) - bpr_loss(yp - step, yn)) / (2 * step)
-            num_n = (bpr_loss(yp, yn + step) - bpr_loss(yp, yn - step)) / (2 * step)
-            assert dp == pytest.approx(num_p, abs=1e-6)
-            assert dn == pytest.approx(num_n, abs=1e-6)
+            num_p = (bpr(yp + step, yn)[0] - bpr(yp - step, yn)[0]) / (2 * step)
+            num_n = (bpr(yp, yn + step)[0] - bpr(yp, yn - step)[0]) / (2 * step)
+            assert -coeff == pytest.approx(num_p, abs=1e-6)
+            assert coeff == pytest.approx(num_n, abs=1e-6)
 
     def test_grads_are_opposite(self):
-        dp, dn = bpr_grad(0.3, -0.2)
-        assert dp == -dn and dp < 0
+        """Raising the positive's score lowers the loss, raising the
+        negative's raises it."""
+        loss, coeff = bpr(0.3, -0.2)
+        assert 0.0 < coeff < 0.5
+        assert bpr(0.3 + 1e-3, -0.2)[0] < loss < bpr(0.3, -0.2 + 1e-3)[0]
+
+    @pytest.mark.parametrize(
+        "y_pos,y_neg,loss,coeff",
+        [
+            (0.0, 0.0, LN2, 0.5),
+            (0.0, 800.0, 800.0, 1.0),
+            (800.0, 0.0, 0.0, 0.0),
+            (0.0, 1e308, 1e308, 1.0),
+            (1e308, 0.0, 0.0, 0.0),
+        ],
+    )
+    def test_coefficient_limits(self, y_pos, y_neg, loss, coeff):
+        """Exactly 0.5 at margin 0, and exactly 1 and 0 far out, with no
+        overflow, invalid operation or division by zero on the way. (Far
+        out, exp(-|x|) underflows to 0: that flag is the one left alone.)"""
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = bpr(y_pos, y_neg)
+        assert got == (loss, coeff)
+        assert [type(v) for v in got] == [float, float]
 
 
 class TestAdagrad:
@@ -172,8 +194,8 @@ class TestTrainStep:
         loss = train_step(spec, t, (u, i, j), cfg, states, regularize=True)
 
         margin = float(P0[u] @ Q0[i] - P0[u] @ Q0[j])
-        coeff = 1.0 / (1.0 + math.exp(margin))
-        assert loss == pytest.approx(math.log1p(math.exp(-margin)), rel=1e-12)
+        coeff = 1.0 / (1.0 + np.exp(margin))
+        assert loss == pytest.approx(np.log1p(np.exp(-margin)), rel=1e-12)
 
         gP = -coeff * Q0[i] + coeff * Q0[j] + 2 * 0.01 * P0[u]
         gQi = -coeff * P0[u] + 2 * 0.02 * Q0[i]
@@ -201,7 +223,7 @@ class TestTrainStep:
     def test_reported_loss_is_pre_update_data_loss(self):
         t = init_tables(3, 4, 4, Variant.MF, 1, scale=1.0)
         spec = cnn_spec(seed=11)
-        before = bpr_loss(*predict_batch(spec, t, 0, [1, 2]))
+        before = bpr(*predict_batch(spec, t, 0, [1, 2]))[0]
         states = AdagradState(spec, t)
         cfg = TrainConfig(lambda3=50.0, lambda4=50.0)
         loss = train_step(spec, t, (0, 1, 2), cfg, states, regularize=True)
@@ -235,8 +257,8 @@ class TestTrainStep:
         Q_rows = rows["Q"]
         assert P_rows.tolist() == [1]
         assert sorted(Q_rows.tolist()) == [0, 2]
-        dp, dn = bpr_grad(*triple_forward(inner_spec(), t, 1, 2, 0, None, None)[-1].tolist())
-        np.testing.assert_allclose(P_grads[0], dp * t.Q[2] + dn * t.Q[0], rtol=1e-12)
+        coeff = bpr(*triple_forward(inner_spec(), t, 1, 2, 0, None, None)[-1].tolist())[1]
+        np.testing.assert_allclose(P_grads[0], -coeff * t.Q[2] + coeff * t.Q[0], rtol=1e-12)
 
     @pytest.mark.parametrize("variant", list(Variant))
     def test_table_update_matches_per_row_loop(self, variant):
@@ -279,7 +301,8 @@ class TestTrainStep:
         u, i, j, terms = 1, 2, 5, np.array([0, 2, 4, 7])
         grads, _ = triple_gradients(spec, t, u, i, j, terms)
         passes = []
-        for target, d_y in zip((i, j), bpr_grad(*triple_forward(spec, t, u, i, j, terms, tower_work(spec, 2))[-1].tolist())):
+        coeff = bpr(*triple_forward(spec, t, u, i, j, terms, tower_work(spec, 2))[-1].tolist())[1]
+        for target, d_y in zip((i, j), (-coeff, coeff)):
             fU = user_rows(spec, t, [u], terms[None], (target,))
             merged = merge(mk, fU, t.Q[[target]])
             work = tower_work(spec, 1)
@@ -302,7 +325,8 @@ class TestTrainStep:
         got, _ = triple_gradients(spec, t, u, i, j, None)
         y_pos, y_neg = triple_forward(spec, t, u, i, j, None, None)[-1].tolist()
         merged = merge(mk, user_rows(spec, t, [u, u], targets=(i, j)), t.Q[[i, j]])
-        _, y, grads, _ = mlp_loops(head, merged.reshape(2, -1), np.array(bpr_grad(y_pos, y_neg)))
+        coeff = bpr(y_pos, y_neg)[1]
+        _, y, grads, _ = mlp_loops(head, merged.reshape(2, -1), np.array((-coeff, coeff)))
         np.testing.assert_allclose([y_pos, y_neg], y, rtol=1e-12)
         got_head = {name: got[name] for name, _ in head_sections(head)}
         assert sorted(got_head) == sorted(grads)
