@@ -74,10 +74,10 @@ def _load_splits(cfg: RunConfig) -> tuple[FilterResult, SplitSet]:
 
 
 def _sized(cfg: RunConfig, splits: SplitSet) -> SplitSet:
-    """The splits that embedding tables are sized from, refused when empty."""
+    """The splits that a model's tables are sized from, refused when empty."""
     if splits.train.M == 0:
         empty = f"dataset {cfg.dataset} is empty after ingest (min_item={cfg.min_item}, min_user={cfg.min_user})"
-        raise ProtocolError(f"{empty}: no embedding tables to train")
+        raise ProtocolError(f"{empty}: no table to fit")
     return splits
 
 

@@ -27,12 +27,13 @@ users' candidates laid end to end, so at small K one block holds several
 users. Blocks are the pool's unit of work; inside a block a conv tower runs
 in chunks of rows small enough for its layer-1 activations to stay in cache
 (``TOWER_CHUNK_BYTES``), through buffers its thread keeps (``ConvWork``), and
-each row's layer products in slices small enough for BLAS's small-matrix
-kernels (``SMALL_PRODUCT_MACS``).
-Each row's result is bit-identical to that row scored alone, except with an
-MLP head: each of its layers is one matrix product over the whole batch,
-which reads the weight matrix once per batch and agrees with the row alone
-to rounding.
+each layer's product over the flat patch rows of all those rows at once, in
+ranges small enough for BLAS's small-matrix kernels (``SMALL_PRODUCT_MACS``).
+Each row's result is bit-identical to that row scored alone: BLAS's gemm
+computes a row of a product as it would alone, and no conv product has a
+single row, which numpy would run as gemv. The exception is an MLP head:
+each of its layers is one matrix product over the whole batch, which reads
+the weight matrix once per batch and agrees with the row alone to rounding.
 
 A head's backward pass sums its gradients over the batch into the caller's
 views keyed by section name (``head_views``: ``conv.<l>.kernel``,
@@ -276,29 +277,34 @@ def merge_backward(kind: MergeKind, FU: np.ndarray, FI: np.ndarray, d_merged, d_
 # M*N*K <= 10^6 on small-matrix kernels that pack no operand. On a 2-CPU
 # AVX-512 Xeon, one BLAS thread, pinned, (244, 128) @ (128, 32) (999,424)
 # took 26.2 us (76 GFLOP/s) and (245, 128) @ (128, 32) 38.7 us (52 GFLOP/s).
-# So a ConvWork cuts each row's product of a layer into the fewest equal
-# slices of its patch rows that keep every call within this bound: at K=64
-# C=32 layer 2's (256, 128) @ (128, 32), 1,048,576, runs as two 128-row
-# calls, and no other layer is cut. A slice is a row range of the product,
-# which both kernels compute in the same order: scores and training keep
-# their bytes (tests/test_model.py runs K = 8..128 x C = 4..64 both ways).
-# Rows are never grouped into one call, so a row computes alone in a batch.
+# So a ConvWork runs each layer's product over the flat patch rows of all
+# the rows it computes at once, cut into equal power-of-two ranges that
+# keep every call within this bound, as one stacked numpy call, plus one
+# call for the rows left over (_products): at K=64 C=32 layers 2-4 of a
+# 16-row block run in 128-row ranges, and at K=4 C=8 each layer of a
+# 1,024-row block is one call. A range is a row range of the product, which BLAS's gemm computes
+# entry by entry as it would alone, so a row keeps its bytes whatever rows
+# share its call (tests/test_model.py runs K = 8..128 x C = 4..64 with and
+# without the bound). numpy runs a one-row product as gemv, which sums in
+# another order, so the last layer, one patch row per batch row, runs over
+# an even row count (ConvWork's pad row). On the Xeon above, pinned, a warm
+# K=4 C=8 block took 121 us against 205 us with one call per row (2,048
+# calls, half of them gemv) at 1,024 rows, and a K=64 C=32 16-row block
+# ~1.53 ms either way.
 SMALL_PRODUCT_MACS = 10**6
 
 
-def product_slices(rows: int, inner: int, cols: int) -> int:
-    """Equal slices of a ``(rows, inner) @ (inner, cols)`` product, rows a
-    power of two, that keep each within SMALL_PRODUCT_MACS multiply-adds:
-    the least power of two that does, at most ``rows``."""
-    calls = -(-rows * inner * cols // SMALL_PRODUCT_MACS)
-    return min(rows, 1 << (calls - 1).bit_length())
-
-
-def _sliced(x: np.ndarray, slices: int) -> np.ndarray:
-    """``(n, m, c)`` rows as ``(n * slices, m / slices, c)``, each row in
-    ``slices`` equal runs."""
-    n, m, c = x.shape
-    return x.reshape(n * slices, m // slices, c)
+def _products(patches: np.ndarray, act: np.ndarray) -> tuple:
+    """(patch rows, act rows) views of a layer's flat ``(N, 4 cin) @ (4 cin,
+    C) -> (N, C)`` product: its leading rows as a stack of the largest
+    power-of-two ranges, at least 2 rows, within SMALL_PRODUCT_MACS, then
+    the rows left over, if any."""
+    rows, inner = patches.shape
+    cols = act.shape[1]
+    step = 1 << max(1, (SMALL_PRODUCT_MACS // (inner * cols)).bit_length() - 1)
+    full = rows - rows % step
+    ranges = ((patches[:full].reshape(-1, step, inner), act[:full].reshape(-1, step, cols)),) if full else ()
+    return ranges + ((patches[full:], act[full:]),) if full < rows else ranges
 
 
 class ConvWork:
@@ -308,20 +314,24 @@ class ConvWork:
     shaped as convncf_forward's activation list (the ``(rows, K*K, 1)``
     quadtree map, then each layer's ``(rows, P_l, C)`` relu output), except
     that layer 1's holds ``chunk`` rows (default ``rows``; all of them at
-    depth 1), the rows it computes at once; ``E`` holds the maps merge
-    writes; a backward makes ``cotangents``. Each row's product of
-    layer l + 1 runs in ``slices[l]`` equal slices (product_slices), and
-    ``cut`` says whether any layer's does. No view points into a head's
-    parameters, so one ConvWork serves every tower of its shape."""
+    depth 1), the rows it computes at once, and that the last layer's input
+    and output buffers hold one spare row; ``E`` holds the maps merge
+    writes; a backward makes ``cotangents``. A layer's product runs over the
+    flat patch rows of every row it computes at once, in ranges within
+    SMALL_PRODUCT_MACS (_products). The last layer has one patch row per
+    row, so over an odd count its input's last row is first copied into the
+    row after it, the pad row, and no product is a one-row gemv; no one
+    reads the pad row's output, a row past the count or the next chunk's
+    first row, written after it. No view points into a head's parameters,
+    so one ConvWork serves every tower of its shape."""
 
     def __init__(self, stack: ConvStack, rows: int, chunk: Optional[int] = None):
         K, C, depth = 2**stack.depth, stack.C, stack.depth
         chunk = rows if chunk is None or depth == 1 else min(chunk, rows)
         self.shapes = [(rows, K * K, 1), (chunk, K * K // 4, C)] + [(rows, (K >> l) ** 2, C) for l in range(2, depth + 1)]
-        self.slices = [product_slices(shape[1] // 4, 4 * shape[2], C) for shape in self.shapes[:-1]]
-        self.cut = max(self.slices) > 1
         self.K, self.C, self.chunk = K, C, max(1, chunk)  # chunk: a range step, also over an empty batch
-        self.acts, self.E = [np.empty(shape) for shape in self.shapes], np.empty((rows, K, K))
+        self.acts = [np.empty((m + (l >= depth - 1), *rest)) for l, (m, *rest) in enumerate(self.shapes)]
+        self.E = np.empty((rows, K, K))
         self.n = self.fwd = self.bwd = None
 
     @cached_property
@@ -333,19 +343,27 @@ class ConvWork:
         d_acts = [np.empty(shape) for shape in self.shapes]
         return d_acts, (np.empty(entries, bool), np.empty(entries, np.int64)), d_kernels, np.empty(self.shapes[0])
 
+    def _layer(self, l: int, inp: np.ndarray, out: np.ndarray, n: int) -> tuple:
+        """The call of layer l + 1 over n rows from ``inp``'s leading rows
+        into ``out``'s: (l, pad, flat patch rows, flat act, _products). pad
+        is (the pad row, the last row) of the input when the last layer runs
+        over an odd n, else ()."""
+        m = n + (n % 2 == 1 and l == len(self.shapes) - 2)
+        patches, act = inp[:m].reshape(-1, 4 * inp.shape[2]), out[:m].reshape(-1, self.C)
+        return l, (patches[n], patches[n - 1]) if m > n else (), patches, act, _products(patches, act)
+
     def views(self, n: int):
-        """A forward's views over n rows: (E, acts, (layer index, patches,
-        act) in call order, layer 1 by chunks each followed by layer 2,
-        each row's patches and act in ``slices`` equal slices, acts[-1] as
+        """A forward's views over n rows: (E, acts, the layer calls in call
+        order, layer 1 by chunks each followed by layer 2, acts[-1] as
         ``(n, C)``)."""
         if n != self.n:
-            acts, calls = [buf[:n] for buf in self.acts], []
+            buffers, calls = self.acts, []
             for a in range(0, n, self.chunk):
-                calls.append((0, patch_rows(acts[0][a : a + self.chunk]), acts[1][: n - a]))
-                calls += [(1, patch_rows(acts[1][: n - a]), act[a : a + self.chunk]) for act in acts[2:3]]
-            calls += [(l, patch_rows(acts[l]), acts[l + 1]) for l in range(2, len(acts) - 1)]
-            if self.cut:  # views still: each is a run of whole rows of a C-contiguous buffer
-                calls = [(l, _sliced(patches, self.slices[l]), _sliced(act, self.slices[l])) for l, patches, act in calls]
+                rows = min(self.chunk, n - a)
+                calls.append(self._layer(0, buffers[0][a:], buffers[1], rows))
+                calls += [self._layer(1, buffers[1], buf[a:], rows) for buf in buffers[2:3]]
+            calls += [self._layer(l, buffers[l], buffers[l + 1], n) for l in range(2, len(buffers) - 1)]
+            acts = [buf[:n] for buf in buffers]
             self.n, self.fwd, self.bwd = n, (self.E[:n], acts, calls, acts[-1].reshape(n, self.C)), None
         return self.fwd
 
@@ -384,8 +402,10 @@ def convncf_forward(stack: ConvStack, E: np.ndarray, work: ConvWork):
     _, acts, calls, features = work.views(E.shape[0])
     to_quadtree(E[..., None], acts[0])
     layers = stack.layers
-    for l, patches, act in calls:
-        conv2x2s2_forward(patches, layers[l].kernel, layers[l].bias, act)
+    for l, pad, patches, act, products in calls:
+        if pad:
+            np.copyto(*pad)
+        conv2x2s2_forward(patches, layers[l].kernel, layers[l].bias, act, products)
     return acts, np.vecdot(features, stack.w)
 
 

@@ -7,13 +7,15 @@ each bit of r just above the same bit of c. Kernels are ``(2, 2, cin,
 cout)``. In this order the 2x2 patch under output position (i, j), inputs
 (2i + a, 2j + b), is four consecutive rows in the kernel's (a, b) order, and
 the outputs come out in quadtree order again: a layer is a reshape to rows
-of patches and one stacked matrix product with the flattened kernel, with
-no copy. numpy runs that product once per slice of a batch row (the whole
-row, unless ``model.ConvWork`` cuts its patch rows into equal slices to keep
-each call within ``model.SMALL_PRODUCT_MACS``), so each row's result is
+of patches and one matrix product with the flattened kernel, with no copy.
+The forward runs that product over the flat patch rows of a whole batch,
+which ``model.ConvWork`` cuts into equal ranges within
+``model.SMALL_PRODUCT_MACS`` (one stacked call) and the rest (one more),
+and never as one row, which numpy hands to BLAS's gemv: gemm computes each
+row's entries as it would for that row alone, so each row's result is
 bit-identical to that row computed alone, whatever rows share the call.
-Patches never overlap, so the input gradient is a plain reshape of the
-patch gradient.
+The backward runs one product per batch row. Patches never overlap, so the
+input gradient is a plain reshape of the patch gradient.
 
 Every array a layer reads or writes is a view, which the caller passes,
 of C-contiguous buffers it owns (the input's ``patch_rows``, ``act``, the
@@ -80,11 +82,17 @@ def patch_rows(x: np.ndarray) -> np.ndarray:
     return x.reshape(n, p // 4, 4 * c)
 
 
-def conv2x2s2_forward(patches, kernel, bias, act):
-    """One layer with a single scalar bias over its input's ``patch_rows``,
-    into ``act``, ``(n, P/4, cout)``, which it returns: ``act = max(bias +
-    sum_{a,b,d} inp[2i+a, 2j+b, d] * kernel[a, b, d, :], 0)`` at output (i, j)."""
-    np.matmul(patches, kernel.reshape(patches.shape[2], -1), act)
+def conv2x2s2_forward(patches, kernel, bias, act, products=None):
+    """One layer with a single scalar bias over its input's patch rows,
+    ``patches``, into ``act``, which it returns: ``act = max(bias +
+    sum_{a,b,d} inp[2i+a, 2j+b, d] * kernel[a, b, d, :], 0)`` at output (i,
+    j). ``patches`` and ``act`` are ``patch_rows`` stacks or flat runs of
+    them, ``(..., 4 cin)`` and ``(..., cout)``; the product runs as one
+    stacked matmul, or as one per pair of ``products``, (patch rows, act
+    rows) views that tile them; the bias add and relu run once over ``act``."""
+    weights = kernel.reshape(-1, kernel.shape[3])
+    for rows, out in products or ((patches, act),):
+        np.matmul(rows, weights, out)
     np.add(act, bias, act)
     return np.maximum(act, 0.0, out=act)
 

@@ -248,6 +248,7 @@ class TestEmptyLog:
         rc, out, err = run(capsys, *args, f"dataset={dataset}", f"outdir={tmp_path}", "K=4", "C=2", *extra)
         assert rc == 1 and out == ""
         assert err.startswith(f"error: dataset {dataset} is empty after ingest") and err.count("\n") == 1
+        assert err.endswith(": no table to fit\n")
         assert not list(tmp_path.glob("*.ckpt"))
 
     @pytest.mark.parametrize("args", [("ingest",), ("paramcount", "K=4", "C=2")])

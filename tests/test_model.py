@@ -1,6 +1,7 @@
 import re
 import sys
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -243,16 +244,22 @@ class TestConvHead:
             convncf_backward(stack, np.ones(7), head_views(stack), work)
 
 
+def products_cut(work, n):
+    """Whether any layer call of ``work`` over n rows runs its product in
+    more than one range."""
+    return any(len(products) > 1 or products[0][0].ndim == 3 for *_, products in work.views(n)[2])
+
+
 class TestProductSlices:
     @pytest.mark.parametrize("C", [4, 8, 16, 32, 64])
     @pytest.mark.parametrize("K", [8, 16, 32, 64, 128])
     def test_slices_keep_every_byte(self, monkeypatch, K, C):
         """Scoring 40 items and four training steps give the same bytes
         (scores, every table and head section, the Adagrad accumulators)
-        with each row's layer products cut into slices within
-        SMALL_PRODUCT_MACS and with the bound lifted so that none is cut.
-        At these shapes some layer is cut at K=32 C=64, K=64 C>=32 and
-        K=128 C>=16."""
+        with each layer's product cut into ranges within SMALL_PRODUCT_MACS
+        and with the bound lifted so that none is cut. At these shapes some
+        layer of a training pair is cut at K=16 C=64, K=32 C>=32, K=64
+        C>=16 and K=128 C>=8."""
 
         def run():
             t = init_tables(3, 40, K, Variant.MF, derive_seed(11, "init"), scale=1.0)
@@ -261,48 +268,58 @@ class TestProductSlices:
             states = AdagradState(spec, t)
             for k, triple in enumerate(((0, 1, 2), (1, 3, 4), (2, 5, 6), (0, 7, 8))):
                 train_step(spec, t, triple, TrainConfig(), states, k > 0)
-            cut = max(states.work.slices) > 1
+            cut = products_cut(states.work, 2)
             return cut, [scores.tobytes(), *(arr.tobytes() for arr in section_arrays(spec, t).values()), states.acc.tobytes()], scores
 
         cut, sliced, scores = run()
-        assert cut == ((K, C) in {(32, 64), (64, 32), (64, 64), (128, 16), (128, 32), (128, 64)})
+        assert cut == ((K, C) in {(16, 64), (32, 32), (32, 64), (64, 16), (64, 32), (64, 64), (128, 8), (128, 16), (128, 32), (128, 64)})
         assert np.count_nonzero(scores) > 20  # most rows score through a live tower
         monkeypatch.setattr(model, "SMALL_PRODUCT_MACS", 10**18)
         uncut, whole, _ = run()
         assert not uncut
         assert whole == sliced
 
-    def test_flagship_calls_stay_within_the_bound(self):
-        """Every forward product of the K=64 C=32 tower, over a 16-row
-        scoring block in 2-row chunks, a 1-row block and a training pair,
-        does at most SMALL_PRODUCT_MACS multiply-adds per call, and layer 2
-        (1,048,576 per row) runs in two 128-row slices of each row. The
-        calls are views of the work's buffers and cover every layer's
-        output."""
-        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
-        assert (model.block_rows(spec), model.chunk_rows(spec)) == (16, 2)
-        scoring = ConvWork(spec.head, model.block_rows(spec), model.chunk_rows(spec))
-        pair = AdagradState(spec, init_tables(3, 6, 64, Variant.MF, 0)).work
-        for work, n in ((scoring, 16), (scoring, 1), (pair, 2)):
-            written = [0] * spec.head.depth
-            for l, patches, act in work.views(n)[2]:
-                assert patches.shape[0] == act.shape[0] and patches.shape[1] == act.shape[1]
-                assert patches.shape[1] * patches.shape[2] * act.shape[2] <= model.SMALL_PRODUCT_MACS
+    @pytest.mark.parametrize("K,C", [(4, 8), (64, 32)])
+    def test_layer_calls_plan(self, K, C):
+        """Each layer call of a scoring work over n rows (1,024-row blocks in
+        the spec's chunks) and of a training pair runs its product as at
+        most a stack of equal ranges and one range of rows left over, each
+        a view of the work's buffers with at least 2 patch rows, so no gemv,
+        and at most SMALL_PRODUCT_MACS multiply-adds per BLAS call. The
+        products tile the call's output, every layer's output rows are
+        written exactly once, and only the last layer over an odd n writes
+        one more row, the pad row, from its input's copy of row n - 1."""
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=K, C=C)
+        depth, bound = spec.head.depth, model.SMALL_PRODUCT_MACS
+        scoring = ConvWork(spec.head, 1024, model.chunk_rows(spec))
+        pair = AdagradState(spec, init_tables(3, 6, K, Variant.MF, 0)).work
+        assert model.chunk_rows(spec) == {4: 1024, 64: 2}[K] and pair.shapes[0][0] == 2
+        for work, n in [(scoring, n) for n in (1, 2, 3, 15, 16, 280, 281, 1024)] + [(pair, 2)]:
+            written = [np.zeros((n + 1) * (K >> l) ** 2 // 4, int) for l in range(depth)]
+            pads = 0
+            for l, pad, patches, act, products in work.views(n)[2]:
                 assert np.shares_memory(patches, work.acts[l]) and np.shares_memory(act, work.acts[l + 1])
-                if l == 1:
-                    assert patches.shape[1:] == (128, 128)
-                written[l] += act.size
-            assert written == [n * (64 >> l) ** 2 * 32 for l in range(1, 7)], n
-
-    def test_product_slices(self):
-        bound = model.SMALL_PRODUCT_MACS
-        assert model.product_slices(256, 128, 32) == 2
-        assert model.product_slices(128, 128, 32) == 1
-        assert model.product_slices(1024, 256, 64) == 32
-        assert model.product_slices(1, 4096, 4096) == 1  # a single patch row is not cut
-        for rows, inner, cols in ((256, 128, 32), (1024, 256, 64), (4096, 4, 64), (64, 64, 64)):
-            s = model.product_slices(rows, inner, cols)
-            assert rows // s * inner * cols <= bound and (s == 1 or rows // (s // 2) * inner * cols > bound)
+                assert 1 <= len(products) <= 2 and all(p.ndim == 3 for p, _ in products[:-1])
+                assert sum(a.size for _, a in products) == act.size
+                for p, a in products:
+                    assert p.shape[:-1] == a.shape[:-1] and 2 <= p.shape[-2]
+                    assert p.shape[-2] * p.shape[-1] * a.shape[-1] <= bound
+                    assert np.shares_memory(p, patches) and np.shares_memory(a, act)
+                    if l == 0:  # layer 1 writes a chunk buffer: count by the map's patch rows it reads
+                        start = (p.ctypes.data - work.acts[0].ctypes.data) // (8 * 4)
+                    else:
+                        start = (a.ctypes.data - work.acts[l + 1].ctypes.data) // (8 * C)
+                    written[l][start : start + a.size // C] += 1
+                if pad:
+                    pads += 1
+                    dst, src = pad
+                    assert l == depth - 1 and patches.shape[0] % 2 == 0
+                    assert np.shares_memory(dst, patches[-1]) and np.shares_memory(src, patches[-2])
+            assert pads == n % 2, n
+            for l in range(depth):
+                rows = n * (K >> (l + 1)) ** 2
+                assert (written[l][:rows] == 1).all(), (n, l)
+                assert written[l][rows:].sum() == (n % 2 if l == depth - 1 else 0), (n, l)
 
 
 class TestGmfReduction:
@@ -467,11 +484,44 @@ class TestPredictBatch:
 
     def test_flagship_rows_score_alone_in_a_one_row_block(self):
         """33 items are two 16-row blocks and a 1-row block; each row, with
-        layer 2 in two slices of it, equals that row scored alone."""
+        layers 2-4 in 128-row ranges, equals that row scored alone."""
         t = init_tables(3, 33, 64, Variant.MF, derive_seed(7, "init"), scale=1.0)
         spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=64, C=32)
         assert model.block_rows(spec) == 16 and 33 % 16 == 1
         assert_rows_score_alone(spec, t, 1, np.arange(33))
+
+    @pytest.mark.parametrize("chunk", [1024, 3])
+    @pytest.mark.parametrize("n", [1, 3, 281, 1024])
+    def test_desk_rows_score_alone_in_odd_and_even_blocks(self, monkeypatch, n, chunk):
+        """At K=4 C=8 a block of n items is one chunk (or 3-row chunks), and
+        the last layer, layer 2, runs over each chunk's rows, an even count,
+        an odd chunk's last row twice (the pad row). Each row equals that
+        row scored alone, itself a padded one-row block, bit for bit."""
+        monkeypatch.setattr(model, "TOWER_CHUNK_BYTES", chunk * 8 * 2 * 2 * 8)
+        t = init_tables(3, 1024, 4, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec = spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=4, C=8)
+        assert model.block_rows(spec) == 1024 and model.chunk_rows(spec) == chunk
+        assert np.unique(predict_batch(spec, t, 1, np.arange(n))).size > n // 2  # a live tower
+        assert_rows_score_alone(spec, t, 1, np.arange(n))
+
+    def test_block_after_non_finite_batch_keeps_its_bytes(self):
+        """A block scored after a non-finite 1,024-row block of another
+        tower of its shape on the same thread, whose last layer's input
+        buffer then holds +inf past every odd block's rows (a product over
+        such a row meets inf - inf), reads none of it: odd and even blocks
+        raise no RuntimeWarning and score as before it, bit for bit."""
+        t = init_tables(3, 1024, 4, Variant.MF, derive_seed(7, "init"), scale=1.0)
+        spec, bad_spec = (spec_for(Variant.MF, MergeKind.OUTER, HeadKind.CNN, K=4, C=8) for _ in range(2))
+        blocks = [np.arange(n) for n in (1, 3, 281, 1024, 280)]
+        before = [predict_batch(spec, t, 1, items).tobytes() for items in blocks]
+        bad_spec.head.layers[0].kernel = np.abs(bad_spec.head.layers[0].kernel) * 1e308  # positive maps -> +inf
+        bad = EmbeddingTables(P=np.abs(t.P), Q=np.abs(t.Q), Qp=None)
+        with np.errstate(all="ignore"):
+            assert not np.isfinite(predict_batch(bad_spec, bad, 1, np.arange(1024))).all()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            after = [predict_batch(spec, t, 1, items).tobytes() for items in blocks]
+        assert after == before
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_flagship_rows_score_alone_across_chunks(self, monkeypatch, workers):
